@@ -60,10 +60,6 @@ def _point_str(p: CirclePoint) -> str:
     return f"{p.a}*alpha+{p.b}"
 
 
-def _frac(x) -> str:
-    return str(Fraction(x))
-
-
 # ---------------------------------------------------------------------------
 # experiment dispatchers: each takes (params, seed) and returns a result dict
 # ---------------------------------------------------------------------------
@@ -586,8 +582,11 @@ def verify_certificate(cert: dict) -> bool:
         gen = cert["generator"]
         m = __import__("re").match(r"(-?\d+)\*alpha\+(-?\d+(?:/\d+)?)", gen["target"])
         target = CirclePoint(sys_.alpha, int(m.group(1)), Fraction(m.group(2)))
-        extra = [(-target).translate(k) for k in range(-3, 4)]
-        sample = envelope.split_sample(sys_, plain_count=60, split_range=4, extra_bases=extra)
+        if isinstance(sys_, systems.SplitCircleSystem):
+            extra = [(-target).translate(k) for k in range(-3, 4)]
+            sample = envelope.split_sample(sys_, plain_count=60, split_range=4, extra_bases=extra)
+        else:
+            sample = envelope.rotation_sample(sys_, 60)
         element = envelope.limit_map(sys_, one_sided_approach(target, gen["side"], 6), sample)
         cls = envelope.classify(element)
         return cls.tag == cert["result"]["tag"]

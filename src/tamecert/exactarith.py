@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -46,10 +47,13 @@ class RotationNumber:
         self.prefix = prefix
         self.period = period
         # p_k/q_k with p_0/q_0 = 0/1 and the usual recurrence; p_{-1}/q_{-1} = 1/0.
-        # The cache grows under a lock so instances are safe to share across
-        # concurrent workers.
+        # _qq[k] = q_k*q_{k+1}, the reciprocal width of the level-k enclosure;
+        # q_k and _qq[k] strictly increase from k = 1, so levels are found by
+        # bisection.  The caches only grow, under a lock, and _qq is appended
+        # last, so instances are safe to share across concurrent workers.
         self._p = [0]
         self._q = [1]
+        self._qq: list[int] = []
         self._lock = threading.Lock()
 
     # -- partial quotients -------------------------------------------------
@@ -72,16 +76,23 @@ class RotationNumber:
     # -- convergents --------------------------------------------------------
 
     def _extend(self, k: int) -> None:
-        if len(self._p) > k:
+        if len(self._qq) >= k:
             return
         with self._lock:
-            while len(self._p) <= k:
+            while len(self._qq) < k:
                 i = len(self._p)
                 a = self.quotient(i)
                 pm2 = self._p[i - 2] if i >= 2 else 1
                 qm2 = self._q[i - 2] if i >= 2 else 0
                 self._p.append(a * self._p[i - 1] + pm2)
                 self._q.append(a * self._q[i - 1] + qm2)
+                self._qq.append(self._q[i - 1] * self._q[i])
+
+    def _first_level(self, seq: list[int], least: int) -> int:
+        """Smallest k >= 1 with seq[k] >= least; seq is _q or _qq."""
+        while len(seq) < 2 or seq[-1] < least:
+            self._extend(len(self._q))
+        return bisect_left(seq, least, 1)
 
     def numerator(self, k: int) -> int:
         self._extend(k)
@@ -109,23 +120,22 @@ class RotationNumber:
         return (c0, c1) if c0 < c1 else (c1, c0)
 
     def level_for(self, width: Fraction) -> int:
-        """Smallest level whose enclosure width 1/(q_k q_{k+1}) is <= width."""
-        if width <= 0:
-            raise ValueError("width must be positive")
+        """Smallest level k >= 1 whose enclosure width 1/(q_k q_{k+1}) is <= width.
+
+        On return the convergents up to k+1 are cached."""
         num, den = width.numerator, width.denominator
-        k = 1
-        # integer comparison q_k * q_{k+1} * num >= den avoids Fraction churn
-        while self.denominator(k) * self.denominator(k + 1) * num < den:
-            k += 1
-        return k
+        if num <= 0:
+            raise ValueError("width must be positive")
+        # q_k q_{k+1} * num >= den  <=>  q_k q_{k+1} >= ceil(den / num)
+        return self._first_level(self._qq, -(-den // num))
+
+    def denominator_level(self, least: int) -> int:
+        """Smallest k >= 1 with q_k >= least."""
+        return self._first_level(self._q, least)
 
     def gap_upper(self, k: int) -> Fraction:
         """Certified upper bound 1/q_{k+1} on |q_k*alpha - p_k|."""
         return Fraction(1, self.denominator(k + 1))
-
-    def gap_lower(self, k: int) -> Fraction:
-        """Certified lower bound 1/(q_{k+1} + q_k) on |q_k*alpha - p_k|."""
-        return Fraction(1, self.denominator(k + 1) + self.denominator(k))
 
     def approx(self, eps: Fraction) -> Fraction:
         """A rational within eps of alpha."""
@@ -136,14 +146,6 @@ class RotationNumber:
                 return (lo + hi) / 2
             level += 1
         raise RefinementLimit("alpha approximation did not converge")
-
-    def frac_multiple(self, n: int, eps: Fraction) -> Fraction:
-        """A rational within eps of n*alpha mod 1 (approximation; not for order proofs)."""
-        if n == 0:
-            return Fraction(0)
-        a = self.approx(eps / (2 * abs(n)))
-        v = (n * a) % 1
-        return v
 
     # -- misc ----------------------------------------------------------------
 
@@ -208,21 +210,28 @@ SQRT2_MINUS_1 = RotationNumber((), period=(2,))
 # points of the subgroup Z*alpha + Q mod 1
 # ---------------------------------------------------------------------------
 
+# Order decisions evaluate a*alpha + n/d at the enclosure endpoints p_k/q_k
+# and p_{k+1}/q_{k+1} as integer fractions (a*p*d + n*q) / (q*d): the
+# denominators are positive, so floors and signs come from integer division
+# and comparison alone.
+
+_AS_FLOAT_EPS = Fraction(1, 10**22)
+
 
 def _floor_linear(alpha: RotationNumber, a: int, b: Fraction) -> int:
     """floor(a*alpha + b), exact.  Terminates because a*alpha + b is an
     integer only when a == 0 (then b decides directly)."""
+    n, d = b.numerator, b.denominator
     if a == 0:
-        return b.numerator // b.denominator
-    width = Fraction(1, 4 * abs(a))
+        return n // d
+    ad, P, Q = a * d, alpha._p, alpha._q
+    scale = 4 * abs(a)
     for _ in range(REFINEMENT_CAP):
-        lo, hi = alpha.enclosure(alpha.level_for(width))
-        vlo, vhi = (a * lo + b, a * hi + b) if a > 0 else (a * hi + b, a * lo + b)
-        flo = vlo.numerator // vlo.denominator
-        fhi = vhi.numerator // vhi.denominator
-        if flo == fhi:
-            return flo
-        width /= 2**10
+        k = alpha.level_for(Fraction(1, scale))
+        f = (ad * P[k] + n * Q[k]) // (Q[k] * d)
+        if f == (ad * P[k + 1] + n * Q[k + 1]) // (Q[k + 1] * d):
+            return f
+        scale <<= 10
     raise RefinementLimit(f"floor({a}*alpha + {b}) did not resolve")
 
 
@@ -287,40 +296,63 @@ class CirclePoint:
 
     # -- certified value access ----------------------------------------------
 
+    def _endpoints(self, eps: Fraction) -> tuple[int, int, int, int]:
+        """Integers (n0, q0, n1, q1) with the value between n0/(q0*d) and
+        n1/(q1*d), d = b.denominator, within eps of each other (a != 0)."""
+        a, alpha = self.a, self.alpha
+        k = alpha.level_for(Fraction(eps.numerator, eps.denominator * abs(a)))
+        n, d = self.b.numerator, self.b.denominator
+        ad, P, Q = a * d, alpha._p, alpha._q
+        q0, q1 = Q[k], Q[k + 1]
+        return ad * P[k] + n * q0, q0, ad * P[k + 1] + n * q1, q1
+
     def bounds(self, eps: Fraction) -> tuple[Fraction, Fraction]:
         """Rational (lo, hi) with lo <= value <= hi and hi - lo <= eps."""
         if self.a == 0:
             return (self.b, self.b)
         eps = eps if isinstance(eps, Fraction) else Fraction(eps)
-        alo, ahi = self.alpha.enclosure(self.alpha.level_for(eps / abs(self.a)))
-        if self.a > 0:
-            return self.a * alo + self.b, self.a * ahi + self.b
-        return self.a * ahi + self.b, self.a * alo + self.b
+        n0, q0, n1, q1 = self._endpoints(eps)
+        if n0 * q1 > n1 * q0:
+            n0, q0, n1, q1 = n1, q1, n0, q0
+        d = self.b.denominator
+        return Fraction(n0, q0 * d), Fraction(n1, q1 * d)
+
+    def midpoint(self, eps: Fraction) -> tuple[int, int]:
+        """(num, den), den > 0, with num/den the midpoint of bounds(eps)."""
+        if self.a == 0:
+            return self.b.numerator, self.b.denominator
+        n0, q0, n1, q1 = self._endpoints(eps)
+        return n0 * q1 + n1 * q0, 2 * q0 * q1 * self.b.denominator
 
     def as_float(self) -> float:
-        lo, hi = self.bounds(Fraction(1, 10**22))
-        return float((lo + hi) / 2)
+        # int / int rounds correctly, so this is float((lo + hi) / 2) of the bounds
+        num, den = self.midpoint(_AS_FLOAT_EPS)
+        return num / den
 
     # -- order ------------------------------------------------------------------
 
     def compare(self, other: "CirclePoint") -> int:
         """-1, 0, +1 comparing the represented values in [0,1)."""
         self._check_same_alpha(other)
-        da, db = self.a - other.a, self.b - other.b
+        x, y = self.b, other.b
+        # db = n/d, with d > 0 but not reduced: only signs are read off it
+        da = self.a - other.a
+        n = x.numerator * y.denominator - y.numerator * x.denominator
         if da == 0:
-            if db == 0:
-                return 0
-            return 1 if db > 0 else -1
+            return (n > 0) - (n < 0)
         # sign of da*alpha + db, refined until 0 is excluded
-        width = Fraction(1, 16 * abs(da))
+        alpha = self.alpha
+        dad, P, Q = da * x.denominator * y.denominator, alpha._p, alpha._q
+        scale = 16 * abs(da)
         for _ in range(REFINEMENT_CAP):
-            alo, ahi = self.alpha.enclosure(self.alpha.level_for(width))
-            lo, hi = (da * alo + db, da * ahi + db) if da > 0 else (da * ahi + db, da * alo + db)
-            if lo > 0:
+            k = alpha.level_for(Fraction(1, scale))
+            s0 = dad * P[k] + n * Q[k]
+            s1 = dad * P[k + 1] + n * Q[k + 1]
+            if s0 > 0 and s1 > 0:
                 return 1
-            if hi < 0:
+            if s0 < 0 and s1 < 0:
                 return -1
-            width /= 2**10
+            scale <<= 10
         raise RefinementLimit("comparison did not separate (inputs inconsistent?)")
 
     def __lt__(self, other):
@@ -355,17 +387,6 @@ def compare(x: CirclePoint, y: CirclePoint) -> str:
     """Ordering of two points as 'less' | 'equal' | 'greater'."""
     c = x.compare(y)
     return "less" if c < 0 else ("greater" if c > 0 else "equal")
-
-
-def cyclic_gap(frm: CirclePoint, to: CirclePoint) -> CirclePoint:
-    """(to - frm) mod 1 as a point; its value is the forward arc length."""
-    return to - frm
-
-
-def in_half_open_arc(x: CirclePoint, lo: CirclePoint, length: Fraction) -> bool:
-    """x in the cyclic arc [lo, lo + length), decided exactly."""
-    arc = CirclePoint(x.alpha, 0, length)
-    return (x - lo).compare(arc) < 0
 
 
 # ---------------------------------------------------------------------------

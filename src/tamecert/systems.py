@@ -68,12 +68,12 @@ class _CircleWalk:
 
     DIGITS = 26
     SLACK_DIGITS = 20
+    BOUNDARY_EPS = Fraction(1, 10 ** (SLACK_DIGITS + 8))
 
     def __init__(self, alpha: RotationNumber, a0: int, b0: Fraction, n0: int, n1: int):
         nmax = max(abs(a0 + n0), abs(a0 + n1)) + 2
-        k = 1
-        while alpha.denominator(k) ** 2 < nmax * 10**self.DIGITS:
-            k += 1
+        # smallest k with q_k^2 >= nmax * 10^DIGITS, i.e. q_k >= its ceiling square root
+        k = alpha.denominator_level(math.isqrt(nmax * 10**self.DIGITS - 1) + 1)
         p, q = alpha.numerator(k), alpha.denominator(k)
         db = b0.denominator
         self.alpha = alpha
@@ -85,9 +85,9 @@ class _CircleWalk:
 
     def boundary(self, pt: CirclePoint) -> int:
         """A boundary value on the grid (error well below slack)."""
-        lo, hi = pt.bounds(Fraction(1, 10 ** (self.SLACK_DIGITS + 8)))
-        mid = (lo + hi) / 2
-        return int(mid * self.D)
+        num, den = pt.midpoint(self.BOUNDARY_EPS)
+        v = num * self.D
+        return v // den if v >= 0 else -(-v // den)  # truncated, like int(Fraction)
 
     def positions(self) -> Iterable[int]:
         u = self.start
@@ -144,6 +144,7 @@ class SplitCircleSystem:
                 raise ValueError("arc endpoint at a split point needs a side tag")
             if not want_split and end.side != PLAIN:
                 raise ValueError("arc endpoint side tag on a non-split point")
+        self._arc_width = arc[1].base - arc[0].base
 
     # -- membership of the split set --------------------------------------
 
@@ -190,7 +191,7 @@ class SplitCircleSystem:
         """
         lo, hi = self.arc
         u = x.base - lo.base
-        w = hi.base - lo.base
+        w = self._arc_width
         if u.is_zero:
             if x.side == PLAIN and lo.side == PLAIN and self.boundary_convention is None:
                 raise BoundaryUndecidable(f"{x!r} lies exactly on the arc start")
@@ -212,9 +213,9 @@ class SplitCircleSystem:
         come within the grid slack of an arc endpoint fall back to the exact
         side-aware comparison, so boundary ties are always broken by tags.
         """
-        lo, hi = self.arc
+        lo = self.arc[0]
         walk = _CircleWalk(self.alpha, x.base.a - lo.base.a, x.base.b - lo.base.b, n0, n1)
-        w_num = walk.boundary(hi.base - lo.base)
+        w_num = walk.boundary(self._arc_width)
         sl, d = walk.slack, walk.D
         out = []
         for n, u in zip(range(n0, n1 + 1), walk.positions()):

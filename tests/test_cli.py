@@ -172,3 +172,14 @@ class TestVerify:
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps([cert_bad]))
         assert main(["verify", str(bad_path)]) == 1
+
+    def test_rotation_limit_round_trip(self):
+        report, code = run_config({"experiments": [
+            {"kind": "limit", "params": {"system": "rotation", "target": {"a": 3, "b": 0},
+                                         "side": "above", "depth": 10, "plain_count": 40}}]})
+        assert code == 0
+        cert = report["results"][0]["certificates"][0]
+        assert cert["system"]["kind"] == "rotation"
+        assert cert["result"] == {"tag": "translation", "params": {"n": "3"}}
+        assert verify_certificate(cert)
+        assert not verify_certificate(dict(cert, result={"tag": "one_sided", "params": {}}))

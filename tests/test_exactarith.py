@@ -1,8 +1,10 @@
 import random
+import sys
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tamecert.exactarith import (
@@ -10,6 +12,7 @@ from tamecert.exactarith import (
     SQRT2_MINUS_1,
     CirclePoint,
     RotationNumber,
+    _floor_linear,
     compare,
     one_sided_approach,
     orbit_point,
@@ -235,11 +238,145 @@ def test_concurrent_convergent_extension_consistent():
     # instances are shared across worker threads; the cache must never tear
     from concurrent.futures import ThreadPoolExecutor
 
-    for _ in range(5):
-        alpha = RotationNumber((1, 2), period=(3, 1, 4))
+    cf = ((1, 2), (3, 1, 4))
+    widths = [Fraction(1, 10**e) for e in range(0, 200, 7)]
+
+    def hammer(alpha):
+        def work(i):
+            if i % 2:
+                return [alpha.level_for(w) for w in widths]
+            return [alpha.denominator(k) for k in range(1, 251)]
+
         with ThreadPoolExecutor(12) as ex:
-            list(ex.map(lambda _: alpha.denominator(250), range(12)))
+            futures = [ex.submit(work, i) for i in range(12)]
+            return [f.result(timeout=60) for f in futures]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = []
+        for _ in range(5):
+            alpha = RotationNumber(*cf)
+            runs.append((alpha, hammer(alpha)))
+    finally:
+        sys.setswitchinterval(switch)
+    reference = RotationNumber(*cf)
+    want_levels = [_level_linear(reference, w) for w in widths]
+    want_q = [reference.denominator(k) for k in range(1, 251)]
+    for alpha, results in runs:
         for k in range(2, 250):
             a = alpha.quotient(k)
             assert alpha.denominator(k) == a * alpha.denominator(k - 1) + alpha.denominator(k - 2)
             assert alpha.numerator(k) == a * alpha.numerator(k - 1) + alpha.numerator(k - 2)
+        for i, got in enumerate(results):
+            assert got == (want_levels if i % 2 else want_q)
+
+
+# ---------------------------------------------------------------------------
+# the integer convergent paths against independent definitions
+# ---------------------------------------------------------------------------
+
+CF_SAMPLES = [
+    ((), (1,)),
+    ((), (2,)),
+    ((1, 2), (3, 1, 4)),
+    ((5, 1, 1, 7), (2, 9)),
+]
+# warm caches, shared by every example (fresh instances start cold)
+SHARED = {cf: RotationNumber(*cf) for cf in CF_SAMPLES}
+
+
+def _level_linear(alpha, width):
+    """Smallest k >= 1 with 1/(q_k q_{k+1}) <= width, by a linear scan."""
+    k = 1
+    while alpha.denominator(k) * alpha.denominator(k + 1) * width.numerator < width.denominator:
+        k += 1
+    return k
+
+
+def _decimal_alpha(prefix, period, digits):
+    """alpha to ``digits`` digits from 200 partial quotients, evaluated
+    bottom-up without the RotationNumber convergent cache."""
+    quotients = list(prefix) + list(period) * 200
+    value = Fraction(0)
+    for a in reversed(quotients[:200]):
+        value = 1 / (a + value)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return Decimal(value.numerator) / Decimal(value.denominator)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cf=st.sampled_from(CF_SAMPLES),
+    num=st.integers(1, 10**6),
+    exp=st.integers(0, 80),
+    cold=st.booleans(),
+)
+def test_level_for_matches_linear_scan(cf, num, exp, cold):
+    alpha = RotationNumber(*cf) if cold else SHARED[cf]
+    width = Fraction(num, 10**exp)
+    got = alpha.level_for(width)
+    assert got == _level_linear(RotationNumber(*cf), width)
+    assert got == _level_linear(alpha, width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cf=st.sampled_from(CF_SAMPLES),
+    k=st.integers(1, 60),
+    j=st.integers(1, 6),
+    r=st.integers(-5, 5),
+)
+def test_level_for_at_enclosure_widths(cf, k, j, r):
+    # widths j/(j*q_k*q_{k+1} + r) straddle the level-k width 1/(q_k q_{k+1})
+    alpha = SHARED[cf]
+    den = j * alpha.denominator(k) * alpha.denominator(k + 1) + r
+    assume(den > 0)
+    width = Fraction(j, den)
+    level = alpha.level_for(width)
+    assert level == _level_linear(RotationNumber(*cf), width)
+    assert (level > k) == (r > 0)
+
+
+def test_level_for_exhausts_like_linear_scan():
+    from tamecert.errors import QuotientsExhausted
+
+    alpha = RotationNumber((3, 1, 4, 1, 5))
+    assert alpha.level_for(Fraction(1, 20)) == _level_linear(alpha, Fraction(1, 20))
+    with pytest.raises(QuotientsExhausted):
+        alpha.level_for(Fraction(1, 10**9))
+    with pytest.raises(ValueError):
+        alpha.level_for(Fraction(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cf=st.sampled_from(CF_SAMPLES),
+    shared=st.booleans(),
+    a=st.integers(-10**12, 10**12),
+    n=st.integers(-10**9, 10**9),
+    d=st.integers(1, 10**9),
+)
+def test_floor_linear_matches_60_digit_decimal(cf, shared, a, n, d):
+    alpha = SHARED[cf] if shared else RotationNumber(*cf)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        value = a * _decimal_alpha(*cf, 60) + Decimal(n) / Decimal(d)
+        floor = int(value.to_integral_value(rounding=ROUND_FLOOR))
+        # a*alpha + b is an integer only for a == 0; keep off the 60-digit noise
+        assume(a == 0 or abs(value - floor) > Decimal(10) ** -40)
+    assert _floor_linear(alpha, a, Fraction(n, d)) == floor
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cf=st.sampled_from(CF_SAMPLES),
+    a=st.integers(-10**9, 10**9),
+    n=st.integers(-10**6, 10**6),
+    d=st.integers(1, 10**6),
+)
+def test_as_float_is_midpoint_of_bounds(cf, a, n, d):
+    p = CirclePoint(RotationNumber(*cf), a, Fraction(n, d))
+    lo, hi = p.bounds(Fraction(1, 10**22))
+    assert p.as_float().hex() == float((lo + hi) / 2).hex()
