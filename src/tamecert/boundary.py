@@ -103,9 +103,6 @@ class BoundaryPoint:
     def depth(self) -> int:
         return len(self.prefix)
 
-    def truncate(self, depth: int) -> "BoundaryPoint":
-        return BoundaryPoint(self.prefix[:depth])
-
     def __str__(self):
         return "".join(self.prefix)
 

@@ -285,9 +285,7 @@ def run_determine(params, seed):
         # map literal syntax: "(x; left,point,right) ..." plus a probe level
         f = order.parse_step_map(params["map"])
         dom = order.OrderedDomain.interval(sample_level=int(params.get("sample_level", 5)))
-        res = order.helly_determining_set(
-            f, dom, adversaries=int(params.get("adversaries", 200)), seed=seed
-        )
+        res = order.helly_determining_set(f, dom, adversaries=int(params.get("adversaries", 200)))
         cert = {"kind": "helly_determining", "map": params["map"],
                 "sample_size": len(res.points),
                 "result": {"sound": res.sound, "adversaries": res.adversaries_defeated},
@@ -591,10 +589,18 @@ def verify_certificate(cert: dict) -> bool:
         cls = envelope.classify(element)
         return cls.tag == cert["result"]["tag"]
     if kind == "helly_determining":
+        # the witness is the pin set itself: re-run the exact check on it
         f = order.parse_step_map(cert["map"])
-        dom = order.OrderedDomain.interval(sample_level=5)
-        res = order.helly_determining_set(f, dom, adversaries=50)
-        return res.sound == bool(cert["result"]["sound"])
+        pins = [(Fraction(x), int(s)) for x, s in cert["witness"]]
+        if any(s not in (order.MINUS, order.PLAIN, order.PLUS) or not 0 <= x <= 1
+               for x, s in pins):
+            return False
+        sound, count = cert["result"]["sound"], cert["result"]["adversaries"]
+        return (
+            int(cert["sample_size"]) == len(pins)
+            and (count >= 0 if sound else count == 0)
+            and order._defeat_adversaries(f, sorted(pins)) == bool(sound)
+        )
     raise ConfigError(f"cannot verify certificate kind {kind!r}")
 
 

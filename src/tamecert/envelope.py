@@ -12,9 +12,13 @@ isolation rectangles and rigidity probes.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from .errors import NoWitness, NotInIdeal, NotStabilized, SampleMismatch
 from .exactarith import ApproachSequence, CirclePoint, one_sided_approach, orbit_point
@@ -633,30 +637,58 @@ def sorgenfrey_isolation(members: Sequence, eps: Fraction = Fraction(1, 4)) -> I
     Each member is a tuple of (gamma, side) coordinates with side +1 for a
     right-half-open basic interval [gamma, gamma+eps) and -1 for the left
     version (gamma-eps, gamma].  A member is isolated when its product
-    rectangle contains no other member; order decisions are exact.
+    rectangle contains no other member; its conflict is the smallest other
+    index inside the rectangle.  Each coordinate is sorted once, and a
+    basic interval is a cyclic window of that order found by bisection;
+    every order decision is an exact ``compare``.
     """
     eps = Fraction(eps)
     if not 0 < eps <= Fraction(1, 2):
         raise ValueError("eps must be in (0, 1/2]")
+    n = len(members)
+    if len({len(m) for m in members}) > 1:
+        raise ValueError("members must have the same number of coordinates")
+    key = cmp_to_key(CirclePoint.compare)
+    coords = []  # per coordinate: sorted values, rank of each member, sorted order, eps
+    for c in range(len(members[0]) if members else 0):
+        pts = [m[c][0] for m in members]
+        order = sorted(range(n), key=lambda j: key(pts[j]))
+        rank = [0] * n
+        for r, j in enumerate(order):
+            rank[j] = r
+        coords.append(([pts[j] for j in order], rank, order, CirclePoint(pts[0].alpha, 0, eps)))
     isolated: list[bool] = []
     conflicts: list = []
     for i, mi in enumerate(members):
-        hit = None
-        for j, mj in enumerate(members):
-            if i == j:
-                continue
-            inside = True
-            for coord, ((gi, si), (gj, _sj)) in enumerate(zip(mi, mj)):
-                off = (gj - gi) if si == PLUS else (gi - gj)
-                if not off.compare(CirclePoint(off.alpha, 0, eps)) < 0:
-                    inside = False
-                    break
-            if inside:
-                hit = (j, None)
-                break
+        wins = [(_window(vals, g, side, step), rank, order)
+                for (g, side), (vals, rank, order, step) in zip(mi, coords)]
+        candidates: Any = range(n)
+        if wins:  # scan the members of the narrowest window, test the others by rank
+            narrow, _, by_rank = min(wins, key=lambda w: sum(hi - lo for lo, hi in w[0]))
+            candidates = (by_rank[r] for lo, hi in narrow for r in range(lo, hi))
+        inside = [
+            j for j in candidates
+            if j != i and all(any(lo <= rank[j] < hi for lo, hi in ranges)
+                              for ranges, rank, _ in wins)
+        ]
+        hit = (min(inside), None) if inside else None
         isolated.append(hit is None)
         conflicts.append(hit)
     return IsolationReport(eps, tuple(isolated), tuple(conflicts), all(isolated))
+
+
+def _window(vals: list, g: CirclePoint, side: int, step: CirclePoint) -> tuple:
+    """Rank ranges [lo, hi) of the sorted values in [g, g+eps) (side +1) or
+    (g-eps, g] (otherwise); two ranges when the interval wraps past 0."""
+    if side == PLUS:
+        end = g + step
+        lo, hi = bisect_left(vals, g), bisect_left(vals, end)
+        wraps = end.b != g.b + step.b  # reduction mod 1 subtracted an integer
+    else:
+        start = g - step
+        lo, hi = bisect_right(vals, start), bisect_right(vals, g)
+        wraps = start.b != g.b - step.b
+    return ((lo, len(vals)), (0, hi)) if wraps else ((lo, hi),)
 
 
 def flipped_diagonal(gammas: Sequence[CirclePoint]) -> list[tuple]:
@@ -683,7 +715,8 @@ def rigidity_probe(system, sample: SampleSet, times: Sequence[int]) -> RigidityR
     times = [int(n) for n in times if n != 0]
     if not times:
         raise ValueError("need at least one nonzero probe time")
-    if isinstance(system, SplitCircleSystem) and isinstance(sample.metric, CodingMetric):
+    split = isinstance(system, SplitCircleSystem) and isinstance(sample.metric, CodingMetric)
+    if split and min(times) > 0:
         dists = _split_rigidity(system, sample, times, sample.metric.horizon)
     else:
         dists = {}
@@ -695,24 +728,15 @@ def rigidity_probe(system, sample: SampleSet, times: Sequence[int]) -> RigidityR
 
 def _split_rigidity(system, sample, times, horizon):
     """Vectorized path: the word of T^n x over [-H, H] is a slice of the word
-    of x over [n-H, n+H]; the base part of the metric is the common arc shift."""
+    of x over [n-H, n+H]; the base part of the metric is the common arc shift.
+    Each window offset m folds its weight 2^-|m-H| into the sup over all times."""
     n_max = max(times)
     alpha_f = float(system.alpha.approx(Fraction(1, 10**30)))
-    dists = {}
-    for n in times:
-        shift = (n * alpha_f) % 1.0
-        dists[n] = min(shift, 1.0 - shift)
+    shifts = [(n * alpha_f) % 1.0 for n in times]
+    sup = np.array([min(s, 1.0 - s) for s in shifts])
+    at = np.asarray(times)
     for x in sample.points:
-        long = system.coding_word(x, -horizon, n_max + horizon)
-        base = long[: 2 * horizon + 1]
-        for n in times:
-            shifted = long[n : n + 2 * horizon + 1]
-            d = 0.0
-            for m in range(2 * horizon + 1):
-                if base[m] != shifted[m]:
-                    w = 2.0 ** (-abs(m - horizon))
-                    if w > d:
-                        d = w
-            if d > dists[n]:
-                dists[n] = d
-    return dists
+        long = np.asarray(system.coding_word(x, -horizon, n_max + horizon))
+        for m in range(2 * horizon + 1):
+            np.maximum(sup, (long[at + m] != long[m]) * 2.0 ** -abs(m - horizon), out=sup)
+    return {n: float(d) for n, d in zip(times, sup)}

@@ -13,10 +13,6 @@ class QuotientsExhausted(TamecertError):
     """A finite-prefix rotation number ran out of partial quotients."""
 
 
-class SideUnreachable(TamecertError):
-    """Requested approach side degenerates (defensive; cannot occur for irrational alpha)."""
-
-
 class BoundaryUndecidable(TamecertError):
     """A plain point sits exactly on a coding-arc endpoint with no side convention."""
 

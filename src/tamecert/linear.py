@@ -177,16 +177,6 @@ class PartialLinearMap:
                 out = [o + c * x for o, x in zip(out, img)]
         return tuple(out)
 
-    def matrix_on_domain(self) -> np.ndarray:
-        """Float matrix of the map in the orthonormal domain basis."""
-        q = self.orthonormal_domain()
-        if q.size == 0:
-            return np.zeros((0, 0))
-        b = np.array(self.basis, dtype=float).T
-        im = np.array(self.images, dtype=float).T
-        coeff = np.linalg.lstsq(b, q.T, rcond=None)[0]
-        return (q @ (im @ coeff)).T
-
 
 def partial_compose(p: PartialLinearMap, q: PartialLinearMap) -> PartialLinearMap:
     """p after q: domain {v in dom(q) : q(v) in dom(p)} (possibly zero)."""

@@ -2,17 +2,19 @@
 
 One-sided limits and discontinuity sets are exact (breakpoints carry their
 left/at/right values); determining sets follow the recipe discontinuities +
-singular points + dense sample, checked against adversarial monotone maps.
+singular points + dense sample, checked against the targeted single-point
+escape and the two extremal monotone interpolants of the pins.
 The circular counterexample generator produces, for any finite excluded set,
 a two-point-target map agreeing with the constant map off one fresh point.
 """
 
 from __future__ import annotations
 
-import random
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 MINUS, PLAIN, PLUS = -1, 0, 1
@@ -224,14 +226,14 @@ def singular_points(domain: OrderedDomain) -> list[tuple[Fraction, int]]:
 
 
 # ---------------------------------------------------------------------------
-# determining sets with adversarial verification
+# determining sets with extremal-interpolant verification
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class HellyDeterminingSet:
     points: tuple[tuple[Fraction, int], ...]
-    adversaries_defeated: int
+    adversaries_defeated: int  # the requested count when sound, else 0
     sound: bool
 
 
@@ -239,42 +241,42 @@ def helly_determining_set(
     f: MonotoneStepMap,
     domain: OrderedDomain,
     adversaries: int = 200,
-    seed: int = 0,
 ) -> HellyDeterminingSet:
     """discontinuities + singular points + dense sample, with the
-    determination property checked against random and targeted monotone
-    adversaries that agree with f on the set."""
+    determination property checked exactly: the two extremal monotone
+    interpolants of the pins bound every monotone adversary that agrees with
+    f on the set, so defeating them defeats all ``adversaries`` requested."""
     cset: list[tuple[Fraction, int]] = []
     for d in f.discontinuities():
         cset.append((d, PLAIN))
     cset.extend(singular_points(domain))
     cset.extend((x, PLAIN) for x in domain.sample)
     cset = sorted(set(cset))
-    defeated = _defeat_adversaries(f, cset, adversaries, seed)
-    return HellyDeterminingSet(tuple(cset), adversaries, defeated)
+    sound = _defeat_adversaries(f, cset)
+    return HellyDeterminingSet(tuple(cset), adversaries if sound else 0, sound)
 
 
-def _corridor(pinned, p: Fraction) -> tuple[Fraction, Fraction]:
-    below = [v for x, s, v in pinned if (x, s) <= (p, PLAIN)]
-    above = [v for x, s, v in pinned if (x, s) >= (p, PLAIN)]
-    lo = max(below) if below else Fraction(0)
-    hi = min(above) if above else Fraction(1)
-    return lo, hi
-
-
-def _defeat_adversaries(f, cset, count: int, seed: int) -> bool:
-    """Two adversary classes against the pinned values on cset.
+def _defeat_adversaries(f, cset) -> bool:
+    """Targeted and extremal adversaries against the pinned values on cset.
 
     Targeted: copy f off a single probe point and escape there; monotone
     escapes exist exactly at unpinned one-sided jumps, so this is the
-    single-point mechanism a determining set must block.  Randomized:
-    monotone interpolations of the pins, required to reproduce f at every
-    probe the pins force (degenerate corridor); positive-width corridors
-    between adjacent pins are the sample-resolution limit, not a defeat.
+    single-point mechanism a determining set must block.  Extremal: the
+    lowest monotone interpolant of the pins (at p, the max of the pinned
+    values at or below p) and the highest (the min of those at or above p).
+    Every increasing interpolant lies between them, so f is forced at p
+    exactly when they agree there, and then f(p) must be that value;
+    positive-width corridors between adjacent pins are the sample-resolution
+    limit, not a defeat.  A validated monotone f always meets its forced
+    values (the sandwich), so an under-pinned set fails the targeted check;
+    the extremal check is what rejects a map that breaks monotonicity.
     """
-    rng = random.Random(seed)
     pinned = sorted((x, s, f.side_value(x, s)) for x, s in cset)
-    pinned_plain = {x for x, s, _ in pinned if s == PLAIN}
+    keys = [(x, s) for x, s, _ in pinned]
+    values = [v for _, _, v in pinned]
+    lowest = list(accumulate(values, max))  # lowest[i]: max of values[: i + 1]
+    highest = list(accumulate(reversed(values), min))[::-1]  # min of values[i:]
+    pinned_plain = {x for x, s in keys if s == PLAIN}
     probes = sorted(
         p
         for p in set(Fraction(k, 257) for k in range(258)) | set(f.breakpoints)
@@ -284,12 +286,12 @@ def _defeat_adversaries(f, cset, count: int, seed: int) -> bool:
         left, right = f.one_sided_limits(p)
         if left != right or left != f(p):
             return False  # unpinned escape point: the targeted adversary wins
-    corridors = [(_corridor(pinned, p), f(p)) for p in probes]
-    for _ in range(count):
-        for (lo, hi), fp in corridors:
-            pick = lo + (hi - lo) * Fraction(rng.randint(0, 8), 8)
-            if lo == hi and pick != fp:
-                return False  # a forced value disagreeing with f
+    for p in probes:
+        below, above = bisect_right(keys, (p, PLAIN)), bisect_left(keys, (p, PLAIN))
+        lo = lowest[below - 1] if below else Fraction(0)
+        hi = highest[above] if above < len(highest) else Fraction(1)
+        if lo == hi and lo != f(p):
+            return False  # a forced value disagreeing with f
     return True
 
 

@@ -488,11 +488,6 @@ class CosSystem:
             raise ValueError("fiber coordinate must be 2 or in [-1,1]")
         return CosFiber(k, value)
 
-    def regular_point(self, theta: CirclePoint) -> CosRegular:
-        if theta.on_orbit:
-            raise ValueError("base lies on the orbit; use a fiber point")
-        return CosRegular(theta)
-
     def base(self, x: CosPointT) -> CirclePoint:
         return orbit_point(self.alpha, x.k) if isinstance(x, CosFiber) else x.theta
 

@@ -226,7 +226,7 @@ def test_criterion_08_determining_sets():
 
     for _ in range(20):
         f = random_staircase(rng)
-        res = order.helly_determining_set(f, dom, adversaries=1000, seed=rng.randint(0, 10**6))
+        res = order.helly_determining_set(f, dom, adversaries=1000)
         assert res.sound and res.adversaries_defeated == 1000
     _pass(8, "rotation |C|=1; discrete family m-1/m exhaustively; 20 staircases defeat 1000 adversaries")
 

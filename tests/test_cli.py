@@ -183,3 +183,26 @@ class TestVerify:
         assert cert["result"] == {"tag": "translation", "params": {"n": "3"}}
         assert verify_certificate(cert)
         assert not verify_certificate(dict(cert, result={"tag": "one_sided", "params": {}}))
+
+    def test_helly_witness_checked_and_tamper_rejected(self):
+        report, code = run_config({"experiments": [
+            {"kind": "determine", "params": {
+                "family": "staircase", "sample_level": 4, "adversaries": 40,
+                "map": "(1/3; 0,0,1/4) (5/7; 1/4,1/2,1/2)"}}]})
+        assert code == 0
+        cert = report["results"][0]["certificates"][0]
+        assert cert["result"] == {"sound": True, "adversaries": 40}
+        assert verify_certificate(cert)
+        assert not verify_certificate(dict(cert, witness=[]))
+        assert not verify_certificate(dict(cert, witness=[], sample_size=0))
+        assert not verify_certificate(dict(cert, sample_size=cert["sample_size"] + 1))
+        # a witness missing one jump: the exact check itself must refuse it
+        dropped = [w for w in cert["witness"] if w != ["5/7", 0]]
+        assert len(dropped) == len(cert["witness"]) - 1
+        assert not verify_certificate(dict(cert, witness=dropped, sample_size=len(dropped)))
+        assert not verify_certificate(dict(cert, result={"sound": False, "adversaries": 40}))
+        assert not verify_certificate(dict(cert, result={"sound": False, "adversaries": 0}))
+        assert not verify_certificate(dict(cert, result={"sound": True, "adversaries": -1}))
+        # an honest unsound certificate for the under-pinned set verifies
+        assert verify_certificate(dict(cert, witness=dropped, sample_size=len(dropped),
+                                       result={"sound": False, "adversaries": 0}))

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamecert.errors import NotInIdeal, NotStabilized, SampleMismatch
 from tamecert.exactarith import GOLDEN, SQRT2_MINUS_1, CirclePoint, one_sided_approach, orbit_point, point, zero
@@ -17,6 +19,7 @@ from tamecert.systems import (
 )
 from tamecert.envelope import (
     CosElement,
+    IsolationReport,
     SampleSet,
     classify,
     compose,
@@ -32,6 +35,7 @@ from tamecert.envelope import (
     rotation_sample,
     sorgenfrey_isolation,
     split_sample,
+    _split_rigidity,
 )
 
 
@@ -407,7 +411,65 @@ class TestSorgenfrey:
         assert (gj - g0).compare(CirclePoint(GOLDEN, 0, Fraction(1, 4))) < 0
 
 
+def isolation_oracle(members, eps):
+    """All-pairs first-hit scan: j conflicts with i when every coordinate
+    offset (gj - gi for side +1, gi - gj otherwise) is below eps."""
+    isolated, conflicts = [], []
+    for i, mi in enumerate(members):
+        hit = None
+        for j, mj in enumerate(members):
+            if i != j and all(
+                ((gj - gi) if si == PLUS else (gi - gj)).compare(CirclePoint(gi.alpha, 0, eps)) < 0
+                for (gi, si), (gj, _sj) in zip(mi, mj)
+            ):
+                hit = (j, None)
+                break
+        isolated.append(hit is None)
+        conflicts.append(hit)
+    return IsolationReport(eps, tuple(isolated), tuple(conflicts), all(isolated))
+
+
+# a*alpha + k/8: the a = 0 points (and equal-a pairs) sit exactly 1/4 or 1/2 apart
+_GRID_POINTS = st.builds(
+    lambda a, k: CirclePoint(GOLDEN, a, Fraction(k, 8)), st.integers(-2, 2), st.integers(0, 7)
+)
+
+
+@st.composite
+def isolation_cases(draw):
+    dim = draw(st.integers(1, 3))
+    coord = st.tuples(_GRID_POINTS, st.sampled_from([PLUS, MINUS]))
+    members = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=12))
+    members += draw(st.lists(st.sampled_from(members), max_size=3))  # duplicate members
+    order = draw(st.permutations(range(len(members))))
+    eps = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2)]))
+    return [members[i] for i in order], eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=isolation_cases())
+def test_isolation_matches_all_pairs_oracle(case):
+    members, eps = case
+    assert sorgenfrey_isolation(members, eps=eps) == isolation_oracle(members, eps)
+
+
 class TestRigidity:
+    def test_split_path_matches_generic_metric(self, sturmian):
+        # point by point, so no offset's weight hides behind another point's
+        s = split_sample(sturmian, plain_count=12, split_range=2, horizon=5)
+        times = list(range(1, 301))
+        for x in s.points:
+            fast = _split_rigidity(sturmian, SampleSet([x], s.metric), times, 5)
+            assert list(fast) == times
+            for n in times:
+                assert abs(fast[n] - s.metric(sturmian.step(x, n), x)) <= 1e-12
+
+    def test_negative_times_take_the_generic_path(self, sturmian):
+        s = split_sample(sturmian, plain_count=6, split_range=1, horizon=3)
+        rep = rigidity_probe(sturmian, s, [-7, 5])
+        for n in (-7, 5):
+            assert rep.distances[n] == max(s.metric(sturmian.step(x, n), x) for x in s.points)
+
     def test_rotation_ladder_decreases(self):
         rot = RotationSystem(SQRT2_MINUS_1)
         rs = rotation_sample(rot, 10)

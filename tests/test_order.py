@@ -119,7 +119,7 @@ class TestHellyDeterminingSet:
         dom = OrderedDomain.interval(sample_level=5)
         for _ in range(20):
             f = random_staircase(rng)
-            res = helly_determining_set(f, dom, adversaries=50, seed=rng.randint(0, 9999))
+            res = helly_determining_set(f, dom, adversaries=50)
             assert res.sound
 
     def test_split_domain_includes_both_sides(self):
@@ -134,7 +134,79 @@ class TestHellyDeterminingSet:
 
         f = staircase([(F(1, 3), F(0), F(0), F(1))])
         cset = [(F(k, 8), PLAIN) for k in range(9) if F(k, 8) != F(1, 3)]
-        assert not _defeat_adversaries(f, sorted(cset), 50, seed=0)
+        assert not _defeat_adversaries(f, sorted(cset))
+
+
+    def test_count_is_zero_when_unsound(self, monkeypatch):
+        import tamecert.order as order_mod
+
+        dom = OrderedDomain.interval(sample_level=3)
+        f = staircase([(F(1, 3), F(0), F(0), F(1))])
+        assert helly_determining_set(f, dom, adversaries=30).adversaries_defeated == 30
+        monkeypatch.setattr(order_mod, "_defeat_adversaries", lambda f, cset: False)
+        res = helly_determining_set(f, dom, adversaries=30)
+        assert not res.sound and res.adversaries_defeated == 0
+
+    def test_extremal_interpolants_catch_a_forced_value(self):
+        # pins 0 and 1/8 both read 0, so every monotone interpolant is 0 at
+        # the probe 1/257; a stub reading 1/2 there (continuously) is caught
+        from tamecert.order import _defeat_adversaries
+
+        f = PointValues({F(1, 257): F(1, 2)})
+        cset = [(F(k, 8), PLAIN) for k in range(9)]
+        assert not _defeat_adversaries(f, cset)
+        assert _defeat_adversaries(PointValues({}), cset)
+
+    def test_extremal_check_matches_corridor_scan(self):
+        from tamecert.order import _defeat_adversaries
+
+        rng = random.Random(11)
+        levels = [F(0), F(1, 2), F(1)]
+        grid = [F(k, 16) for k in range(17)]
+        for _ in range(100):
+            pins = sorted(
+                (x, s) for x in rng.sample(grid, rng.randint(0, 8))
+                for s in rng.choice([(PLAIN,), (MINUS, PLUS), (MINUS, PLAIN, PLUS)])
+            )
+            probes = [F(k, 257) for k in range(258)]
+            f = PointValues({x: rng.choice(levels) for x in grid + probes})
+            assert _defeat_adversaries(f, pins) == corridor_scan(f, pins)
+
+
+class PointValues:
+    """Continuous stand-in with arbitrary (non-monotone) values, 0 by default."""
+
+    breakpoints = ()
+
+    def __init__(self, values):
+        self.values = values
+
+    def __call__(self, x):
+        return self.values.get(x, F(0))
+
+    def one_sided_limits(self, x):
+        return self(x), self(x)
+
+    def side_value(self, x, side):
+        return self(x)
+
+
+def corridor_scan(f, cset):
+    """Brute-force reference: at each unpinned probe, scan every pin for the
+    corridor [max of values at or below, min of values at or above]."""
+    pinned = sorted((x, s, f.side_value(x, s)) for x, s in cset)
+    plain = {x for x, s, _ in pinned if s == PLAIN}
+    for p in sorted({F(k, 257) for k in range(258)} | set(f.breakpoints)):
+        if p in plain:
+            continue
+        left, right = f.one_sided_limits(p)
+        if left != right or left != f(p):
+            return False
+        lo = max((v for x, s, v in pinned if (x, s) <= (p, PLAIN)), default=F(0))
+        hi = min((v for x, s, v in pinned if (x, s) >= (p, PLAIN)), default=F(1))
+        if lo == hi and f(p) != lo:
+            return False
+    return True
 
 
 class TestDiscreteFamily:
