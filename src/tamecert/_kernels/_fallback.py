@@ -38,9 +38,14 @@ def project_masks(factors, positions) -> np.ndarray:
 
 def distinct_projection_count(factors, positions) -> int:
     """Number of distinct 0/1 patterns the factors realize on ``positions``."""
-    if len(positions) == 0:
+    k = len(positions)
+    if k == 0:
         return 1 if len(factors) else 0
-    return int(np.unique(project_masks(factors, positions)).size)
+    if k > 30:
+        raise ValueError("too many positions for the table")
+    seen = np.zeros(1 << k, dtype=bool)
+    seen[project_masks(factors, positions)] = True
+    return int(np.count_nonzero(seen))
 
 
 def window_oscillation(values, radius: float, images, weights) -> np.ndarray:

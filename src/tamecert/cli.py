@@ -153,9 +153,8 @@ def run_independence(params, seed):
         except BudgetExceeded as exc:
             cert = exc.best
             flag = f"budget exceeded at window {L}"
-        prof = tameness.complexity(word, L)
         rows.append(
-            {"window": L, "complexity": prof[L], "independence": cert.size,
+            {"window": L, "complexity": cert.complexity, "independence": cert.size,
              "positions": list(cert.positions), "exhausted": cert.exhausted}
         )
         certs.append(
@@ -165,7 +164,8 @@ def run_independence(params, seed):
         )
         if flag:
             break
-    growth = tameness.growth_report(word, windows) if flag is None else None
+    growth = (tameness.growth_report({row["window"]: row for row in rows})
+              if flag is None else None)
     result = {"table": rows, "source": source}
     if growth:
         result["growth"] = {"classification": growth.classification, "note": growth.note}

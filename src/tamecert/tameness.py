@@ -28,8 +28,39 @@ def factor_masks(word, window: int) -> np.ndarray:
     return K.extract_factors(np.asarray(word, dtype=np.int64), window)
 
 
-def mask_to_string(mask: int, window: int) -> str:
-    return "".join("1" if (mask >> j) & 1 else "0" for j in range(window))
+def encode_masks(masks, width: int) -> list[str]:
+    """Bit strings of the masks: character j is bit j, as ``'0'``/``'1'``.
+
+    One uint8 digit matrix is filled column by column and decoded once, so
+    no (len(masks) x width) int64 temporary is built.
+    """
+    m = np.asarray(masks, dtype=np.int64)
+    if width == 0:
+        return [""] * len(m)
+    digits = np.empty((len(m), width), dtype=np.uint8)
+    for j in range(width):
+        np.bitwise_and(m >> j, 1, out=digits[:, j], casting="unsafe")
+    digits += ord("0")
+    text = digits.tobytes().decode("ascii")
+    return [text[i : i + width] for i in range(0, len(text), width)]
+
+
+def decode_masks(strings, width: int) -> np.ndarray | None:
+    """Inverse of ``encode_masks``; None unless every string is ``width`` binary digits."""
+    strings = list(strings)
+    try:
+        text = "".join(strings).encode("ascii")
+    except (TypeError, UnicodeEncodeError):
+        return None
+    if not (np.fromiter(map(len, strings), dtype=np.int64, count=len(strings)) == width).all():
+        return None
+    bits = np.frombuffer(text, dtype=np.uint8).reshape(len(strings), width) - np.uint8(ord("0"))
+    if (bits > 1).any():
+        return None
+    masks = np.zeros(len(strings), dtype=np.int64)
+    for j in range(width):
+        masks |= bits[:, j].astype(np.int64) << j
+    return masks
 
 
 @dataclass(frozen=True)
@@ -61,9 +92,10 @@ class IndependenceCertificate:
 
     window: int
     positions: tuple[int, ...]
-    witnesses: dict[str, str]  # pattern -> factor, both as bit strings
+    witnesses: dict[str, str]  # pattern -> factor, both as ``encode_masks`` bit strings
     horizon: int
     exhausted: bool  # search ran to completion (vs. budget cut)
+    complexity: int | None = None  # p(window); None when rebuilt from a payload without it
 
     @property
     def size(self) -> int:
@@ -71,21 +103,24 @@ class IndependenceCertificate:
 
     def verify(self, word) -> bool:
         """Recheck every witness against the factor set of the word."""
-        factors = set(map(int, factor_masks(word, self.window)))
-        if len(self.witnesses) != 2 ** len(self.positions):
+        pos = tuple(self.positions)
+        fence = (-1,) + pos + (self.window,)  # strictly increasing inside [0, window)
+        if not all(isinstance(p, int) for p in pos) or any(b <= a for a, b in zip(fence, fence[1:])):
             return False
-        seen = set()
-        for pattern, factor in self.witnesses.items():
-            if len(pattern) != len(self.positions) or len(factor) != self.window:
-                return False
-            mask = int(factor[::-1], 2) if factor else 0
-            if mask not in factors:
-                return False
-            shown = "".join(factor[p] for p in self.positions)
-            if shown != pattern:
-                return False
-            seen.add(pattern)
-        return len(seen) == 2 ** len(self.positions)
+        if len(self.witnesses) != 1 << len(pos):
+            return False
+        # dict keys are distinct, so 2^k decoded patterns are all of them
+        patterns = decode_masks(self.witnesses.keys(), len(pos))
+        shown = decode_masks(self.witnesses.values(), self.window)
+        if patterns is None or shown is None:
+            return False
+        factors = factor_masks(word, self.window)
+        if not len(factors) or self.complexity not in (None, len(factors)):
+            return False
+        at = np.minimum(np.searchsorted(factors, shown), len(factors) - 1)
+        if not (factors[at] == shown).all():
+            return False
+        return bool((K.project_masks(shown, np.asarray(pos, dtype=np.int64)) == patterns).all())
 
 
 def _covers(factors: np.ndarray, positions: tuple[int, ...]) -> bool:
@@ -95,14 +130,10 @@ def _covers(factors: np.ndarray, positions: tuple[int, ...]) -> bool:
 
 
 def _witnesses(factors: np.ndarray, positions: tuple[int, ...], window: int) -> dict[str, str]:
+    """Each pattern on the positions, in increasing order, with its smallest factor."""
     proj = K.project_masks(factors, np.asarray(positions, dtype=np.int64))
     values, first = np.unique(proj, return_index=True)
-    k = len(positions)
-    out: dict[str, str] = {}
-    for pattern, idx in zip(values.tolist(), first.tolist()):
-        pat_str = "".join("1" if (pattern >> j) & 1 else "0" for j in range(k))
-        out[pat_str] = mask_to_string(int(factors[idx]), window)
-    return out
+    return dict(zip(encode_masks(values, len(positions)), encode_masks(factors[first], window)))
 
 
 def max_independence(
@@ -153,6 +184,7 @@ def max_independence(
         witnesses=_witnesses(factors, best, window),
         horizon=int(w.shape[0]),
         exhausted=not out_of_budget,
+        complexity=len(factors),
     )
     if out_of_budget:
         raise BudgetExceeded(f"independence search for window {window} hit the node budget", best=cert)
@@ -182,21 +214,22 @@ class GrowthReport:
         return [(L, row["complexity"], row["independence"]) for L, row in sorted(self.table.items())]
 
 
-def growth_report(word, window_list) -> GrowthReport:
+def growth_report(rows: dict[int, dict]) -> GrowthReport:
     """Classify independence growth over the tested windows.
 
+    ``rows`` maps each window L to a row with its ``complexity`` p(L) and
+    ``independence`` |I(L)|, as the caller's searches found them.
     bounded_log: |I(L)| <= ceil(log2 p(L)) everywhere and p grows at most
     polynomially on the range.  growing: |I(L)| climbs at least half a
     position per window step.  Labels are heuristics over finite data.
     """
-    window_list = sorted(window_list)
+    window_list = sorted(rows)
     if not window_list:
         raise ValueError("need at least one window length")
-    table: dict[int, dict[str, int]] = {}
-    for L in window_list:
-        cert = max_independence(word, L)
-        prof = complexity(word, L)
-        table[L] = {"complexity": prof[L], "independence": cert.size}
+    table = {
+        L: {"complexity": rows[L]["complexity"], "independence": rows[L]["independence"]}
+        for L in window_list
+    }
     sizes = [table[L]["independence"] for L in window_list]
     log_ok = all(
         table[L]["independence"] <= math.ceil(math.log2(max(table[L]["complexity"], 2)))
@@ -250,14 +283,14 @@ class FactorCache:
         header = f"# {CACHE_FORMAT} digest={digest} L={window} H={horizon}"
         if not lines or lines[0] != header:
             return None
-        masks = [int(line[::-1], 2) for line in lines[1:] if line]
-        return np.asarray(sorted(masks), dtype=np.int64)
+        masks = decode_masks((line for line in lines[1:] if line), window)
+        return None if masks is None else np.sort(masks)
 
     def store(self, digest: str, window: int, horizon: int, factors: np.ndarray) -> Path:
         path = self._path(digest, window, horizon)
         path.parent.mkdir(parents=True, exist_ok=True)
         header = f"# {CACHE_FORMAT} digest={digest} L={window} H={horizon}"
-        body = "\n".join([header] + [mask_to_string(int(m), window) for m in factors])
+        body = "\n".join([header] + encode_masks(factors, window))
         path.write_text(body + "\n")
         return path
 

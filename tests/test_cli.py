@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from tamecert import tameness
 from tamecert.cli import (
     NAMED_SYSTEMS,
+    _coding_word,
     emit_plot_data,
     main,
     report_payload,
@@ -51,6 +53,27 @@ class TestRunConfig:
         assert json.dumps(report_payload(r1), sort_keys=True) == json.dumps(
             report_payload(r8), sort_keys=True
         )
+
+    def test_independence_searches_each_window_once(self, monkeypatch):
+        calls = []
+        search = tameness.max_independence
+
+        def counted(word, window, **kwargs):
+            calls.append(window)
+            return search(word, window, **kwargs)
+
+        monkeypatch.setattr(tameness, "max_independence", counted)
+        params = {"coding": {"system": "sturmian"}, "horizon": 2000, "windows": [12, 6, 9],
+                  "node_budget": 10_000_000}
+        report, code = run_config({"experiments": [{"kind": "independence", "params": params}]})
+        assert code == 0
+        assert calls == [6, 9, 12]
+        result = report["results"][0]["result"]
+        assert result["growth"]["classification"] == "bounded_log"
+        word, _ = _coding_word(params)
+        for row in result["table"]:
+            L = row["window"]
+            assert row["complexity"] == tameness.complexity(word, L)[L]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):

@@ -11,10 +11,11 @@ from tamecert.tameness import (
     FactorCache,
     IndependenceCertificate,
     complexity,
+    decode_masks,
+    encode_masks,
     exhaustive_max_independence,
     factor_masks,
     growth_report,
-    mask_to_string,
     max_independence,
     word_digest,
 )
@@ -24,6 +25,20 @@ from tamecert.tameness import (
 def sturmian_word():
     sys_ = SplitCircleSystem(GOLDEN)
     return sys_.word(sys_.orbit_pt(0, 1), 10_000)
+
+
+def _rows(word, windows):
+    """The {L: row} table a caller of growth_report holds after its searches."""
+    out = {}
+    for L in windows:
+        cert = max_independence(word, L)
+        out[L] = {"complexity": cert.complexity, "independence": cert.size}
+    return out
+
+
+def _char_string(mask: int, width: int) -> str:
+    """Per-character oracle for encode_masks: character j is bit j."""
+    return "".join("1" if (mask >> j) & 1 else "0" for j in range(width))
 
 
 class TestComplexity:
@@ -100,19 +115,76 @@ class TestIndependence:
             cert.exhausted,
         )
         assert not bad.verify(sturmian_word)
+        # a word that shows its pattern but is not a factor of the coding
+        factors = set(encode_masks(factor_masks(sturmian_word, 8), 8))
+        pattern, _ = next(iter(cert.witnesses.items()))
+        forged = next(
+            w for w in encode_masks(np.arange(256), 8)
+            if w not in factors and "".join(w[p] for p in cert.positions) == pattern
+        )
+        outside = IndependenceCertificate(
+            cert.window,
+            cert.positions,
+            {**cert.witnesses, pattern: forged},
+            cert.horizon,
+            cert.exhausted,
+        )
+        assert not outside.verify(sturmian_word)
+
+    def test_positions_outside_window_rejected(self, sturmian_word):
+        cert = max_independence(sturmian_word, 8)
+        assert cert.positions == (0, 2)
+        assert cert.verify(sturmian_word)
+        for positions in ((0, -6), (-8, 2), (0, 8), (2, 0), (0, 0), (0, 2.0)):
+            moved = IndependenceCertificate(
+                cert.window, positions, cert.witnesses, cert.horizon, cert.exhausted
+            )
+            assert not moved.verify(sturmian_word), positions
+
+    def test_non_binary_witness_rejected(self, sturmian_word):
+        cert = max_independence(sturmian_word, 8)
+        pattern, factor = next(iter(cert.witnesses.items()))
+        for bad_pattern, bad_factor in (
+            (pattern, "2" + factor[1:]),
+            (pattern, "\u00e9" + factor[1:]),
+            (pattern, factor + "0"),
+            (pattern, factor[:-1]),
+            ("x" + pattern[1:], factor),
+        ):
+            witnesses = {p: f for p, f in cert.witnesses.items() if p != pattern}
+            witnesses[bad_pattern] = bad_factor
+            bad = IndependenceCertificate(
+                cert.window, cert.positions, witnesses, cert.horizon, cert.exhausted
+            )
+            assert not bad.verify(sturmian_word), (bad_pattern, bad_factor)
+
+    def test_complexity_is_factor_count(self, sturmian_word):
+        cert = max_independence(sturmian_word, 12)
+        assert cert.complexity == complexity(sturmian_word, 12)[12] == 13
+        wrong = IndependenceCertificate(
+            cert.window, cert.positions, cert.witnesses, cert.horizon, cert.exhausted, 14
+        )
+        assert not wrong.verify(sturmian_word)
+
+    def test_single_factor_word_has_empty_pattern(self):
+        word = np.zeros(100, dtype=np.int64)
+        cert = max_independence(word, 6)
+        assert cert.positions == ()
+        assert cert.witnesses == {"": "000000"}
+        assert cert.verify(word)
 
 
 class TestGrowth:
     def test_sturmian_bounded_log(self, sturmian_word):
-        rep = growth_report(sturmian_word, [6, 10, 14])
+        rep = growth_report(_rows(sturmian_word, [6, 10, 14]))
         assert rep.classification == "bounded_log"
 
     def test_full_shift_growing(self):
-        rep = growth_report(full_shift_word(12), [4, 6, 8])
+        rep = growth_report(_rows(full_shift_word(12), [4, 6, 8]))
         assert rep.classification == "growing"
 
     def test_periodic_bounded(self):
-        rep = growth_report(np.tile([1, 0, 0], 500), [3, 6, 9])
+        rep = growth_report(_rows(np.tile([1, 0, 0], 500), [3, 6, 9]))
         assert rep.classification == "bounded_log"
         assert all(row["independence"] <= 2 for row in rep.table.values())
 
@@ -146,17 +218,31 @@ class TestKernelParity:
             assert np.allclose(outs[0], outs[1])
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_projection_count_matches_bruteforce(data):
-    word = data.draw(st.lists(st.integers(0, 1), min_size=64, max_size=200))
     L = data.draw(st.integers(2, 8))
-    k = data.draw(st.integers(1, min(4, L)))
+    if data.draw(st.booleans()):  # every pattern occurs: the count fills the whole table
+        word, k = full_shift_word(L), L
+    else:
+        word = data.draw(st.lists(st.integers(0, 1), min_size=64, max_size=200))
+        k = data.draw(st.integers(1, L))
     positions = tuple(sorted(data.draw(
         st.sets(st.integers(0, L - 1), min_size=k, max_size=k))))
     factors = factor_masks(np.asarray(word), L)
     brute = {tuple((int(f) >> p) & 1 for p in positions) for f in factors}
     assert K.distinct_projection_count(factors, np.asarray(positions, dtype=np.int64)) == len(brute)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_codec_matches_per_character_oracle(data):
+    width = data.draw(st.integers(0, 24))
+    masks = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=40))
+    strings = encode_masks(np.asarray(masks, dtype=np.int64), width)
+    assert strings == [_char_string(m, width) for m in masks]
+    decoded = decode_masks(strings, width)
+    assert decoded.dtype == np.int64 and decoded.tolist() == masks
 
 
 class TestFactorCache:
@@ -178,6 +264,19 @@ class TestFactorCache:
         assert np.array_equal(fresh, factor_masks(sturmian_word, 7))
 
     def test_mask_string_round_trip(self):
-        for mask in (0, 1, 0b1011, 0b111111):
-            s = mask_to_string(mask, 6)
-            assert int(s[::-1], 2) == mask
+        masks = [0, 1, 0b1011, 0b111111]
+        strings = encode_masks(masks, 6)
+        assert [int(s[::-1], 2) for s in strings] == masks
+        assert decode_masks(strings, 6).tolist() == masks
+        assert decode_masks(["01011"], 6) is None
+        assert decode_masks(["010112"], 6) is None
+
+    def test_corrupt_line_is_a_miss(self, tmp_path, sturmian_word):
+        cache = FactorCache(tmp_path)
+        first = cache.factors(sturmian_word, 7)
+        d = word_digest(sturmian_word)
+        path = tmp_path / "factors" / f"{d}-L7-H10000.txt"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:1] + ["01x0101"] + lines[2:]) + "\n")
+        assert cache.load(d, 7, 10_000) is None
+        assert np.array_equal(cache.factors(sturmian_word, 7), first)
