@@ -54,15 +54,34 @@ def window_oscillation(values, radius: float, images, weights) -> np.ndarray:
     ``values`` must be sorted ascending; the ball of point i is the index
     range with |values[j] - values[i]| <= radius.  The oscillation at i is
     the largest weighted per-column spread of ``images`` over that range.
+
+    Range max/min come from a sparse table built up to the longest ball:
+    level k holds the column max/min of every run of 2^k rows, and a ball of
+    length L is covered by two overlapping level-floor(log2 L) runs.  Max and
+    min are exact, so the result equals a direct scan of each ball.
     """
     v = np.asarray(values, dtype=np.float64)
     img = np.asarray(images, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     n = v.shape[0]
+    if n == 0:
+        return np.empty(0, dtype=np.float64)
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
     lo = np.searchsorted(v, v - radius, side="left")
     hi = np.searchsorted(v, v + radius, side="right")
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        block = img[lo[i] : hi[i]]
-        out[i] = float(np.max((block.max(axis=0) - block.min(axis=0)) * w))
-    return out
+    level = np.frexp(hi - lo)[1] - 1  # floor(log2(ball length)), exact
+    spread = np.empty_like(img)
+    top, bottom = img, img  # level-k run max/min, one row per run start
+    for k in range(int(level.max()) + 1):
+        if k:
+            half = 1 << (k - 1)
+            top = np.maximum(top[:-half], top[half:])
+            bottom = np.minimum(bottom[:-half], bottom[half:])
+        at = np.nonzero(level == k)[0]
+        if at.size:
+            first, last = lo[at], hi[at] - (1 << k)
+            spread[at] = np.maximum(top[first], top[last]) - np.minimum(
+                bottom[first], bottom[last]
+            )
+    return np.max(spread * w, axis=1)

@@ -219,6 +219,11 @@ def run_rank(params, seed):
         sample = pts
     else:
         raise ConfigError(f"rank experiment does not support system {sys_name!r}")
+    # one set of arrays per element, shared by every epsilon
+    elements = {
+        name: el if isinstance(el, rank.RankInstance) else rank.build_instance(el)
+        for name, el in elements.items()
+    }
     for eps in epsilons:
         sr = rank.system_rank(elements, eps, r_schedule=schedule)
         rows.append(

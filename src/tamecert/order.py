@@ -261,21 +261,28 @@ def _defeat_adversaries(f, cset) -> bool:
 
     Targeted: copy f off a single probe point and escape there; monotone
     escapes exist exactly at unpinned one-sided jumps, so this is the
-    single-point mechanism a determining set must block.  Extremal: the
-    lowest monotone interpolant of the pins (at p, the max of the pinned
-    values at or below p) and the highest (the min of those at or above p).
-    Every increasing interpolant lies between them, so f is forced at p
-    exactly when they agree there, and then f(p) must be that value;
-    positive-width corridors between adjacent pins are the sample-resolution
-    limit, not a defeat.  A validated monotone f always meets its forced
-    values (the sandwich), so an under-pinned set fails the targeted check;
-    the extremal check is what rejects a map that breaks monotonicity.
+    single-point mechanism a determining set must block.  Extremal: the two
+    monotone interpolants of the pins that bound all others.  For an
+    increasing f, the lowest is at p the max of the pinned values at or below
+    p and the highest the min of those at or above p; for a decreasing f the
+    roles swap (the min of the values at or below p bounds from above, the
+    max of those at or above p from below).  f is forced at p exactly when
+    the two agree there, and then f(p) must be that value; positive-width
+    corridors between adjacent pins are the sample-resolution limit, not a
+    defeat.  A validated monotone f always meets its forced values (the
+    sandwich), so an under-pinned set fails the targeted check; the extremal
+    check is what rejects a map that breaks monotonicity.
     """
+    decreasing = f.direction == "decreasing"
     pinned = sorted((x, s, f.side_value(x, s)) for x, s in cset)
     keys = [(x, s) for x, s, _ in pinned]
     values = [v for _, _, v in pinned]
-    lowest = list(accumulate(values, max))  # lowest[i]: max of values[: i + 1]
-    highest = list(accumulate(reversed(values), min))[::-1]  # min of values[i:]
+    # bound from the pins at or below p (from_left[i] over values[: i + 1])
+    # and from those at or above p (from_right[i] over values[i:]); with no
+    # pin on a side, the codomain [0, 1] supplies the bound
+    from_left = list(accumulate(values, min if decreasing else max))
+    from_right = list(accumulate(reversed(values), max if decreasing else min))[::-1]
+    no_left, no_right = (Fraction(1), Fraction(0)) if decreasing else (Fraction(0), Fraction(1))
     pinned_plain = {x for x, s in keys if s == PLAIN}
     probes = sorted(
         p
@@ -288,9 +295,9 @@ def _defeat_adversaries(f, cset) -> bool:
             return False  # unpinned escape point: the targeted adversary wins
     for p in probes:
         below, above = bisect_right(keys, (p, PLAIN)), bisect_left(keys, (p, PLAIN))
-        lo = lowest[below - 1] if below else Fraction(0)
-        hi = highest[above] if above < len(highest) else Fraction(1)
-        if lo == hi and lo != f(p):
+        bound_left = from_left[below - 1] if below else no_left
+        bound_right = from_right[above] if above < len(from_right) else no_right
+        if bound_left == bound_right and bound_left != f(p):
             return False  # a forced value disagreeing with f
     return True
 

@@ -31,8 +31,9 @@ from .systems import RotationSystem, SplitCircleSystem
 class RankInstance:
     """Arrays backing the rank computation for one sampled element.
 
-    kind 'split': binary coding words plus base positions; the distance is
-    the max of the weighted word sup-metric and the base arc distance.
+    kind 'split': binary coding words (uint8) plus base positions; the
+    distance is the max of the weighted word sup-metric and the base arc
+    distance.
     kind 'circle': positions only (arc metric), images embedded as scaled
     sin/cos columns (conservative within sqrt(2) for detection, exact enough
     for continuity bounds).  kind 'prefix': one-sided words under 2^-lcp.
@@ -41,7 +42,7 @@ class RankInstance:
 
     kind: str
     points: list
-    words: np.ndarray | None  # (n, W) point words (split/prefix kinds)
+    words: np.ndarray | None  # (n, W) point words (split/prefix kinds; uint8 for split)
     img_words: np.ndarray  # (n, W) image descriptor columns, weighted by `weights`
     weights: np.ndarray  # (W,)
     positions: np.ndarray | None = None  # (n,) base or value positions
@@ -67,8 +68,8 @@ def split_instance(p: ApproxElement) -> RankInstance:
     metric: CodingMetric = p.sample.metric
     pts = p.sample.points
     h = metric.horizon
-    words = np.array([metric.word(x) for x in pts], dtype=np.float64)
-    img_words = np.array([metric.word(im) for im in p.images], dtype=np.float64)
+    words = np.array([metric.word(x) for x in pts], dtype=np.uint8)
+    img_words = np.array([metric.word(im) for im in p.images], dtype=np.uint8)
     weights = 2.0 ** -np.abs(np.arange(-h, h + 1, dtype=np.float64))
     pos = np.array([x.base.as_float() for x in pts])
     img_pos = np.array([im.base.as_float() for im in p.images])
@@ -133,6 +134,16 @@ def _unwrap_circular(vals: np.ndarray) -> np.ndarray:
     return (vals - cut) % 1.0
 
 
+def _group_rows(keys: np.ndarray, members: np.ndarray) -> list[np.ndarray]:
+    """Split ``members`` by equal rows of ``keys``: groups in ascending
+    lexicographic key order (the order of ``np.unique(keys, axis=0)``), each
+    group's members in their original order (the sort is stable)."""
+    order = np.lexsort(keys.T[::-1])
+    sk = keys[order]
+    cuts = np.nonzero((sk[1:] != sk[:-1]).any(axis=1))[0] + 1
+    return np.split(members[order], cuts)
+
+
 def _stage(inst: RankInstance, active: np.ndarray, radius: float, eps: float):
     """Indices of the active points surviving one epsilon-derivative at the
     given resolution, plus their oscillation values and witness pairs."""
@@ -150,11 +161,7 @@ def _stage(inst: RankInstance, active: np.ndarray, radius: float, eps: float):
         else:
             cols = np.nonzero(inst.weights > radius)[0]
         keys = inst.words[active][:, cols]
-        if keys.shape[1] == 0:
-            groups = [active]
-        else:
-            _, inv = np.unique(keys, axis=0, return_inverse=True)
-            groups = [active[inv == g] for g in range(int(inv.max()) + 1)]
+        groups = [active] if keys.shape[1] == 0 else _group_rows(keys, active)
         for members in groups:
             if members.size < 2:
                 continue
@@ -174,13 +181,11 @@ def _stage(inst: RankInstance, active: np.ndarray, radius: float, eps: float):
                     [inst.img_words[members] * inst.weights, ib[:, None]], axis=1
                 )
                 osc = K.window_oscillation(base, radius, img_cols, np.ones(img_cols.shape[1]))
-                for j, idx in enumerate(members):
-                    if osc[j] >= eps:
-                        survivors.append(int(idx))
-                        osc_map[int(idx)] = float(osc[j])
-                        witness[int(idx)] = _window_witness(
-                            members, base, img_cols, j, radius
-                        )
+                for j in np.nonzero(osc >= eps)[0]:
+                    idx = int(members[j])
+                    survivors.append(idx)
+                    osc_map[idx] = float(osc[j])
+                    witness[idx] = _window_witness(members, base, img_cols, j, radius)
             else:
                 img = inst.img_words[members] * inst.weights
                 spread = img.max(axis=0) - img.min(axis=0)
@@ -205,22 +210,22 @@ def _stage(inst: RankInstance, active: np.ndarray, radius: float, eps: float):
             back = np.empty_like(order)
             back[order] = np.arange(order.size)
             osc = osc_all[back[len(pos) : 2 * len(pos)]]
-            for j, idx in enumerate(active):
-                if osc[j] >= eps:
-                    survivors.append(int(idx))
-                    osc_map[int(idx)] = float(osc[j])
-                    witness[int(idx)] = (int(idx), int(idx))
+            for j in np.nonzero(osc >= eps)[0]:
+                idx = int(active[j])
+                survivors.append(idx)
+                osc_map[idx] = float(osc[j])
+                witness[idx] = (idx, idx)
         else:
             order = np.argsort(pos, kind="stable")
             members = active[order]
             base = pos[order]
             img_cols = inst.img_words[members] * inst.weights
             osc = K.window_oscillation(base, radius, img_cols, np.ones(img_cols.shape[1]))
-            for j, idx in enumerate(members):
-                if osc[j] >= eps:
-                    survivors.append(int(idx))
-                    osc_map[int(idx)] = float(osc[j])
-                    witness[int(idx)] = _window_witness(members, base, img_cols, j, radius)
+            for j in np.nonzero(osc >= eps)[0]:
+                idx = int(members[j])
+                survivors.append(idx)
+                osc_map[idx] = float(osc[j])
+                witness[idx] = _window_witness(members, base, img_cols, j, radius)
     else:
         raise ValueError(f"unknown instance kind {inst.kind!r}")
     return np.array(sorted(survivors), dtype=np.int64), osc_map, witness
@@ -291,7 +296,9 @@ def _point_dist(inst: RankInstance, i: int, j: int) -> float:
 
 
 def _image_dist(inst: RankInstance, i: int, j: int) -> float:
-    cols = np.abs(inst.img_words[i] - inst.img_words[j]) * inst.weights
+    # cast first: the split kind stores 0/1 words as uint8, where 0 - 1 wraps
+    diff = inst.img_words[i].astype(np.float64) - inst.img_words[j]
+    cols = np.abs(diff) * inst.weights
     d = float(cols.max()) if cols.size else 0.0
     if inst.img_positions is not None:
         b = abs(float(inst.img_positions[i] - inst.img_positions[j]))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tamecert import tameness
+from tamecert import rank, tameness
 from tamecert.cli import (
     NAMED_SYSTEMS,
     _coding_word,
@@ -74,6 +74,28 @@ class TestRunConfig:
         for row in result["table"]:
             L = row["window"]
             assert row["complexity"] == tameness.complexity(word, L)[L]
+
+    def test_rank_builds_each_instance_once(self, monkeypatch):
+        calls = []
+        build = rank.build_instance
+
+        def counted(p):
+            calls.append(p)
+            return build(p)
+
+        monkeypatch.setattr(rank, "build_instance", counted)
+
+        def rows(epsilons):
+            params = {"system": "sturmian", "plain_count": 300, "split_range": 4,
+                      "horizon": 10, "epsilons": epsilons}
+            report, code = run_config({"experiments": [{"kind": "rank", "params": params}]})
+            assert code == 0
+            return report["results"][0]["result"]["table"]
+
+        both = rows([0.1, 0.05])
+        assert len(calls) == 3  # T^1, T^3 and the one-sided limit, each built once
+        assert len({id(p) for p in calls}) == 3
+        assert both == rows([0.1]) + rows([0.05])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):

@@ -157,6 +157,32 @@ class TestHellyDeterminingSet:
         assert not _defeat_adversaries(f, cset)
         assert _defeat_adversaries(PointValues({}), cset)
 
+    def test_extremal_interpolants_follow_a_decreasing_direction(self):
+        # pins k/8 read 1/2 below 1/2 and 0 from 1/2 on; every decreasing
+        # interpolant is 1/2 between the pins 0 and 1/8, so a stub dipping to
+        # 0 at the probe 1/257 is caught (the increasing bounds there, max 1/2
+        # and min 0, leave a corridor and would let it pass)
+        from tamecert.order import _defeat_adversaries
+
+        cset = [(F(k, 8), PLAIN) for k in range(9)]
+        high = {F(k, 257): F(1, 2) for k in range(129)} | {F(k, 8): F(1, 2) for k in range(4)}
+        assert _defeat_adversaries(PointValues(high, "decreasing"), cset)
+        dip = PointValues(high | {F(1, 257): F(0)}, "decreasing")
+        assert not _defeat_adversaries(dip, cset)
+
+    def test_decreasing_step_map_is_determined(self):
+        from tamecert.order import _defeat_adversaries
+
+        f = MonotoneStepMap(
+            [F(1, 3)], [(F(3, 4), F(1, 2), F(1, 4))],
+            pieces=[Piece("const", value=F(3, 4)), Piece("const", value=F(1, 4))],
+            direction="decreasing",
+        )
+        dom = OrderedDomain.interval(sample_level=4)
+        assert helly_determining_set(f, dom, adversaries=20).sound
+        cset = [(F(k, 8), PLAIN) for k in range(9)]
+        assert not _defeat_adversaries(f, cset)  # the jump at 1/3 is unpinned
+
     def test_extremal_check_matches_corridor_scan(self):
         from tamecert.order import _defeat_adversaries
 
@@ -178,8 +204,9 @@ class PointValues:
 
     breakpoints = ()
 
-    def __init__(self, values):
+    def __init__(self, values, direction="increasing"):
         self.values = values
+        self.direction = direction
 
     def __call__(self, x):
         return self.values.get(x, F(0))

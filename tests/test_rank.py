@@ -1,13 +1,19 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamecert.boundary import ReducedWord, boundary_sample, loxodromic_rank_arrays, power_limit
 from tamecert.envelope import limit_map, rotation_sample, split_sample
 from tamecert.errors import NotStabilizedAcrossResolutions
 from tamecert.exactarith import GOLDEN, one_sided_approach, orbit_point, point, zero
 from tamecert.rank import (
+    _group_rows,
+    _image_dist,
+    _point_dist,
     beta_rank,
     build_instance,
     naive_beta_rank,
@@ -98,6 +104,45 @@ class TestBetaRank:
                 assert t.beta == nb
                 assert t.stage_sizes() == [len(s) for s in nstages]
 
+    def test_prefix_codes_match_naive_oracle(self):
+        lox = power_limit(ReducedWord.parse("ab"), depth=8)
+        pts = boundary_sample(8, base_length=4, lox=lox)
+        P, I = loxodromic_rank_arrays(lox, pts)
+        assert np.unique(P).size == 4  # letter codes 0..3, not a binary word
+        inst = prefix_instance(pts, P, I)
+        for eps in (0.1, 0.3, 0.6):
+            t = beta_rank(inst, eps, raise_on_unstable=False)
+            nb, nstages = naive_beta_rank(inst, eps, t.schedule)
+            assert t.beta == nb
+            assert [s.tolist() for s in t.stages] == nstages
+
+    def test_circle_matches_naive_oracle(self):
+        rot = RotationSystem(GOLDEN)
+        rs = rotation_sample(rot, 60)
+        p = limit_map(rot, one_sided_approach(point(GOLDEN, 0, F(1, 3)), "above", 8), rs)
+        inst = build_instance(p)
+        # the default schedule, and a coarse first stage that every point survives
+        for eps, schedule in ((0.1, None), (0.1, (0.3, 0.02, 0.005))):
+            t = beta_rank(inst, eps, r_schedule=schedule)
+            nb, nstages = naive_beta_rank(inst, eps, t.schedule)
+            assert t.beta == nb
+            assert [s.tolist() for s in t.stages] == nstages
+
+    def test_uint8_words_measure_like_float(self, sturmian):
+        # 0/1 words are stored as uint8; a distance that subtracted them
+        # unconverted would read 0 - 1 as 255
+        small = split_sample(sturmian, plain_count=60, split_range=3, horizon=6)
+        inst = build_instance(limit_map(sturmian, one_sided_approach(zero(GOLDEN), "below", 10), small))
+        assert inst.words.dtype == inst.img_words.dtype == np.uint8
+        wide = dataclasses.replace(
+            inst, words=inst.words.astype(np.float64), img_words=inst.img_words.astype(np.float64)
+        )
+        n = len(inst.points)
+        for i in range(n):
+            for j in range(n):
+                assert _image_dist(inst, i, j) == _image_dist(wide, i, j)
+                assert _point_dist(inst, i, j) == _point_dist(wide, i, j)
+
     def test_bump_map_rank_two(self):
         # mesh must stay below the finest rerun's stage-one radius (eps/32)
         pool = [F(k, 1000) for k in range(1000)]
@@ -123,6 +168,22 @@ class TestBetaRank:
     def test_schedule_must_decrease(self, p_minus):
         with pytest.raises(ValueError):
             beta_rank(p_minus, 0.1, r_schedule=(0.1, 0.2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_group_rows_matches_unique(data):
+    n = data.draw(st.integers(1, 40))
+    width = data.draw(st.integers(1, 6))
+    symbols = data.draw(st.sampled_from([2, 4]))  # split words, prefix codes
+    dtype = data.draw(st.sampled_from([np.uint8, np.float64]))
+    cells = data.draw(st.lists(st.integers(0, symbols - 1), min_size=n * width, max_size=n * width))
+    keys = np.asarray(cells, dtype=dtype).reshape(n, width)
+    members = np.cumsum(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    _, inv = np.unique(keys, axis=0, return_inverse=True)
+    inv = inv.ravel()
+    want = [members[inv == g].tolist() for g in range(int(inv.max()) + 1)]
+    assert [g.tolist() for g in _group_rows(keys, members)] == want
 
 
 class TestOtherRotationNumber:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tamecert._kernels as K
@@ -232,6 +232,44 @@ def test_projection_count_matches_bruteforce(data):
     factors = factor_masks(np.asarray(word), L)
     brute = {tuple((int(f) >> p) & 1 for p in positions) for f in factors}
     assert K.distinct_projection_count(factors, np.asarray(positions, dtype=np.int64)) == len(brute)
+
+
+def _oscillation_oracle(values, radius, images, weights):
+    """Per-point oracle for window_oscillation: max/min of each column over the ball."""
+    out = []
+    for x in values:
+        block = images[np.abs(values - x) <= radius]
+        out.append(np.max((block.max(axis=0) - block.min(axis=0)) * weights))
+    return np.asarray(out, dtype=np.float64)
+
+
+@st.composite
+def _oscillation_cases(draw):
+    # dyadic values and radii keep every ball boundary exact; values on a
+    # 1/8 grid in [0, 2] repeat often, and 8.0 exceeds the whole span
+    n = draw(st.integers(0, 40))
+    m = draw(st.integers(1, 4))
+    values = np.sort(np.asarray(draw(st.lists(st.integers(0, 16), min_size=n, max_size=n))) / 8)
+    radius = draw(st.sampled_from([0.0, 0.125, 0.375, 1.0, 8.0]))
+    cells = draw(st.lists(st.floats(-4, 4), min_size=n * m, max_size=n * m))
+    weights = draw(st.lists(st.floats(0, 4), min_size=m, max_size=m))
+    return values, radius, np.asarray(cells, dtype=np.float64).reshape(n, m), np.asarray(weights)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_oscillation_cases())
+@example(case=(np.empty(0), 0.125, np.empty((0, 2)), np.ones(2)))
+@example(case=(np.array([0.5]), 0.0, np.array([[1.0, -2.0]]), np.array([1.0, 3.0])))
+@example(case=(np.array([0.0, 0.25, 0.25, 1.0]), 0.0, np.array([[0.0], [2.0], [-1.0], [5.0]]),
+               np.array([0.5])))
+@example(case=(np.array([0.0, 0.5, 1.0]), 8.0, np.array([[0.0, 1.0], [3.0, 1.0], [1.0, 0.0]]),
+               np.array([0.25, 2.0])))
+def test_window_oscillation_matches_bruteforce(case):
+    values, radius, images, weights = case
+    want = _oscillation_oracle(values, radius, images, weights)
+    for backend in K.backends().values():
+        got = backend.window_oscillation(values, radius, images, weights)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
 @settings(max_examples=60, deadline=None)
