@@ -1,9 +1,10 @@
-"""Benchmark the compiled kernels against the NumPy fallback.
+"""Time the hot kernels on fixed inputs, best of five calls each.
 
-Run after building the extension in place:
+    PYTHONPATH=src python benchmarks/bench_kernels.py
 
-    python setup.py build_ext --inplace
-    python benchmarks/bench_kernels.py
+Each workload is ``(name, call)`` where ``call(module)`` runs one kernel of
+``module``, so the same inputs can be timed on any module with the kernel
+names of ``tamecert._kernels``.
 """
 
 import time
@@ -43,23 +44,11 @@ def workloads():
 
 
 def main():
-    backends = K.backends()
-    print(f"active backend: {K.BACKEND}; available: {', '.join(backends)}")
-    rows = []
-    for name, call in workloads():
-        times = {b: timeit(lambda m=mod: call(m)) for b, mod in backends.items()}
-        rows.append((name, times))
-    width = max(len(r[0]) for r in rows)
-    header = f"{'kernel':<{width}}  " + "  ".join(f"{b:>12}" for b in backends)
-    if len(backends) == 2:
-        header += f"  {'speedup':>8}"
-    print(header)
-    for name, times in rows:
-        line = f"{name:<{width}}  " + "  ".join(f"{times[b] * 1e3:>10.2f}ms" for b in backends)
-        if len(times) == 2:
-            fallback, fast = times["fallback"], times.get("speedups", times["fallback"])
-            line += f"  {fallback / fast:>7.1f}x"
-        print(line)
+    rows = [(name, timeit(lambda c=call: c(K))) for name, call in workloads()]
+    width = max(len(name) for name, _ in rows)
+    print(f"{'kernel':<{width}}  {'best':>10}")
+    for name, best in rows:
+        print(f"{name:<{width}}  {best * 1e3:>8.2f}ms")
 
 
 if __name__ == "__main__":

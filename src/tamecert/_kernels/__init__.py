@@ -1,31 +1,23 @@
-"""Kernel selection: compiled extension when built, NumPy fallback otherwise.
+"""The hot kernels, one NumPy implementation.
 
-``import tamecert._kernels as K`` and call ``K.extract_factors`` etc.; the
-active implementation is reported by ``K.BACKEND``.  Both backends are kept
-importable (``K.fallback``, and ``K.speedups`` when built) so the benchmark
-and the cross-check tests can compare them directly.
+``import tamecert._kernels as K`` and call ``K.extract_factors`` etc.
+``BACKEND``, the empty compiled-module slot below and ``backends()`` are
+constants: ``perfbench`` reports the backend and wraps the kernels through
+them.
 """
 
 from . import _fallback as fallback
+from ._fallback import (
+    BACKEND,
+    distinct_projection_count,
+    extract_factors,
+    project_masks,
+    window_oscillation,
+)
 
-try:  # pragma: no cover - depends on whether the extension was built
-    from . import _speedups as speedups
-
-    _active = speedups
-except ImportError:  # pragma: no cover
-    speedups = None
-    _active = fallback
-
-BACKEND = _active.BACKEND
-extract_factors = _active.extract_factors
-project_masks = _active.project_masks
-distinct_projection_count = _active.distinct_projection_count
-window_oscillation = _active.window_oscillation
+speedups = None
 
 
 def backends():
-    """Importable backends as {name: module}."""
-    out = {"fallback": fallback}
-    if speedups is not None:
-        out["speedups"] = speedups
-    return out
+    """The kernel implementations as {name: module}: only the NumPy one."""
+    return {"fallback": fallback}

@@ -1,8 +1,5 @@
-"""Pure NumPy implementations of the hot kernels.
-
-Same contracts as the compiled module in ``_speedups.pyx``; used whenever the
-extension is not built.
-"""
+"""The hot kernels, in NumPy: factor extraction, pattern projection and
+windowed oscillation."""
 
 from __future__ import annotations
 
@@ -14,7 +11,9 @@ BACKEND = "fallback"
 def extract_factors(word, length: int) -> np.ndarray:
     """Sorted distinct bitmasks of all ``length``-windows of a 0/1 word.
 
-    Bit j of a mask is the symbol at window offset j.
+    Bit j of a mask is the symbol at window offset j.  Up to 24 bits the
+    distinct set is read off a bitmap over all 2^length masks, which is sorted
+    by construction; longer windows use ``np.unique``.
     """
     w = np.asarray(word, dtype=np.int64)
     n = w.shape[0]
@@ -24,15 +23,30 @@ def extract_factors(word, length: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     windows = np.lib.stride_tricks.sliding_window_view(w, length)
     masks = windows @ (np.int64(1) << np.arange(length, dtype=np.int64))
-    return np.unique(masks)
+    if length > 24:
+        return np.unique(masks)
+    seen = np.zeros(1 << length, dtype=bool)
+    seen[masks] = True
+    return np.flatnonzero(seen)
 
 
 def project_masks(factors, positions) -> np.ndarray:
-    """Project factor masks onto the given bit positions (packed little-endian)."""
+    """Project factor masks onto the given bit positions (packed little-endian).
+
+    Bit j of a projection is bit ``positions[j]`` of its factor.  A run of r
+    consecutive positions p, p+1, ..., p+r-1 starting at output bit j moves as
+    one field, ``((f >> p) & (2^r - 1)) << j``, so the cost is one pass per run.
+    """
     f = np.asarray(factors, dtype=np.int64)
     out = np.zeros_like(f)
-    for j, pos in enumerate(positions):
-        out |= ((f >> np.int64(pos)) & 1) << np.int64(j)
+    pos = np.asarray(positions, dtype=np.int64).tolist()
+    j = 0
+    while j < len(pos):
+        r = 1
+        while j + r < len(pos) and pos[j + r] == pos[j] + r:
+            r += 1
+        out |= ((f >> pos[j]) & ((1 << r) - 1)) << j
+        j += r
     return out
 
 

@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -58,6 +59,17 @@ def _point(system_alpha, desc) -> CirclePoint:
 
 def _point_str(p: CirclePoint) -> str:
     return f"{p.a}*alpha+{p.b}"
+
+
+_POINT = re.compile(r"(-?\d+)\*alpha\+(-?\d+(?:/[1-9]\d*)?)")
+
+
+def _parse_point(alpha, text: str) -> CirclePoint:
+    """Inverse of ``_point_str``; ValueError when ``text`` is not ``a*alpha+b``."""
+    m = _POINT.fullmatch(text) if isinstance(text, str) else None
+    if m is None:
+        raise ValueError(f"not a point literal a*alpha+b: {text!r}")
+    return CirclePoint(alpha, int(m.group(1)), Fraction(m.group(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +577,13 @@ def verify_certificate(cert: dict) -> bool:
         )
         return made.verify(word)
     if kind == "isolation":
-        count = int(cert["count"])
-        alpha = GOLDEN
-        gammas = [CirclePoint(alpha, k, Fraction(k % 29, 29)) for k in range(count)]
+        # re-run the exact check on the payload's own gammas
+        try:
+            gammas = [_parse_point(GOLDEN, g) for g in cert["gammas"]]
+        except ValueError:
+            return False
+        if len(gammas) != int(cert["count"]):
+            return False
         rep = envelope.sorgenfrey_isolation(
             envelope.flipped_diagonal(gammas), eps=Fraction(cert["eps"])
         )
@@ -583,8 +599,10 @@ def verify_certificate(cert: dict) -> bool:
     if kind == "limit":
         sys_ = systems.load_system(cert["system"])
         gen = cert["generator"]
-        m = __import__("re").match(r"(-?\d+)\*alpha\+(-?\d+(?:/\d+)?)", gen["target"])
-        target = CirclePoint(sys_.alpha, int(m.group(1)), Fraction(m.group(2)))
+        try:
+            target = _parse_point(sys_.alpha, gen["target"])
+        except ValueError:
+            return False
         if isinstance(sys_, systems.SplitCircleSystem):
             extra = [(-target).translate(k) for k in range(-3, 4)]
             sample = envelope.split_sample(sys_, plain_count=60, split_range=4, extra_bases=extra)

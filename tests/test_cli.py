@@ -6,6 +6,8 @@ from tamecert import rank, tameness
 from tamecert.cli import (
     NAMED_SYSTEMS,
     _coding_word,
+    _parse_point,
+    _point_str,
     emit_plot_data,
     main,
     report_payload,
@@ -13,6 +15,7 @@ from tamecert.cli import (
     verify_certificate,
 )
 from tamecert.errors import ConfigError, UnknownSeries
+from tamecert.exactarith import GOLDEN, CirclePoint
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -228,6 +231,41 @@ class TestVerify:
         assert cert["result"] == {"tag": "translation", "params": {"n": "3"}}
         assert verify_certificate(cert)
         assert not verify_certificate(dict(cert, result={"tag": "one_sided", "params": {}}))
+
+    def test_isolation_checks_the_payload_gammas(self):
+        report, code = run_config({"experiments": [
+            {"kind": "isolation", "params": {"count": 12}}]})
+        assert code == 0
+        cert = report["results"][0]["certificates"][0]
+        assert cert["diagonal_isolated"] and len(cert["gammas"]) == 12
+        assert verify_certificate(cert)
+        zeros = ["0*alpha+0"] * 12  # one point twelve times: nothing is isolated
+        assert not verify_certificate(dict(cert, gammas=zeros))
+        assert verify_certificate(dict(cert, gammas=zeros, diagonal_isolated=False))
+        assert not verify_certificate(dict(cert, gammas=[]))
+        assert not verify_certificate(dict(cert, gammas=cert["gammas"][:-1]))
+
+    def test_malformed_point_fails_verify(self, tmp_path, capsys):
+        points = [CirclePoint(GOLDEN, a, b) for a, b in [(0, 0), (3, "1/29"), (-7, "-2/5")]]
+        assert [_parse_point(GOLDEN, _point_str(p)) for p in points] == points
+        for bad in ["", "alpha", "1*alpha+", "1*alpha+1/0", "1*alpha+1/2x", "2*beta+1", None]:
+            with pytest.raises(ValueError):
+                _parse_point(GOLDEN, bad)
+        report, _ = run_config({"experiments": [
+            {"kind": "limit", "params": {"system": "rotation", "target": {"a": 3, "b": 0},
+                                         "side": "above", "depth": 10, "plain_count": 40}},
+            {"kind": "isolation", "params": {"count": 5}}]})
+        lim, iso = (entry["certificates"][0] for entry in report["results"])
+        assert verify_certificate(lim) and verify_certificate(iso)
+        bad_lim = dict(lim, generator=dict(lim["generator"], target="3*alpha"))
+        bad_iso = dict(iso, gammas=iso["gammas"][:-1] + ["4*alpha+1/"])
+        assert not verify_certificate(bad_lim)
+        assert not verify_certificate(bad_iso)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([bad_lim, bad_iso]))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == ["limit: FAILED", "isolation: FAILED"]
 
     def test_helly_witness_checked_and_tamper_rejected(self):
         report, code = run_config({"experiments": [

@@ -189,33 +189,53 @@ class TestGrowth:
         assert all(row["independence"] <= 2 for row in rep.table.values())
 
 
-class TestKernelParity:
-    """Both kernel backends must agree operation by operation."""
+def test_kernel_names_stay_bound():
+    """perfbench reads these names: it reports the backend and wraps each
+    kernel where ``tamecert._kernels`` binds it, skipping ``backends()``."""
+    assert K.BACKEND == "fallback"
+    assert K.speedups is None
+    assert K.backends() == {"fallback": K.fallback}
+    for name in ("extract_factors", "project_masks", "distinct_projection_count",
+                 "window_oscillation"):
+        assert getattr(K, name) is getattr(K.fallback, name)
 
-    def test_extract_and_project(self, sturmian_word):
-        backends = K.backends()
-        if len(backends) < 2:
-            pytest.skip("compiled backend not built")
-        a, b = (backends[n] for n in sorted(backends))
-        for L in (4, 9, 17):
-            fa = a.extract_factors(sturmian_word.astype(np.int64), L)
-            fb = b.extract_factors(sturmian_word.astype(np.int64), L)
-            assert np.array_equal(fa, fb)
-            pos = np.asarray([0, 2, L - 1], dtype=np.int64)
-            assert a.distinct_projection_count(fa, pos) == b.distinct_projection_count(fb, pos)
-            assert np.array_equal(a.project_masks(fa, pos), b.project_masks(fb, pos))
 
-    def test_window_oscillation(self):
-        backends = K.backends()
-        if len(backends) < 2:
-            pytest.skip("compiled backend not built")
-        rng = np.random.RandomState(42)
-        vals = np.sort(rng.rand(500))
-        img = rng.rand(500, 9)
-        w = 0.5 ** np.abs(np.arange(9) - 4).astype(float)
-        for radius in (0.001, 0.03, 0.5):
-            outs = [m.window_oscillation(vals, radius, img, w) for m in backends.values()]
-            assert np.allclose(outs[0], outs[1])
+def _factor_oracle(word, length):
+    """Sorted distinct windows, read symbol by symbol: bit j is word[i + j]."""
+    return sorted({sum(int(word[i + j]) << j for j in range(length))
+                   for i in range(len(word) - length + 1)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(word=st.lists(st.integers(0, 1), max_size=150),
+       length=st.one_of(st.integers(1, 24), st.integers(25, 62)))
+@example(word=[1, 0, 1], length=5)  # shorter than one window
+@example(word=[], length=1)
+@example(word=[0, 1] * 20, length=24)  # widest bitmap table
+@example(word=[0, 1, 1] * 30, length=25)  # narrowest np.unique window
+@example(word=list(full_shift_word(6)), length=6)  # every pattern: the whole table
+def test_extract_factors_matches_bruteforce(word, length):
+    got = K.extract_factors(np.asarray(word, dtype=np.int64), length)
+    assert got.dtype == np.int64 and got.tolist() == _factor_oracle(word, length)
+
+
+@pytest.mark.parametrize("length", [0, -1, 63])
+def test_extract_factors_rejects_length(length):
+    with pytest.raises(ValueError, match="1..62"):
+        K.extract_factors(np.zeros(100, dtype=np.int64), length)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factors=st.lists(st.integers(0, (1 << 62) - 1), max_size=30),
+       positions=st.lists(st.integers(0, 61), unique=True, max_size=24))
+@example(factors=[0b1011_0110_1101, (1 << 62) - 1, 0, 1 << 61],
+         positions=[0, 1, 2, 5, 7, 8, 9, 61])  # runs and gaps
+@example(factors=[0b1011_0110_1101, (1 << 62) - 1, 0], positions=[3, 4, 5, 6])  # one run
+@example(factors=[0b1011_0110_1101, 5], positions=[])
+def test_project_masks_matches_bruteforce(factors, positions):
+    want = [sum(((f >> p) & 1) << j for j, p in enumerate(positions)) for f in factors]
+    got = K.project_masks(np.asarray(factors, dtype=np.int64), np.asarray(positions, dtype=np.int64))
+    assert got.dtype == np.int64 and got.tolist() == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -267,9 +287,8 @@ def _oscillation_cases(draw):
 def test_window_oscillation_matches_bruteforce(case):
     values, radius, images, weights = case
     want = _oscillation_oracle(values, radius, images, weights)
-    for backend in K.backends().values():
-        got = backend.window_oscillation(values, radius, images, weights)
-        assert got.dtype == np.float64 and np.array_equal(got, want)
+    got = K.window_oscillation(values, radius, images, weights)
+    assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
 @settings(max_examples=60, deadline=None)
