@@ -10,9 +10,9 @@ config and seed apart from the wall-time field.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
-import os
 import re
 import sys
 import time
@@ -131,32 +131,59 @@ def run_limit(params, seed):
     return out, [cert]
 
 
-def _coding_word(params):
+def _coding_source(params) -> tuple[dict, int]:
+    """The ``source`` descriptor of an independence experiment and its horizon."""
     coding = params.get("coding", {"system": "sturmian"})
-    horizon = int(params.get("horizon", 10_000))
     if coding.get("kind") == "full_shift":
-        return systems.full_shift_word(int(coding["window"])), {"kind": "full_shift"}
+        window = int(coding["window"])
+        return {"kind": "full_shift"}, (1 << window) + 2 * window - 1
+    horizon = int(params.get("horizon", 10_000))
     if coding.get("kind") == "periodic":
-        pattern = [int(x) for x in coding["pattern"]]
-        reps = horizon // len(pattern) + 1
-        return np.tile(pattern, reps)[:horizon], {"kind": "periodic", "pattern": pattern}
-    sys_ = resolve_system(coding.get("system", "sturmian"))
-    if isinstance(sys_, systems.SplitCircleSystem):
-        word = sys_.word(sys_.orbit_pt(0, systems.PLUS), horizon)
-    elif isinstance(sys_, systems.CutProjectCoding):
-        word = sys_.word(horizon)
+        return {"kind": "periodic", "pattern": [int(x) for x in coding["pattern"]]}, horizon
+    return resolve_system(coding.get("system", "sturmian")).describe(), horizon
+
+
+def _source_word(source: dict, horizon: int) -> np.ndarray:
+    """The read-only coding word of a certificate ``source`` over [0, horizon).
+
+    ``run`` searches and ``verify`` re-checks the word built here.
+    """
+    return _word(_canonical(source), int(horizon))
+
+
+# One entry: the certificates of an experiment share its source and sit together
+# in a report, so a verify pass builds each word once and keeps none for the next.
+@functools.lru_cache(maxsize=1)
+def _word(source_json: str, horizon: int) -> np.ndarray:
+    source = json.loads(source_json)
+    kind = source["kind"]
+    if kind == "full_shift":
+        # the order-w word has 2^w + 2w - 1 symbols, so the horizon fixes w
+        word = systems.full_shift_word(horizon.bit_length() - 1)
+        if len(word) != horizon:
+            raise ValueError(f"no full-shift word has {horizon} symbols")
+    elif kind == "periodic":
+        pattern = [int(x) for x in source["pattern"]]
+        if not pattern or not set(pattern) <= {0, 1}:
+            raise ConfigError("a periodic source needs a nonempty 0/1 pattern")
+        word = np.tile(pattern, horizon // len(pattern) + 1)[:horizon]
     else:
-        raise ConfigError("coding source must be a split-circle or cut-project system")
-    return word, sys_.describe()
+        sys_ = systems.load_system(source)
+        if isinstance(sys_, systems.SplitCircleSystem):
+            word = sys_.word(sys_.orbit_pt(0, systems.PLUS), horizon)
+        elif isinstance(sys_, systems.CutProjectCoding):
+            word = sys_.word(horizon)
+        else:
+            raise ConfigError("coding source must be a split-circle or cut-project system")
+    word.flags.writeable = False
+    return word
 
 
 def run_independence(params, seed):
-    word, source = _coding_word(params)
+    source, horizon = _coding_source(params)
+    word = _source_word(source, horizon)
     windows = [int(L) for L in params.get("windows", [8, 12, 16, 20])]
     budget = int(params.get("node_budget", 5_000_000))
-    cache_dir = params.get("cache_dir")
-    if cache_dir:
-        tameness.FactorCache(cache_dir).factors(word, max(windows))
     rows, certs = [], []
     flag = None
     for L in sorted(windows):
@@ -553,77 +580,65 @@ def emit_plot_data(report: dict, series: str) -> str:
 
 
 def verify_certificate(cert: dict) -> bool:
+    """Re-check one certificate: False when it fails or a payload field is
+    missing or malformed; ConfigError when no check exists for its kind."""
     kind = cert.get("kind")
-    if kind == "independence":
-        source = cert["source"]
-        if source.get("kind") == "full_shift":
-            word = systems.full_shift_word(int(cert["window"]))
-        elif source.get("kind") == "periodic":
-            word = np.tile(source["pattern"], cert["horizon"] // len(source["pattern"]) + 1)[
-                : cert["horizon"]
-            ]
-        else:
-            sys_ = systems.load_system(source)
-            if isinstance(sys_, systems.SplitCircleSystem):
-                word = sys_.word(sys_.orbit_pt(0, systems.PLUS), cert["horizon"])
-            else:
-                word = sys_.word(cert["horizon"])
-        made = tameness.IndependenceCertificate(
-            window=int(cert["window"]),
-            positions=tuple(cert["positions"]),
-            witnesses=dict(cert["witnesses"]),
-            horizon=int(cert["horizon"]),
-            exhausted=bool(cert["exhausted"]),
-        )
-        return made.verify(word)
-    if kind == "isolation":
-        # re-run the exact check on the payload's own gammas
-        try:
+    try:
+        if kind == "independence":
+            made = tameness.IndependenceCertificate(
+                window=int(cert["window"]),
+                positions=tuple(cert["positions"]),
+                witnesses=dict(cert["witnesses"]),
+                horizon=int(cert["horizon"]),
+                exhausted=bool(cert["exhausted"]),
+            )
+            return made.verify(_source_word(cert["source"], made.horizon))
+        if kind == "isolation":
+            # re-run the exact check on the payload's own gammas
             gammas = [_parse_point(GOLDEN, g) for g in cert["gammas"]]
-        except ValueError:
-            return False
-        if len(gammas) != int(cert["count"]):
-            return False
-        rep = envelope.sorgenfrey_isolation(
-            envelope.flipped_diagonal(gammas), eps=Fraction(cert["eps"])
-        )
-        return rep.all_isolated == bool(cert["diagonal_isolated"])
-    if kind == "counterexample":
-        return int(cert["sound"]) == int(cert["count"])
-    if kind == "rank":
-        sizes = cert.get("stage_sizes", [])
-        ok = all(b <= a for a, b in zip(sizes, sizes[1:]))
-        if cert.get("beta") is not None:
-            ok = ok and len(sizes) >= cert["beta"] + 1 and sizes[cert["beta"]] == 0
-        return ok
-    if kind == "limit":
-        sys_ = systems.load_system(cert["system"])
-        gen = cert["generator"]
-        try:
+            if len(gammas) != int(cert["count"]):
+                return False
+            rep = envelope.sorgenfrey_isolation(
+                envelope.flipped_diagonal(gammas), eps=Fraction(cert["eps"])
+            )
+            return rep.all_isolated == bool(cert["diagonal_isolated"])
+        if kind == "counterexample":
+            return int(cert["sound"]) == int(cert["count"])
+        if kind == "rank":
+            sizes = cert.get("stage_sizes", [])
+            ok = all(b <= a for a, b in zip(sizes, sizes[1:]))
+            if cert.get("beta") is not None:
+                ok = ok and len(sizes) >= cert["beta"] + 1 and sizes[cert["beta"]] == 0
+            return ok
+        if kind == "limit":
+            sys_ = systems.load_system(cert["system"])
+            gen = cert["generator"]
             target = _parse_point(sys_.alpha, gen["target"])
-        except ValueError:
-            return False
-        if isinstance(sys_, systems.SplitCircleSystem):
-            extra = [(-target).translate(k) for k in range(-3, 4)]
-            sample = envelope.split_sample(sys_, plain_count=60, split_range=4, extra_bases=extra)
-        else:
-            sample = envelope.rotation_sample(sys_, 60)
-        element = envelope.limit_map(sys_, one_sided_approach(target, gen["side"], 6), sample)
-        cls = envelope.classify(element)
-        return cls.tag == cert["result"]["tag"]
-    if kind == "helly_determining":
-        # the witness is the pin set itself: re-run the exact check on it
-        f = order.parse_step_map(cert["map"])
-        pins = [(Fraction(x), int(s)) for x, s in cert["witness"]]
-        if any(s not in (order.MINUS, order.PLAIN, order.PLUS) or not 0 <= x <= 1
-               for x, s in pins):
-            return False
-        sound, count = cert["result"]["sound"], cert["result"]["adversaries"]
-        return (
-            int(cert["sample_size"]) == len(pins)
-            and (count >= 0 if sound else count == 0)
-            and order._defeat_adversaries(f, sorted(pins)) == bool(sound)
-        )
+            if isinstance(sys_, systems.SplitCircleSystem):
+                extra = [(-target).translate(k) for k in range(-3, 4)]
+                sample = envelope.split_sample(
+                    sys_, plain_count=60, split_range=4, extra_bases=extra
+                )
+            else:
+                sample = envelope.rotation_sample(sys_, 60)
+            element = envelope.limit_map(sys_, one_sided_approach(target, gen["side"], 6), sample)
+            cls = envelope.classify(element)
+            return cls.tag == cert["result"]["tag"]
+        if kind == "helly_determining":
+            # the witness is the pin set itself: re-run the exact check on it
+            f = order.parse_step_map(cert["map"])
+            pins = [(Fraction(x), int(s)) for x, s in cert["witness"]]
+            if any(s not in (order.MINUS, order.PLAIN, order.PLUS) or not 0 <= x <= 1
+                   for x, s in pins):
+                return False
+            sound, count = cert["result"]["sound"], cert["result"]["adversaries"]
+            return (
+                int(cert["sample_size"]) == len(pins)
+                and (count >= 0 if sound else count == 0)
+                and order._defeat_adversaries(f, sorted(pins)) == bool(sound)
+            )
+    except (ConfigError, KeyError, ValueError, TypeError):
+        return False
     raise ConfigError(f"cannot verify certificate kind {kind!r}")
 
 
@@ -641,7 +656,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", type=Path, default=None)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--jobs", type=int, default=1)
-    p_run.add_argument("--cache-dir", type=Path, default=None)
 
     p_plot = sub.add_parser("plot", help="emit CSV plot data from a report")
     p_plot.add_argument("report", type=Path)
@@ -666,10 +680,6 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        cache = args.cache_dir or os.environ.get("TAMECERT_CACHE_DIR")
-        if cache:
-            for exp in config.get("experiments", [config]):
-                exp.setdefault("params", {}).setdefault("cache_dir", str(cache))
         try:
             report, code = run_config(config, jobs=args.jobs, seed=args.seed)
         except ConfigError as exc:

@@ -44,6 +44,12 @@ class RotationNumber:
                 raise ValueError("partial quotients must be >= 1")
         if period is None and not prefix:
             raise ValueError("need at least one partial quotient")
+        if period is not None and len(period) == 1:
+            # one spelling per number: the prefix ends in exactly one copy of a
+            # repeated quotient, as ``describe`` writes it and the parser reads it
+            while prefix and prefix[-1] == period[0]:
+                prefix = prefix[:-1]
+            prefix += period
         self.prefix = prefix
         self.period = period
         # p_k/q_k with p_0/q_0 = 0/1 and the usual recurrence; p_{-1}/q_{-1} = 1/0.

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -89,14 +89,25 @@ class _CircleWalk:
         v = num * self.D
         return v // den if v >= 0 else -(-v // den)  # truncated, like int(Fraction)
 
-    def positions(self) -> Iterable[int]:
+    def arc_symbols(self, width: CirclePoint, exact: Callable[[int], int]) -> list[int]:
+        """1 where the position lies in [0, width), else 0, for n = n0..n1.
+
+        A position within the slack of 0 or of ``width`` is decided by
+        ``exact(n)`` instead of by the grid.
+        """
+        w = self.boundary(width)
+        d, s, sl = self.D, self.step, self.slack
         u = self.start
-        d, s = self.D, self.step
-        for _ in range(self.n0, self.n1 + 1):
-            yield u
+        out = []
+        for n in range(self.n0, self.n1 + 1):
+            if u < sl or u > d - sl or abs(u - w) < sl:
+                out.append(exact(n))
+            else:
+                out.append(1 if u < w else 0)
             u += s
             if u >= d:
                 u -= d
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +226,7 @@ class SplitCircleSystem:
         """
         lo = self.arc[0]
         walk = _CircleWalk(self.alpha, x.base.a - lo.base.a, x.base.b - lo.base.b, n0, n1)
-        w_num = walk.boundary(self._arc_width)
-        sl, d = walk.slack, walk.D
-        out = []
-        for n, u in zip(range(n0, n1 + 1), walk.positions()):
-            if u < sl or u > d - sl or abs(u - w_num) < sl:
-                out.append(self.symbol(x.translate(n)))
-            else:
-                out.append(1 if u < w_num else 0)
-        return out
+        return walk.arc_symbols(self._arc_width, lambda n: self.symbol(x.translate(n)))
 
     def word(self, x: SplitPoint, horizon: int) -> np.ndarray:
         """Forward coding word of length ``horizon`` as a uint8 array."""
@@ -341,43 +344,23 @@ class CutProjectCoding:
     def symbol_at(self, n: int) -> int:
         return 1 if self.in_window(self.base_point.translate(n)) else 0
 
-    def coding_word(self, n0: int, n1: int) -> list[int]:
-        """Symbols over the window [n0, n1] along the base-point orbit."""
-        return self.word(n1 - n0 + 1, n0=n0).tolist()
-
     def word(self, horizon: int, n0: int = 0) -> np.ndarray:
         """Coding word over [n0, n0 + horizon), bulk-evaluated with exact fallback."""
-        n1 = n0 + horizon - 1
-        if self.cantor_generation is None:
-            tests = [(arc, "half_open") for arc in self.arcs]
-        else:
-            tests = [(arc, "open") for arc in self.deleted]
-        cols = []
-        for arc, mode in tests:
+        cantor = self.cantor_generation is not None
+        base = self.base_point
+        hits = np.zeros(horizon, dtype=bool)
+        for arc in self.deleted if cantor else self.arcs:
             if arc.full:
-                cols.append(np.ones(horizon, dtype=np.uint8))
+                hits[:] = True
                 continue
             walk = _CircleWalk(
-                self.alpha,
-                self.base_point.a - arc.start.a,
-                self.base_point.b - arc.start.b,
-                n0,
-                n1,
+                self.alpha, base.a - arc.start.a, base.b - arc.start.b, n0, n0 + horizon - 1
             )
-            w_num = walk.boundary(CirclePoint(self.alpha, 0, arc.length))
-            sl, d = walk.slack, walk.D
-            hits = np.zeros(horizon, dtype=np.uint8)
-            for i, u in enumerate(walk.positions()):
-                if u < sl or u > d - sl or abs(u - w_num) < sl:
-                    x = self.base_point.translate(n0 + i)
-                    hits[i] = 1 if arc.covers(x, open_arc=(mode == "open")) else 0
-                else:
-                    hits[i] = 1 if 0 < u < w_num else 0
-            cols.append(hits)
-        stacked = np.logical_or.reduce(cols) if cols else np.zeros(horizon, dtype=bool)
-        if self.cantor_generation is None:
-            return stacked.astype(np.uint8)
-        return (~stacked).astype(np.uint8)
+            hits |= np.array(walk.arc_symbols(
+                CirclePoint(self.alpha, 0, arc.length),
+                lambda n, arc=arc: 1 if arc.covers(base.translate(n), open_arc=cantor) else 0,
+            ), dtype=bool)
+        return (~hits if cantor else hits).astype(np.uint8)
 
     def describe(self) -> dict:
         d = {"kind": self.kind, "alpha": self.alpha.describe()}
@@ -387,7 +370,7 @@ class CutProjectCoding:
                 "scale": str(self.cantor_scale),
             }
         else:
-            d["window"] = [[f"{a.start.a}a{a.start.b:+}", str(a.length)] for a in self.arcs]
+            d["window"] = {"arcs": [[a.start.a, str(a.start.b), str(a.length)] for a in self.arcs]}
         return d
 
 

@@ -9,18 +9,14 @@ from a finite horizon are certified lower bounds and reported as such.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import _kernels as K
 from .errors import BudgetExceeded
-
-CACHE_FORMAT = "tamecert-factors v1"
 
 
 def factor_masks(word, window: int) -> np.ndarray:
@@ -250,57 +246,3 @@ def growth_report(rows: dict[int, dict]) -> GrowthReport:
         cls = "inconclusive"
         note = "finite data matches neither profile"
     return GrowthReport(cls, table, note + " (heuristic over finite horizons)")
-
-
-# ---------------------------------------------------------------------------
-# factor-set disk cache
-# ---------------------------------------------------------------------------
-
-
-def word_digest(word) -> str:
-    w = np.asarray(word, dtype=np.uint8)
-    return hashlib.sha256(w.tobytes()).hexdigest()[:16]
-
-
-class FactorCache:
-    """Factor sets cached as sorted one-word-per-line text files.
-
-    Keyed by (spec digest, window, horizon); the header repeats the key so a
-    stale file never validates.
-    """
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-
-    def _path(self, digest: str, window: int, horizon: int) -> Path:
-        return self.root / "factors" / f"{digest}-L{window}-H{horizon}.txt"
-
-    def load(self, digest: str, window: int, horizon: int) -> np.ndarray | None:
-        path = self._path(digest, window, horizon)
-        if not path.exists():
-            return None
-        lines = path.read_text().splitlines()
-        header = f"# {CACHE_FORMAT} digest={digest} L={window} H={horizon}"
-        if not lines or lines[0] != header:
-            return None
-        masks = decode_masks((line for line in lines[1:] if line), window)
-        return None if masks is None else np.sort(masks)
-
-    def store(self, digest: str, window: int, horizon: int, factors: np.ndarray) -> Path:
-        path = self._path(digest, window, horizon)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        header = f"# {CACHE_FORMAT} digest={digest} L={window} H={horizon}"
-        body = "\n".join([header] + encode_masks(factors, window))
-        path.write_text(body + "\n")
-        return path
-
-    def factors(self, word, window: int, digest: str | None = None) -> np.ndarray:
-        w = np.asarray(word, dtype=np.int64)
-        digest = digest or word_digest(w)
-        horizon = int(w.shape[0])
-        cached = self.load(digest, window, horizon)
-        if cached is not None:
-            return cached
-        fresh = factor_masks(w, window)
-        self.store(digest, window, horizon, fresh)
-        return fresh

@@ -2,12 +2,13 @@ import json
 
 import pytest
 
-from tamecert import rank, tameness
+from tamecert import cli, rank, systems, tameness
 from tamecert.cli import (
     NAMED_SYSTEMS,
-    _coding_word,
+    _coding_source,
     _parse_point,
     _point_str,
+    _source_word,
     emit_plot_data,
     main,
     report_payload,
@@ -73,7 +74,7 @@ class TestRunConfig:
         assert calls == [6, 9, 12]
         result = report["results"][0]["result"]
         assert result["growth"]["classification"] == "bounded_log"
-        word, _ = _coding_word(params)
+        word = _source_word(*_coding_source(params))
         for row in result["table"]:
             L = row["window"]
             assert row["complexity"] == tameness.complexity(word, L)[L]
@@ -103,6 +104,12 @@ class TestRunConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             run_config({"experiments": [{"kind": "nonsense"}]})
+
+    def test_non_binary_periodic_pattern_rejected(self):
+        for pattern in ([], [0, 2, 1]):
+            params = {"coding": {"kind": "periodic", "pattern": pattern}, "windows": [4]}
+            with pytest.raises(ConfigError):
+                run_config({"experiments": [{"kind": "independence", "params": params}]})
 
     def test_invalid_epsilon_rejected(self):
         with pytest.raises(ConfigError):
@@ -167,15 +174,6 @@ class TestCliMain:
         assert main(["run", str(cfg), "--out", str(out), "--seed", "9"]) == 0
         report = json.loads(out.read_text())
         assert report["seed"] == 9
-
-    def test_cache_dir_flag(self, tmp_path):
-        cfg = write_config(tmp_path, {"experiments": [
-            {"kind": "independence",
-             "params": {"coding": {"system": "sturmian"}, "horizon": 2000, "windows": [6]}}]})
-        cache = tmp_path / "cache"
-        out = tmp_path / "r.json"
-        assert main(["run", str(cfg), "--out", str(out), "--cache-dir", str(cache)]) == 0
-        assert list((cache / "factors").glob("*.txt"))
 
 
 class TestPlotSeries:
@@ -266,6 +264,58 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(path)]) == 1
         assert capsys.readouterr().out.splitlines() == ["limit: FAILED", "isolation: FAILED"]
+
+    def test_malformed_fields_fail_verify(self, tmp_path, capsys):
+        report, _ = run_config({"experiments": [
+            {"kind": "isolation", "params": {"count": 5}},
+            {"kind": "independence",
+             "params": {"coding": {"system": "sturmian"}, "horizon": 2000, "windows": [6]}}]})
+        iso, ind = (entry["certificates"][0] for entry in report["results"])
+        assert verify_certificate(iso) and verify_certificate(ind)
+
+        def without(cert, key):
+            return {k: v for k, v in cert.items() if k != key}
+
+        bad = [dict(iso, eps="1"), dict(iso, eps="x"), dict(iso, count="five"),
+               without(iso, "gammas"), without(iso, "count"), without(ind, "witnesses"),
+               dict(ind, source={"kind": "rotation", "alpha": "cf:[0;1,...]"}),
+               dict(ind, source={"kind": "periodic", "pattern": [0, 2]})]
+        assert not any(verify_certificate(cert) for cert in bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [f"{c['kind']}: FAILED" for c in bad]
+        with pytest.raises(ConfigError):
+            verify_certificate(dict(iso, kind="nonsense"))
+
+    def test_one_word_per_verify_pass(self, monkeypatch):
+        params = {"coding": {"system": "cantor6"}, "horizon": 2000, "windows": [6, 8, 10, 12]}
+        report, code = run_config({"experiments": [{"kind": "independence", "params": params}]})
+        certs = report["results"][0]["certificates"]
+        assert code == 0 and len(certs) == 4
+        cli._word.cache_clear()
+        built = []
+        word = systems.CutProjectCoding.word
+
+        def counted(self, *args, **kwargs):
+            built.append(word(self, *args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(systems.CutProjectCoding, "word", counted)
+        assert all(verify_certificate(cert) for cert in certs)
+        assert len(built) == 1 and not built[0].flags.writeable
+
+    def test_interval_window_source_runs_and_verifies(self):
+        spec = {"kind": "cut_project", "window": {"arcs": [[0, "0", "13/21"]]}}
+        report, code = run_config({"experiments": [
+            {"kind": "independence",
+             "params": {"coding": {"system": spec}, "horizon": 2000, "windows": [6, 9]}}]})
+        assert code == 0
+        entry = report["results"][0]
+        assert entry["result"]["source"]["window"] == spec["window"]
+        assert len(entry["certificates"]) == 2
+        assert all(verify_certificate(cert) for cert in entry["certificates"])
 
     def test_helly_witness_checked_and_tamper_rejected(self):
         report, code = run_config({"experiments": [

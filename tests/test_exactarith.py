@@ -190,6 +190,7 @@ def test_parse_round_trip():
     assert alpha.prefix == (2,) and alpha.period == (1, 3)
     alpha2 = parse_rotation_number("cf:[0;1,1,1,...]")
     assert alpha2.period == (1,)
+    assert parse_rotation_number(alpha2.describe()) == alpha2 == GOLDEN
     assert parse_rotation_number(alpha.describe()) == alpha
     with pytest.raises(ValueError):
         parse_rotation_number("cf:[1;2]")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tamecert._kernels as K
+from tamecert.cli import NAMED_SYSTEMS
 from tamecert.errors import DepthInsufficient
 from tamecert.exactarith import GOLDEN, SQRT2_MINUS_1, CirclePoint, orbit_point, point, zero
 from tamecert.systems import (
@@ -23,6 +24,9 @@ from tamecert.systems import (
     load_system,
     sampling_function,
 )
+
+
+ARC_SPEC = {"kind": "cut_project", "window": {"arcs": [[0, "0", "13/21"]]}}
 
 
 @pytest.fixture(scope="module")
@@ -164,10 +168,25 @@ class TestCutProject:
         assert not sys_.in_window(inside)
 
     def test_cantor_word_bulk_equals_pointwise(self):
-        sys_ = CutProjectCoding(GOLDEN, cantor_generation=4)
-        w = sys_.word(300)
-        for n in range(0, 300, 7):
-            assert w[n] == sys_.symbol_at(n)
+        cases = [
+            # deleted arc 1 is [alpha - 1/12, alpha + 1/12]: the orbit meets its start, its end
+            (CutProjectCoding(GOLDEN, cantor_generation=4,
+                              base_point=point(GOLDEN, 0, Fraction(-1, 12))), [1]),
+            (CutProjectCoding(GOLDEN, cantor_generation=4,
+                              base_point=point(GOLDEN, 0, Fraction(1, 12))), [1]),
+            # arcs [0, 1/3) and [2 alpha - 1/5, 2 alpha): the orbit of 0 meets a start and an end
+            (CutProjectCoding(GOLDEN, base_point=zero(GOLDEN), arcs=(
+                Arc(zero(GOLDEN), Fraction(1, 3)),
+                Arc(point(GOLDEN, 2, Fraction(-1, 5)), Fraction(1, 5)))), [0, 2]),
+        ]
+        n0 = -40
+        for sys_, on_end in cases:
+            ends = [end for arc in sys_.deleted + sys_.arcs
+                    for end in (arc.start, arc.start + CirclePoint(GOLDEN, 0, arc.length))]
+            for n in on_end:  # positions that only the exact fallback can decide
+                assert any(sys_.base_point.translate(n).compare(end) == 0 for end in ends)
+            w = sys_.word(300, n0=n0)
+            assert w.tolist() == [sys_.symbol_at(n) for n in range(n0, n0 + 300)]
 
     def test_overlapping_deleted_arcs_rejected(self):
         with pytest.raises(ValueError):
@@ -261,6 +280,12 @@ class TestSemicocycle:
         traces = sc.fiber_traces(4, 24, window=5)
         assert len({t[1:] for t in traces}) == 1
         assert len({t[0] for t in traces}) == 4
+
+
+@pytest.mark.parametrize("spec", [*NAMED_SYSTEMS.values(), ARC_SPEC], ids=[*NAMED_SYSTEMS, "arcs"])
+def test_describe_loads_back(spec):
+    described = load_system(spec).describe()
+    assert load_system(described).describe() == described
 
 
 def test_load_system_round_trip():

@@ -8,7 +8,6 @@ from tamecert.errors import BudgetExceeded
 from tamecert.exactarith import GOLDEN
 from tamecert.systems import CutProjectCoding, SplitCircleSystem, full_shift_word
 from tamecert.tameness import (
-    FactorCache,
     IndependenceCertificate,
     complexity,
     decode_masks,
@@ -17,7 +16,6 @@ from tamecert.tameness import (
     factor_masks,
     growth_report,
     max_independence,
-    word_digest,
 )
 
 
@@ -302,38 +300,10 @@ def test_codec_matches_per_character_oracle(data):
     assert decoded.dtype == np.int64 and decoded.tolist() == masks
 
 
-class TestFactorCache:
-    def test_round_trip(self, tmp_path, sturmian_word):
-        cache = FactorCache(tmp_path)
-        first = cache.factors(sturmian_word, 9)
-        again = cache.factors(sturmian_word, 9)
-        assert np.array_equal(first, again)
-        d = word_digest(sturmian_word)
-        assert (tmp_path / "factors" / f"{d}-L9-H10000.txt").exists()
-
-    def test_header_mismatch_ignored(self, tmp_path, sturmian_word):
-        cache = FactorCache(tmp_path)
-        cache.factors(sturmian_word, 7)
-        d = word_digest(sturmian_word)
-        path = tmp_path / "factors" / f"{d}-L7-H10000.txt"
-        path.write_text("# wrong header\n0101010\n")
-        fresh = cache.factors(sturmian_word, 7)
-        assert np.array_equal(fresh, factor_masks(sturmian_word, 7))
-
-    def test_mask_string_round_trip(self):
-        masks = [0, 1, 0b1011, 0b111111]
-        strings = encode_masks(masks, 6)
-        assert [int(s[::-1], 2) for s in strings] == masks
-        assert decode_masks(strings, 6).tolist() == masks
-        assert decode_masks(["01011"], 6) is None
-        assert decode_masks(["010112"], 6) is None
-
-    def test_corrupt_line_is_a_miss(self, tmp_path, sturmian_word):
-        cache = FactorCache(tmp_path)
-        first = cache.factors(sturmian_word, 7)
-        d = word_digest(sturmian_word)
-        path = tmp_path / "factors" / f"{d}-L7-H10000.txt"
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:1] + ["01x0101"] + lines[2:]) + "\n")
-        assert cache.load(d, 7, 10_000) is None
-        assert np.array_equal(cache.factors(sturmian_word, 7), first)
+def test_mask_string_round_trip():
+    masks = [0, 1, 0b1011, 0b111111]
+    strings = encode_masks(masks, 6)
+    assert [int(s[::-1], 2) for s in strings] == masks
+    assert decode_masks(strings, 6).tolist() == masks
+    assert decode_masks(["01011"], 6) is None
+    assert decode_masks(["010112"], 6) is None
