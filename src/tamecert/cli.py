@@ -29,7 +29,7 @@ from . import envelope, order, rank, systems, tameness
 from .boundary import ReducedWord, boundary_sample, loxodromic_rank_arrays, power_limit
 from .linear import MatrixSequenceSpec, affine_catalog_limit, matrix_limit, pinned_by_three
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 NAMED_SYSTEMS = {
     "sturmian": {"kind": "split_circle", "alpha": "cf:[0;1,...]", "split_set": "orbit"},
@@ -196,11 +196,7 @@ def run_independence(params, seed):
             {"window": L, "complexity": cert.complexity, "independence": cert.size,
              "positions": list(cert.positions), "exhausted": cert.exhausted}
         )
-        certs.append(
-            {"kind": "independence", "source": source, "window": L,
-             "horizon": cert.horizon, "positions": list(cert.positions),
-             "witnesses": cert.witnesses, "exhausted": cert.exhausted}
-        )
+        certs.append({"kind": "independence", "source": source, **cert.payload()})
         if flag:
             break
     growth = (tameness.growth_report({row["window"]: row for row in rows})
@@ -585,13 +581,7 @@ def verify_certificate(cert: dict) -> bool:
     kind = cert.get("kind")
     try:
         if kind == "independence":
-            made = tameness.IndependenceCertificate(
-                window=int(cert["window"]),
-                positions=tuple(cert["positions"]),
-                witnesses=dict(cert["witnesses"]),
-                horizon=int(cert["horizon"]),
-                exhausted=bool(cert["exhausted"]),
-            )
+            made = tameness.IndependenceCertificate.from_payload(cert)
             return made.verify(_source_word(cert["source"], made.horizon))
         if kind == "isolation":
             # re-run the exact check on the payload's own gammas
@@ -707,9 +697,16 @@ def main(argv=None) -> int:
         return 0
 
     if args.verb == "verify":
-        data = json.loads(args.certificate.read_text())
+        try:
+            data = json.loads(args.certificate.read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"certificate error: {exc}", file=sys.stderr)
+            return 2
         certs = data if isinstance(data, list) else [data]
-        if "results" in data:
+        if isinstance(data, dict) and "results" in data:
+            if data.get("schema_version") != SCHEMA_VERSION:
+                print(f"unsupported schema_version {data.get('schema_version')}", file=sys.stderr)
+                return 2
             certs = [c for entry in data["results"] for c in entry.get("certificates", [])]
         ok = True
         for cert in certs:

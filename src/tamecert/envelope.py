@@ -20,8 +20,9 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import NoWitness, NotInIdeal, NotStabilized, SampleMismatch
+from .errors import NotInIdeal, NotStabilized, SampleMismatch
 from .exactarith import ApproachSequence, CirclePoint, one_sided_approach, orbit_point
+from .order import fresh_dyadic
 from .systems import (
     MINUS,
     PLAIN,
@@ -599,23 +600,13 @@ def no_countable_basis_witness(excluded: Sequence, scenario: str) -> BasisWitnes
     if scenario == "circle_parabolic":
         target = Fraction(0)
         cset = {Fraction(c) % 1 for c in excluded}
-        b = _fresh_circle_point(cset | {target})
+        b = fresh_dyadic(cset | {target})
         def p_ab(x, a=target, b=b):
             return b if x == b else a
         agrees = all(p_ab(c) == target for c in cset)
         differs = p_ab(b) == b != target
         return BasisWitness(scenario, p_ab, tuple(sorted(cset)), b, agrees and differs)
     raise ValueError(f"unknown scenario {scenario!r}")
-
-
-def _fresh_circle_point(avoid: set) -> Fraction:
-    for level in range(1, 64):
-        denom = 2**level
-        for num in range(1, denom, 2):
-            cand = Fraction(num, denom)
-            if cand not in avoid:
-                return cand
-    raise NoWitness("excluded set exhausts the dyadic grid (defensive)")
 
 
 # ---------------------------------------------------------------------------

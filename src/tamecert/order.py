@@ -17,6 +17,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
+from .errors import NoWitness
+
 MINUS, PLAIN, PLUS = -1, 0, 1
 
 
@@ -345,6 +347,17 @@ class CircularCounterexample:
         return self.b if x == self.b else self.a
 
 
+def fresh_dyadic(avoid) -> Fraction:
+    """The first dyadic num/2^level in (0, 1) outside ``avoid``, by level then numerator."""
+    for level in range(1, 64):
+        denom = 2**level
+        for num in range(1, denom, 2):
+            cand = Fraction(num, denom)
+            if cand not in avoid:
+                return cand
+    raise NoWitness("excluded set exhausts the dyadic grid (defensive)")
+
+
 def circular_counterexample(excluded: Sequence, a) -> CircularCounterexample:
     """A two-point-target map agreeing with the constant-to-a map on the
     excluded set but fixing a fresh point b: finite sets never determine the
@@ -353,17 +366,7 @@ def circular_counterexample(excluded: Sequence, a) -> CircularCounterexample:
     cset = tuple(sorted(Fraction(c) % 1 for c in excluded))
     if a in cset:
         raise ValueError("the target must avoid the excluded set")
-    avoid = set(cset) | {a}
-    b = None
-    for level in range(1, 64):
-        for num in range(1, 2**level, 2):
-            cand = Fraction(num, 2**level)
-            if cand not in avoid:
-                b = cand
-                break
-        if b is not None:
-            break
-    assert b is not None  # finite sets cannot exhaust the dyadics
+    b = fresh_dyadic(set(cset) | {a})
     out = CircularCounterexample(a, b, cset, sound=False)
     sound = all(out.image_of(c) == a for c in cset) and out.image_of(b) == b != a
     return CircularCounterexample(a, b, cset, sound)

@@ -143,12 +143,12 @@ class SplitCircleSystem:
         else:
             self.split = "explicit"
             self._explicit = tuple(split)
-        if arc is None:
-            arc = (
-                SplitPoint(zero(alpha), PLUS if self.splits(zero(alpha)) else PLAIN),
-                SplitPoint(point(alpha, 1), MINUS if self.splits(point(alpha, 1)) else PLAIN),
-            )
-        self.arc = arc
+        default_arc = (
+            SplitPoint(zero(alpha), PLUS if self.splits(zero(alpha)) else PLAIN),
+            SplitPoint(point(alpha, 1), MINUS if self.splits(point(alpha, 1)) else PLAIN),
+        )
+        self.arc = arc = default_arc if arc is None else arc
+        self._arc_is_default = arc == default_arc
         for end in arc:
             want_split = self.splits(end.base)
             if want_split and end.side == PLAIN:
@@ -233,6 +233,12 @@ class SplitCircleSystem:
         return np.asarray(self.coding_word(x, 0, horizon - 1), dtype=np.uint8)
 
     def describe(self) -> dict:
+        """The spec ``load_system`` rebuilds this system from; ValueError when no
+        spec carries its explicit split set, arc or boundary convention."""
+        if self.split == "explicit" or not self._arc_is_default or (
+            self.boundary_convention != "half_open"
+        ):
+            raise ValueError("an explicit split set, arc or boundary convention has no spec")
         return {
             "kind": self.kind,
             "alpha": self.alpha.describe(),
@@ -363,7 +369,8 @@ class CutProjectCoding:
         return (~hits if cantor else hits).astype(np.uint8)
 
     def describe(self) -> dict:
-        d = {"kind": self.kind, "alpha": self.alpha.describe()}
+        d = {"kind": self.kind, "alpha": self.alpha.describe(),
+             "base_point": [self.base_point.a, str(self.base_point.b)]}
         if self.cantor_generation is not None:
             d["window"] = {
                 "cantor_generation": self.cantor_generation,
@@ -684,7 +691,7 @@ def asymptotic_defect(system, x, y, window: tuple[int, int]) -> set[int]:
 
 def load_system(spec: dict):
     """Build a system from a spec mapping (documented keys: kind, alpha,
-    split_set, partition, window, depth, horizon, scale, generation)."""
+    split_set, partition, window, base_point, depth, horizon, scale, generation)."""
     from .exactarith import parse_rotation_number
 
     kind = spec.get("kind")
@@ -697,16 +704,20 @@ def load_system(spec: dict):
         return CosSystem(alpha, horizon=spec.get("horizon", 20))
     if kind == "cut_project":
         win = spec.get("window", {})
+        base = spec.get("base_point")
+        if base is not None:
+            base = point(alpha, int(base[0]), Fraction(base[1]))
         if "cantor_generation" in win:
             return CutProjectCoding(
                 alpha,
                 cantor_generation=int(win["cantor_generation"]),
                 cantor_scale=Fraction(win.get("scale", "1/2")),
+                base_point=base,
             )
         arcs = tuple(
             Arc(point(alpha, int(a), Fraction(b)), Fraction(ln)) for a, b, ln in win["arcs"]
         )
-        return CutProjectCoding(alpha, arcs=arcs)
+        return CutProjectCoding(alpha, arcs=arcs, base_point=base)
     if kind == "semicocycle":
         return SemicocycleCascade(n_max=spec.get("n_max", 8), depth=spec.get("depth", 24))
     raise ValueError(f"unknown system kind: {kind!r}")

@@ -9,6 +9,7 @@ from a finite horizon are certified lower bounds and reported as such.
 
 from __future__ import annotations
 
+import base64
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,39 +25,19 @@ def factor_masks(word, window: int) -> np.ndarray:
     return K.extract_factors(np.asarray(word, dtype=np.int64), window)
 
 
-def encode_masks(masks, width: int) -> list[str]:
-    """Bit strings of the masks: character j is bit j, as ``'0'``/``'1'``.
-
-    One uint8 digit matrix is filled column by column and decoded once, so
-    no (len(masks) x width) int64 temporary is built.
-    """
-    m = np.asarray(masks, dtype=np.int64)
-    if width == 0:
-        return [""] * len(m)
-    digits = np.empty((len(m), width), dtype=np.uint8)
-    for j in range(width):
-        np.bitwise_and(m >> j, 1, out=digits[:, j], casting="unsafe")
-    digits += ord("0")
-    text = digits.tobytes().decode("ascii")
-    return [text[i : i + width] for i in range(0, len(text), width)]
+def pack_masks(masks) -> str:
+    """Base64 of the masks as little-endian uint32; a window is at most 24 bits."""
+    return base64.b64encode(np.asarray(masks, dtype="<u4").tobytes()).decode("ascii")
 
 
-def decode_masks(strings, width: int) -> np.ndarray | None:
-    """Inverse of ``encode_masks``; None unless every string is ``width`` binary digits."""
-    strings = list(strings)
-    try:
-        text = "".join(strings).encode("ascii")
-    except (TypeError, UnicodeEncodeError):
-        return None
-    if not (np.fromiter(map(len, strings), dtype=np.int64, count=len(strings)) == width).all():
-        return None
-    bits = np.frombuffer(text, dtype=np.uint8).reshape(len(strings), width) - np.uint8(ord("0"))
-    if (bits > 1).any():
-        return None
-    masks = np.zeros(len(strings), dtype=np.int64)
-    for j in range(width):
-        masks |= bits[:, j].astype(np.int64) << j
-    return masks
+def unpack_masks(text) -> np.ndarray:
+    """Inverse of ``pack_masks``; ValueError unless ``text`` is base64 of whole uint32s."""
+    if not isinstance(text, str):
+        raise ValueError("packed masks must be a base64 string")
+    raw = base64.b64decode(text, validate=True)  # binascii.Error is a ValueError
+    if len(raw) % 4:
+        raise ValueError("packed masks are not a whole number of uint32s")
+    return np.frombuffer(raw, dtype="<u4").astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -82,13 +63,17 @@ def complexity(word, length: int, horizon: int | None = None) -> ComplexityProfi
     return ComplexityProfile(counts, horizon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndependenceCertificate:
-    """Positions plus, for every 0/1 pattern on them, a witnessing factor."""
+    """Positions plus, for every 0/1 pattern on them, a witnessing factor.
+
+    ``witnesses[i]`` is a factor whose projection onto the positions is the
+    pattern i, so the 2^k patterns are implied by the order.
+    """
 
     window: int
     positions: tuple[int, ...]
-    witnesses: dict[str, str]  # pattern -> factor, both as ``encode_masks`` bit strings
+    witnesses: np.ndarray  # factor masks in pattern order
     horizon: int
     exhausted: bool  # search ran to completion (vs. budget cut)
     complexity: int | None = None  # p(window); None when rebuilt from a payload without it
@@ -97,26 +82,37 @@ class IndependenceCertificate:
     def size(self) -> int:
         return len(self.positions)
 
+    def payload(self) -> dict:
+        """The certificate's JSON fields, witnesses packed by ``pack_masks``."""
+        return {"window": self.window, "horizon": self.horizon,
+                "positions": list(self.positions), "witnesses": pack_masks(self.witnesses),
+                "exhausted": self.exhausted}
+
+    @classmethod
+    def from_payload(cls, d: dict) -> IndependenceCertificate:
+        """Inverse of ``payload``; KeyError, TypeError or ValueError when malformed."""
+        return cls(window=int(d["window"]), positions=tuple(d["positions"]),
+                   witnesses=unpack_masks(d["witnesses"]), horizon=int(d["horizon"]),
+                   exhausted=bool(d["exhausted"]))
+
     def verify(self, word) -> bool:
         """Recheck every witness against the factor set of the word."""
         pos = tuple(self.positions)
         fence = (-1,) + pos + (self.window,)  # strictly increasing inside [0, window)
         if not all(isinstance(p, int) for p in pos) or any(b <= a for a, b in zip(fence, fence[1:])):
             return False
-        if len(self.witnesses) != 1 << len(pos):
+        shown = np.asarray(self.witnesses)
+        if shown.dtype.kind not in "iu" or shown.shape != (1 << len(pos),):
             return False
-        # dict keys are distinct, so 2^k decoded patterns are all of them
-        patterns = decode_masks(self.witnesses.keys(), len(pos))
-        shown = decode_masks(self.witnesses.values(), self.window)
-        if patterns is None or shown is None:
-            return False
+        shown = shown.astype(np.int64, copy=False)
         factors = factor_masks(word, self.window)
         if not len(factors) or self.complexity not in (None, len(factors)):
             return False
         at = np.minimum(np.searchsorted(factors, shown), len(factors) - 1)
         if not (factors[at] == shown).all():
             return False
-        return bool((K.project_masks(shown, np.asarray(pos, dtype=np.int64)) == patterns).all())
+        patterns = K.project_masks(shown, np.asarray(pos, dtype=np.int64))
+        return bool((patterns == np.arange(len(shown))).all())
 
 
 def _covers(factors: np.ndarray, positions: tuple[int, ...]) -> bool:
@@ -125,11 +121,11 @@ def _covers(factors: np.ndarray, positions: tuple[int, ...]) -> bool:
     )
 
 
-def _witnesses(factors: np.ndarray, positions: tuple[int, ...], window: int) -> dict[str, str]:
-    """Each pattern on the positions, in increasing order, with its smallest factor."""
+def _witnesses(factors: np.ndarray, positions: tuple[int, ...]) -> np.ndarray:
+    """For each pattern on the positions, in increasing order, its smallest factor."""
     proj = K.project_masks(factors, np.asarray(positions, dtype=np.int64))
-    values, first = np.unique(proj, return_index=True)
-    return dict(zip(encode_masks(values, len(positions)), encode_masks(factors[first], window)))
+    _, first = np.unique(proj, return_index=True)
+    return factors[first]
 
 
 def max_independence(
@@ -177,7 +173,7 @@ def max_independence(
     cert = IndependenceCertificate(
         window=window,
         positions=best,
-        witnesses=_witnesses(factors, best, window),
+        witnesses=_witnesses(factors, best),
         horizon=int(w.shape[0]),
         exhausted=not out_of_budget,
         complexity=len(factors),
@@ -205,9 +201,6 @@ class GrowthReport:
     classification: str  # bounded_log | growing | inconclusive
     table: dict[int, dict[str, int]]  # L -> {complexity, independence}
     note: str
-
-    def series(self):
-        return [(L, row["complexity"], row["independence"]) for L, row in sorted(self.table.items())]
 
 
 def growth_report(rows: dict[int, dict]) -> GrowthReport:

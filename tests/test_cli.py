@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+import tamecert._kernels as K
 from tamecert import cli, rank, systems, tameness
 from tamecert.cli import (
     NAMED_SYSTEMS,
+    SCHEMA_VERSION,
     _coding_source,
     _parse_point,
     _point_str,
@@ -17,6 +20,7 @@ from tamecert.cli import (
 )
 from tamecert.errors import ConfigError, UnknownSeries
 from tamecert.exactarith import GOLDEN, CirclePoint
+from tamecert.tameness import pack_masks, unpack_masks
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -46,7 +50,7 @@ class TestRunConfig:
     def test_report_shape_and_exit(self):
         report, code = run_config(SMALL_BATCH)
         assert code == 0
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["seed"] == 3
         assert len(report["results"]) == 5
         assert all(r["status"] == "ok" for r in report["results"])
@@ -212,12 +216,71 @@ class TestVerify:
              "params": {"coding": {"system": "sturmian"}, "horizon": 2000, "windows": [6]}}]})
         cert = report["results"][0]["certificates"][0]
         assert verify_certificate(cert)
-        cert_bad = dict(cert)
-        cert_bad["witnesses"] = {k: "1" * cert["window"] for k in cert["witnesses"]}
+        count = len(unpack_masks(cert["witnesses"]))
+        cert_bad = dict(cert, witnesses=pack_masks([(1 << cert["window"]) - 1] * count))
         assert not verify_certificate(cert_bad)
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps([cert_bad]))
         assert main(["verify", str(bad_path)]) == 1
+
+    def test_each_independence_field_is_checked(self):
+        report, _ = run_config({"experiments": [
+            {"kind": "independence",
+             "params": {"coding": {"system": "sturmian"}, "horizon": 2000, "windows": [8]}}]})
+        cert = report["results"][0]["certificates"][0]
+        assert cert["positions"] == [0, 2] and verify_certificate(cert)
+        w = unpack_masks(cert["witnesses"])
+        factors = tameness.factor_masks(_source_word(cert["source"], cert["horizon"]), 8)
+        shown = K.project_masks(np.arange(256), np.array([0, 2]))
+        absent = next(m for m in range(256) if m not in factors and shown[m] == 0)
+
+        def first(value):
+            return pack_masks(np.append(value, w[1:]))
+
+        tampered = {
+            "window": dict(cert, window=9),
+            "positions": dict(cert, positions=[1, 3]),
+            "horizon": dict(cert, horizon=10),  # ten symbols show too few factors
+            "truncated": dict(cert, witnesses=pack_masks(w[:-1])),
+            "extended": dict(cert, witnesses=pack_masks(np.append(w, w[0]))),
+            "swapped": dict(cert, witnesses=pack_masks(w[[1, 0, 2, 3]])),
+            "wide": dict(cert, witnesses=first(w[0] | 1 << 8)),
+            "absent": dict(cert, witnesses=first(absent)),
+        }
+        for name, bad in tampered.items():
+            assert not verify_certificate(bad), name
+
+    def test_verify_rejects_other_schema_versions(self, tmp_path, capsys):
+        report, _ = run_config({"experiments": [
+            {"kind": "independence",
+             "params": {"coding": {"system": "sturmian"}, "horizon": 2000, "windows": [6]}}]})
+        path = tmp_path / "report.json"
+        unversioned = {k: v for k, v in report.items() if k != "schema_version"}
+        capsys.readouterr()
+        for data, code in ((report, 0), (dict(report, schema_version=1), 2), (unversioned, 2)):
+            path.write_text(json.dumps(data))
+            assert main(["verify", str(path)]) == code
+            out, err = capsys.readouterr()
+            if code:
+                assert (out, err) == ("", f"unsupported schema_version {data.get('schema_version')}\n")
+            else:
+                assert out.splitlines() == ["independence: ok"]
+        path.write_text("{not json")
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("certificate error: ")
+        # a bare list of certificates carries no schema field and is verified as is
+        path.write_text(json.dumps(report["results"][0]["certificates"]))
+        assert main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["independence: ok"]
+
+    def test_full_shift_report_stays_compact(self):
+        report, code = run_config({"experiments": [
+            {"kind": "independence",
+             "params": {"coding": {"kind": "full_shift", "window": 18}, "windows": [18]}}]})
+        assert code == 0
+        assert len(json.dumps(report, sort_keys=True, indent=1).encode()) < 2_000_000
+        cert = report["results"][0]["certificates"][0]
+        assert len(unpack_masks(cert["witnesses"])) == 2**18 and verify_certificate(cert)
 
     def test_rotation_limit_round_trip(self):
         report, code = run_config({"experiments": [
@@ -278,6 +341,8 @@ class TestVerify:
 
         bad = [dict(iso, eps="1"), dict(iso, eps="x"), dict(iso, count="five"),
                without(iso, "gammas"), without(iso, "count"), without(ind, "witnesses"),
+               dict(ind, witnesses={"00": "000000", "10": "100000"}),  # schema 1 shape
+               dict(ind, witnesses="not base64!"), dict(ind, witnesses="AAA="),
                dict(ind, source={"kind": "rotation", "alpha": "cf:[0;1,...]"}),
                dict(ind, source={"kind": "periodic", "pattern": [0, 2]})]
         assert not any(verify_certificate(cert) for cert in bad)

@@ -13,6 +13,7 @@ from tamecert.order import (
     Piece,
     circular_counterexample,
     discrete_family,
+    fresh_dyadic,
     helly_determining_set,
     identity_map,
     parse_step_map,
@@ -278,3 +279,13 @@ class TestCircularCounterexample:
     def test_target_in_set_rejected(self):
         with pytest.raises(ValueError):
             circular_counterexample([F(0)], F(0))
+
+    def test_fresh_dyadic_by_level_then_numerator(self):
+        from tamecert.envelope import no_countable_basis_witness
+
+        assert fresh_dyadic(set()) == F(1, 2)
+        assert fresh_dyadic({F(1, 2), F(1, 4)}) == F(3, 4)
+        assert fresh_dyadic({F(1, 2), F(1, 4), F(3, 4)}) == F(1, 8)
+        cset = [F(1, 4), F(1, 2), F(5, 8)]
+        assert circular_counterexample(cset, F(0)).b == F(3, 4)
+        assert no_countable_basis_witness(cset, "circle_parabolic").differs_at == F(3, 4)

@@ -288,6 +288,29 @@ def test_describe_loads_back(spec):
     assert load_system(described).describe() == described
 
 
+def test_describe_keeps_base_point():
+    sys_ = CutProjectCoding(GOLDEN, cantor_generation=4, base_point=point(GOLDEN, 0, Fraction(1, 12)))
+    assert sys_.describe()["base_point"] == [0, "1/12"]
+    assert np.array_equal(load_system(sys_.describe()).word(200), sys_.word(200))
+    arcs = load_system(ARC_SPEC | {"base_point": [2, "1/3"]})
+    assert arcs.base_point == point(GOLDEN, 2, Fraction(1, 3))
+    assert load_system(arcs.describe()).base_point == arcs.base_point
+    # a spec without the key keeps the default base point 0*alpha + 1/7
+    assert load_system(NAMED_SYSTEMS["cantor6"]).base_point == point(GOLDEN, 0, Fraction(1, 7))
+
+
+def test_split_circle_describe_refuses_what_no_spec_carries():
+    sturmian = SplitCircleSystem(GOLDEN)
+    assert load_system(sturmian.describe()).describe() == sturmian.describe()
+    arc = (SplitPoint(zero(GOLDEN), PLUS), SplitPoint(orbit_point(GOLDEN, 2), MINUS))
+    for sys_ in (SplitCircleSystem(GOLDEN, arc=arc),
+                 SplitCircleSystem(GOLDEN, boundary_convention=None),
+                 SplitCircleSystem(GOLDEN, split=(point(GOLDEN, 0, Fraction(1, 2)),))):
+        with pytest.raises(ValueError):
+            sys_.describe()
+    assert SplitCircleSystem(GOLDEN, arc=sturmian.arc).describe() == sturmian.describe()
+
+
 def test_load_system_round_trip():
     sys_ = load_system({"kind": "split_circle", "alpha": "cf:[0;1,...]", "split_set": "orbit"})
     assert isinstance(sys_, SplitCircleSystem)

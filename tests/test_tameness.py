@@ -1,3 +1,6 @@
+import base64
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,12 +13,12 @@ from tamecert.systems import CutProjectCoding, SplitCircleSystem, full_shift_wor
 from tamecert.tameness import (
     IndependenceCertificate,
     complexity,
-    decode_masks,
-    encode_masks,
     exhaustive_max_independence,
     factor_masks,
     growth_report,
     max_independence,
+    pack_masks,
+    unpack_masks,
 )
 
 
@@ -32,11 +35,6 @@ def _rows(word, windows):
         cert = max_independence(word, L)
         out[L] = {"complexity": cert.complexity, "independence": cert.size}
     return out
-
-
-def _char_string(mask: int, width: int) -> str:
-    """Per-character oracle for encode_masks: character j is bit j."""
-    return "".join("1" if (mask >> j) & 1 else "0" for j in range(width))
 
 
 class TestComplexity:
@@ -105,29 +103,15 @@ class TestIndependence:
 
     def test_certificate_tamper_detected(self, sturmian_word):
         cert = max_independence(sturmian_word, 8)
-        bad = IndependenceCertificate(
-            cert.window,
-            cert.positions,
-            {p: ("1" * 8) for p in cert.witnesses},
-            cert.horizon,
-            cert.exhausted,
-        )
+        bad = replace(cert, witnesses=np.full_like(cert.witnesses, 0xFF))
         assert not bad.verify(sturmian_word)
-        # a word that shows its pattern but is not a factor of the coding
-        factors = set(encode_masks(factor_masks(sturmian_word, 8), 8))
-        pattern, _ = next(iter(cert.witnesses.items()))
-        forged = next(
-            w for w in encode_masks(np.arange(256), 8)
-            if w not in factors and "".join(w[p] for p in cert.positions) == pattern
-        )
-        outside = IndependenceCertificate(
-            cert.window,
-            cert.positions,
-            {**cert.witnesses, pattern: forged},
-            cert.horizon,
-            cert.exhausted,
-        )
-        assert not outside.verify(sturmian_word)
+        # a word that shows pattern 0 but is not a factor of the coding
+        factors = set(factor_masks(sturmian_word, 8).tolist())
+        shown = K.project_masks(np.arange(256), np.asarray(cert.positions, dtype=np.int64))
+        forged = next(w for w in range(256) if w not in factors and shown[w] == 0)
+        witnesses = cert.witnesses.copy()
+        witnesses[0] = forged
+        assert not replace(cert, witnesses=witnesses).verify(sturmian_word)
 
     def test_positions_outside_window_rejected(self, sturmian_word):
         cert = max_independence(sturmian_word, 8)
@@ -141,20 +125,19 @@ class TestIndependence:
 
     def test_non_binary_witness_rejected(self, sturmian_word):
         cert = max_independence(sturmian_word, 8)
-        pattern, factor = next(iter(cert.witnesses.items()))
-        for bad_pattern, bad_factor in (
-            (pattern, "2" + factor[1:]),
-            (pattern, "\u00e9" + factor[1:]),
-            (pattern, factor + "0"),
-            (pattern, factor[:-1]),
-            ("x" + pattern[1:], factor),
+        w = cert.witnesses
+        for bad in (
+            w + 0.5,  # not integers, though each rounds down to a good witness
+            w.reshape(2, -1),  # 2^k masks, but not one per pattern
+            np.concatenate([[-1], w[1:]]),  # a negative mask
+            np.concatenate([[w[0] | 1 << 8], w[1:]]),  # bit 8 is outside the window
         ):
-            witnesses = {p: f for p, f in cert.witnesses.items() if p != pattern}
-            witnesses[bad_pattern] = bad_factor
-            bad = IndependenceCertificate(
-                cert.window, cert.positions, witnesses, cert.horizon, cert.exhausted
-            )
-            assert not bad.verify(sturmian_word), (bad_pattern, bad_factor)
+            assert not replace(cert, witnesses=bad).verify(sturmian_word), bad
+        payload = cert.payload()
+        for text in ("2" * 8, "\u00e9" * 8, payload["witnesses"][:-4] + "AAA=",
+                     {"0": "0" * 8}, list(w)):
+            with pytest.raises(ValueError):
+                IndependenceCertificate.from_payload(dict(payload, witnesses=text))
 
     def test_complexity_is_factor_count(self, sturmian_word):
         cert = max_independence(sturmian_word, 12)
@@ -168,8 +151,10 @@ class TestIndependence:
         word = np.zeros(100, dtype=np.int64)
         cert = max_independence(word, 6)
         assert cert.positions == ()
-        assert cert.witnesses == {"": "000000"}
+        assert cert.witnesses.tolist() == [0]
+        assert cert.payload()["witnesses"] == pack_masks([0]) == "AAAAAA=="
         assert cert.verify(word)
+        assert IndependenceCertificate.from_payload(cert.payload()).verify(word)
 
 
 class TestGrowth:
@@ -291,19 +276,22 @@ def test_window_oscillation_matches_bruteforce(case):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_codec_matches_per_character_oracle(data):
-    width = data.draw(st.integers(0, 24))
-    masks = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=40))
-    strings = encode_masks(np.asarray(masks, dtype=np.int64), width)
-    assert strings == [_char_string(m, width) for m in masks]
-    decoded = decode_masks(strings, width)
-    assert decoded.dtype == np.int64 and decoded.tolist() == masks
+def test_pack_masks_round_trip(data):
+    width = data.draw(st.integers(1, 24))
+    k = data.draw(st.integers(0, min(width, 6)))  # k = 0: the single empty pattern
+    masks = data.draw(st.lists(st.integers(0, (1 << width) - 1),
+                               min_size=1 << k, max_size=1 << k))
+    text = pack_masks(np.asarray(masks, dtype=np.int64))
+    assert len(base64.b64decode(text)) == 4 * len(masks)
+    unpacked = unpack_masks(text)
+    assert unpacked.dtype == np.int64 and unpacked.tolist() == masks
 
 
-def test_mask_string_round_trip():
-    masks = [0, 1, 0b1011, 0b111111]
-    strings = encode_masks(masks, 6)
-    assert [int(s[::-1], 2) for s in strings] == masks
-    assert decode_masks(strings, 6).tolist() == masks
-    assert decode_masks(["01011"], 6) is None
-    assert decode_masks(["010112"], 6) is None
+def test_packed_masks_are_little_endian_uint32():
+    raw = bytes([1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0])
+    assert pack_masks([1, (1 << 24) - 1]) == base64.b64encode(raw).decode("ascii")
+    assert unpack_masks(pack_masks([])).tolist() == []
+    # bad padding, 2 bytes, a non-base64 character, non-ASCII, not a string
+    for bad in ("AAAAAA=", "AAA=", "AAAA!AAA", "\u00e9AAA", None, b"AAAAAA==", {"": "0"}):
+        with pytest.raises(ValueError):
+            unpack_masks(bad)
