@@ -219,10 +219,12 @@ def run_rank(params, seed):
     rows, certs = [], []
     sys_ = None if sys_name == "boundary-f2" else resolve_system(sys_name)
     if isinstance(sys_, systems.SplitCircleSystem):
+        horizon = int(params.get("horizon", 12))
+        if horizon < 1:
+            raise ConfigError("rank horizon must be at least 1")
         sample = envelope.split_sample(
             sys_, plain_count=int(params.get("plain_count", 4000)),
-            split_range=int(params.get("split_range", 8)),
-            horizon=int(params.get("horizon", 12)),
+            split_range=int(params.get("split_range", 8)), horizon=horizon,
         )
         elements = {}
         for n in params.get("translations", [1, 3]):
@@ -254,6 +256,8 @@ def run_rank(params, seed):
         sample = pts
     else:
         raise ConfigError(f"rank experiment does not support system {sys_name!r}")
+    if not elements:
+        raise ConfigError("rank experiment builds no element")
     # one set of arrays per element, shared by every epsilon
     elements = {
         name: el if isinstance(el, rank.RankInstance) else rank.build_instance(el)

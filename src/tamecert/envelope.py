@@ -41,6 +41,14 @@ from .systems import (
 # ---------------------------------------------------------------------------
 
 
+# Float distance to a cut below which CodingMetric.words takes the exact walk.
+# CirclePoint.as_float rounds the midpoint of a certified enclosure of width
+# 1e-22, so it is within 1e-22/2 plus half an ulp (2^-54 on [0, 1)) of the true
+# value; point and cut errors together stay below 1.2e-16, far under the margin,
+# so a point beyond it lies strictly inside the cell its float places it in.
+_CUT_MARGIN = 1e-12
+
+
 class CodingMetric:
     """Split-circle sample metric: weighted sup over truncated coding words,
     refined by the base arc distance.
@@ -62,6 +70,38 @@ class CodingMetric:
             w = self.system.coding_word(x, -self.horizon, self.horizon)
             self._words[x] = w
         return w
+
+    def words(self, points: Sequence[SplitPoint], positions: np.ndarray) -> np.ndarray:
+        """The words of ``points`` (base floats ``positions``) as an (n, 2h+1)
+        uint8 matrix, one exact walk per cell of the coding partition.
+
+        Over [-h, h] the word of x depends only on the cell of x in the circle
+        cut at lo - n*alpha and hi - n*alpha, |n| <= h (the arc endpoints).  A
+        point within ``_CUT_MARGIN`` of a cut, which includes every point that
+        sits on one, takes the exact side-aware walk; every other point copies
+        the word of the first point found strictly inside its cell."""
+        h = self.horizon
+        if h < 0:
+            raise ValueError("empty coding window")
+        lo, hi = self.system.arc
+        cuts = np.sort([end.base.translate(-n).as_float()
+                        for end in (lo, hi) for n in range(-h, h + 1)])
+        m = len(cuts)
+        pos = np.asarray(positions, dtype=np.float64)
+        right = np.searchsorted(cuts, pos, side="right")
+        cell = right % m  # the cell before the first cut and the cell after the last are one
+        left_cut = np.where(right > 0, cuts[right - 1], cuts[-1] - 1.0)
+        right_cut = np.where(right < m, cuts[cell], cuts[0] + 1.0)
+        near = np.minimum(pos - left_cut, right_cut - pos) <= _CUT_MARGIN
+        far = np.flatnonzero(~near)
+        cells, first = np.unique(cell[far], return_index=True)
+        table = np.zeros((m, 2 * h + 1), dtype=np.uint8)
+        for c, i in zip(cells, far[first]):
+            table[c] = self.word(points[i])
+        out = table[cell]
+        for i in np.flatnonzero(near):
+            out[i] = self.word(points[i])
+        return out
 
     def position(self, x: SplitPoint) -> float:
         v = self._pos.get(x)

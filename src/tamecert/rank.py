@@ -68,11 +68,11 @@ def split_instance(p: ApproxElement) -> RankInstance:
     metric: CodingMetric = p.sample.metric
     pts = p.sample.points
     h = metric.horizon
-    words = np.array([metric.word(x) for x in pts], dtype=np.uint8)
-    img_words = np.array([metric.word(im) for im in p.images], dtype=np.uint8)
-    weights = 2.0 ** -np.abs(np.arange(-h, h + 1, dtype=np.float64))
     pos = np.array([x.base.as_float() for x in pts])
     img_pos = np.array([im.base.as_float() for im in p.images])
+    words = metric.words(pts, pos)
+    img_words = metric.words(p.images, img_pos)
+    weights = 2.0 ** -np.abs(np.arange(-h, h + 1, dtype=np.float64))
     return RankInstance("split", pts, words, img_words, weights, pos, img_pos)
 
 

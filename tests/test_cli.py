@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tamecert._kernels as K
-from tamecert import cli, rank, systems, tameness
+from tamecert import cli, envelope, rank, systems, tameness
 from tamecert.cli import (
     NAMED_SYSTEMS,
     SCHEMA_VERSION,
@@ -104,6 +104,47 @@ class TestRunConfig:
         assert len(calls) == 3  # T^1, T^3 and the one-sided limit, each built once
         assert len({id(p) for p in calls}) == 3
         assert both == rows([0.1]) + rows([0.05])
+
+    def test_rank_words_walk_once_per_cell(self, monkeypatch):
+        walks, hits = [], []
+        coding_word = systems.SplitCircleSystem.coding_word
+        metric_word = envelope.CodingMetric.word
+
+        def counted_walk(system, x, n0, n1):
+            walks.append(x)
+            return coding_word(system, x, n0, n1)
+
+        def counted_word(metric, x):
+            hits.append(x in metric._words)
+            return metric_word(metric, x)
+
+        monkeypatch.setattr(systems.SplitCircleSystem, "coding_word", counted_walk)
+        monkeypatch.setattr(envelope.CodingMetric, "word", counted_word)
+        params = {"system": "sturmian", "plain_count": 2000, "epsilons": [0.1]}
+        report, code = run_config({"experiments": [{"kind": "rank", "params": params}]})
+        assert code == 0
+        size = report["results"][0]["result"]["sample_size"]
+        # one walk per sample point and per image for each of the three elements
+        # would be 2 * 3 * size; one walk per cell is a small fraction of it
+        assert 0 < len(walks) < 0.1 * 2 * 3 * size
+        assert any(hits)  # later elements reuse the walks of the shared sample
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_rank_horizon_below_one_rejected(self, tmp_path, capsys, horizon):
+        params = {"system": "sturmian", "plain_count": 50, "horizon": horizon}
+        config = {"experiments": [{"kind": "rank", "params": params}]}
+        with pytest.raises(ConfigError, match="horizon"):
+            run_config(config)
+        assert main(["run", str(write_config(tmp_path, config))]) == 2
+        assert "config error: rank horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params", [
+        {"system": "sturmian", "plain_count": 50, "translations": [], "one_sided": []},
+        {"system": "rotation", "plain_count": 50, "rotations": []},
+    ])
+    def test_rank_without_elements_rejected(self, params):
+        with pytest.raises(ConfigError, match="no element"):
+            run_config({"experiments": [{"kind": "rank", "params": params}]})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamecert.errors import NotInIdeal, NotStabilized, SampleMismatch
+import numpy as np
+
+from tamecert.errors import BoundaryUndecidable, NotInIdeal, NotStabilized, SampleMismatch
 from tamecert.exactarith import GOLDEN, SQRT2_MINUS_1, CirclePoint, one_sided_approach, orbit_point, point, zero
 from tamecert.systems import (
     MINUS,
@@ -18,6 +20,7 @@ from tamecert.systems import (
     SplitPoint,
 )
 from tamecert.envelope import (
+    CodingMetric,
     CosElement,
     IsolationReport,
     SampleSet,
@@ -451,6 +454,88 @@ def isolation_cases(draw):
 def test_isolation_matches_all_pairs_oracle(case):
     members, eps = case
     assert sorgenfrey_isolation(members, eps=eps) == isolation_oracle(members, eps)
+
+
+def word_oracle(system, horizon, pts):
+    """The per-point walks CodingMetric.words must reproduce."""
+    return np.array([system.coding_word(x, -horizon, horizon) for x in pts], dtype=np.uint8)
+
+
+def batch_words(system, horizon, pts):
+    positions = np.array([x.base.as_float() for x in pts])
+    return CodingMetric(system, horizon).words(pts, positions)
+
+
+def rational_arc_system(ends, convention="half_open"):
+    arc = tuple(SplitPoint(point(GOLDEN, 0, e), PLAIN) for e in ends)
+    return SplitCircleSystem(GOLDEN, arc=arc, boundary_convention=convention)
+
+
+# rational offsets off a cut: inside the exact-walk margin, at it, and beyond it
+_CUT_OFFSETS = [Fraction(s, 10**p) for s in (-1, 1) for p in (11, 12, 13, 16)]
+
+
+@st.composite
+def word_cases(draw):
+    horizon = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["default", "rational", "undecidable"]))
+    if kind == "default":
+        system = SplitCircleSystem(GOLDEN)
+    else:
+        ends = draw(st.lists(
+            st.fractions(Fraction(1, 12), Fraction(11, 12), max_denominator=12),
+            min_size=2, max_size=2, unique=True))
+        system = rational_arc_system(ends, None if kind == "undecidable" else "half_open")
+    cuts = [end.base.translate(-n) for end in system.arc for n in range(-horizon, horizon + 1)]
+    fracs = st.tuples(st.integers(0, 29), st.integers(1, 30)).map(lambda t: Fraction(t[0] % t[1], t[1]))
+    bases = [point(GOLDEN, 0, f) for f in draw(st.lists(fracs, min_size=1, max_size=12))]
+    bases += [orbit_point(GOLDEN, n)
+              for n in draw(st.lists(st.integers(-horizon - 2, horizon + 2), max_size=6))]
+    bases += draw(st.lists(st.sampled_from(cuts), max_size=4))
+    bases += [CirclePoint(GOLDEN, c.a, c.b + off) for c, off in draw(st.lists(
+        st.tuples(st.sampled_from(cuts), st.sampled_from(_CUT_OFFSETS)), max_size=6))]
+    pts = [x for b in bases for x in system.split_fiber(b)]  # both side tags on split bases
+    order = draw(st.permutations(range(len(pts))))
+    return system, horizon, [pts[i] for i in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=word_cases())
+def test_cell_words_match_per_point_walks(case):
+    system, horizon, pts = case
+    try:
+        want = word_oracle(system, horizon, pts)
+    except BoundaryUndecidable as exc:
+        with pytest.raises(BoundaryUndecidable) as got:
+            batch_words(system, horizon, pts)
+        assert str(got.value) == str(exc)  # the message names the offending point
+        return
+    assert (batch_words(system, horizon, pts) == want).all()
+
+
+class TestCodingMetricWords:
+    def test_undecidable_point_raises_on_both_paths(self):
+        system = rational_arc_system([Fraction(1, 5), Fraction(2, 3)], convention=None)
+        on_end = SplitPoint(point(GOLDEN, -3, Fraction(2, 3)), PLAIN)  # T^3 hits the arc end
+        pts = [SplitPoint(point(GOLDEN, 0, Fraction(1, 7)), PLAIN), on_end]
+        with pytest.raises(BoundaryUndecidable) as want:
+            word_oracle(system, 4, pts)
+        with pytest.raises(BoundaryUndecidable) as got:
+            batch_words(system, 4, pts)
+        assert str(got.value) == str(want.value)
+
+    def test_walks_once_per_cell(self, sturmian):
+        s = split_sample(sturmian, plain_count=500, split_range=4, horizon=6)
+        metric = s.metric
+        words = metric.words(s.points, np.array([x.base.as_float() for x in s.points]))
+        assert (words == word_oracle(sturmian, 6, s.points)).all()
+        # 14 distinct cuts give 14 cells, plus the 18 split points on a cut
+        assert len(metric._words) <= 14 + 18
+        assert len({tuple(w) for w in words}) == 2 * 6 + 2  # p(L) = L + 1 words, L = 13
+
+    def test_empty_window_rejected(self, sturmian):
+        with pytest.raises(ValueError, match="empty coding window"):
+            CodingMetric(sturmian, -1).words([sturmian.orbit_pt(0, PLUS)], np.zeros(1))
 
 
 class TestRigidity:
