@@ -77,8 +77,16 @@ def _parse_point(alpha, text: str) -> CirclePoint:
 # ---------------------------------------------------------------------------
 
 
+def _circle_system(spec, verb: str):
+    """The split-circle or rotation system of ``spec``; ConfigError otherwise."""
+    sys_ = resolve_system(spec)
+    if not isinstance(sys_, (systems.SplitCircleSystem, systems.RotationSystem)):
+        raise ConfigError(f"{verb} experiment needs a split-circle or rotation system")
+    return sys_
+
+
 def run_limit(params, seed):
-    sys_ = resolve_system(params.get("system", "sturmian"))
+    sys_ = _circle_system(params.get("system", "sturmian"), "limit")
     alpha = sys_.alpha
     target = _point(alpha, params.get("target", {"a": 0, "b": 0}))
     side = params.get("side", "below")
@@ -389,7 +397,7 @@ def run_counterexample(params, seed):
 
 
 def run_rigidity(params, seed):
-    sys_ = resolve_system(params.get("system", "rotation-sqrt2"))
+    sys_ = _circle_system(params.get("system", "rotation-sqrt2"), "rigidity")
     if isinstance(sys_, systems.RotationSystem):
         sample = envelope.rotation_sample(sys_, int(params.get("plain_count", 20)))
         ks = int(params.get("denominators", 25))
@@ -605,7 +613,7 @@ def verify_certificate(cert: dict) -> bool:
                 ok = ok and len(sizes) >= cert["beta"] + 1 and sizes[cert["beta"]] == 0
             return ok
         if kind == "limit":
-            sys_ = systems.load_system(cert["system"])
+            sys_ = _circle_system(cert["system"], "limit")
             gen = cert["generator"]
             target = _parse_point(sys_.alpha, gen["target"])
             if isinstance(sys_, systems.SplitCircleSystem):

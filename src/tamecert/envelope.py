@@ -291,17 +291,22 @@ class ApproxElement:
         return tuple(self.generator)
 
 
+def _one_sided_rule(system: SplitCircleSystem, gamma: CirclePoint, tag: int):
+    """The split-circle one-sided limit x -> x.base + gamma, carrying ``tag``
+    (MINUS or PLUS) wherever the image base splits."""
+
+    def rule(x: SplitPoint) -> SplitPoint:
+        nb = x.base + gamma
+        return SplitPoint(nb, tag if system.splits(nb) else PLAIN)
+
+    return rule
+
+
 def _exact_rule(system, approach: ApproachSequence):
     """Closed-form limit rule for the generator, when the system has one."""
     gamma, side = approach.target, approach.side
     if isinstance(system, SplitCircleSystem):
-        tag = MINUS if side == "below" else PLUS
-
-        def rule(x: SplitPoint) -> SplitPoint:
-            nb = x.base + gamma
-            return SplitPoint(nb, tag if system.splits(nb) else PLAIN)
-
-        return rule
+        return _one_sided_rule(system, gamma, MINUS if side == "below" else PLUS)
     if isinstance(system, RotationSystem):
         return lambda x: x + gamma
     if isinstance(system, CosSystem) and side == "below":
@@ -486,12 +491,7 @@ class IdealDecomposition:
 
     def recompose(self, system, sample: SampleSet) -> list:
         if isinstance(system, SplitCircleSystem):
-            tag = MINUS if self.epsilon == "minus" else PLUS
-
-            def rule(x):
-                nb = x.base + self.gamma
-                return SplitPoint(nb, tag if system.splits(nb) else PLAIN)
-
+            rule = _one_sided_rule(system, self.gamma, MINUS if self.epsilon == "minus" else PLUS)
             return [rule(x) for x in sample.points]
         if isinstance(system, CosSystem):
             el = CosElement(float(self.epsilon), self.gamma)

@@ -31,13 +31,19 @@ from .systems import RotationSystem, SplitCircleSystem
 class RankInstance:
     """Arrays backing the rank computation for one sampled element.
 
-    kind 'split': binary coding words (uint8) plus base positions; the
-    distance is the max of the weighted word sup-metric and the base arc
+    Every kind shares one derivative stage: a ball is a cylinder of equal
+    ``words`` key columns cut down to a window of ``positions``.
+    kind 'split': binary coding words (uint8) plus base positions on the
+    circle; the distance is 1 off the full-word cylinder, else the base arc
     distance.
-    kind 'circle': positions only (arc metric), images embedded as scaled
-    sin/cos columns (conservative within sqrt(2) for detection, exact enough
-    for continuity bounds).  kind 'prefix': one-sided words under 2^-lcp.
+    kind 'circle': positions on the circle only (arc metric), images embedded
+    as scaled sin/cos columns (conservative within sqrt(2) for detection,
+    exact enough for continuity bounds).
+    kind 'prefix': one-sided words under 2^-lcp; the ball is the whole
+    cylinder, so there are no positions.
     kind 'value': plain positions and scalar image values.
+    ``img_positions`` are the images' circle positions (split and circle
+    kinds); the split stage adds them, unwrapped, as one more image column.
     """
 
     kind: str
@@ -46,7 +52,7 @@ class RankInstance:
     img_words: np.ndarray  # (n, W) image descriptor columns, weighted by `weights`
     weights: np.ndarray  # (W,)
     positions: np.ndarray | None = None  # (n,) base or value positions
-    img_positions: np.ndarray | None = None  # (n,) image base positions (split kind)
+    img_positions: np.ndarray | None = None  # (n,) image circle positions (split/circle)
 
     def separation_gap(self) -> float:
         """A positive scale below which distinct sample points separate."""
@@ -118,9 +124,9 @@ def build_instance(p: ApproxElement) -> RankInstance:
 
 
 def _unwrap_circular(vals: np.ndarray) -> np.ndarray:
-    """Re-anchor circle positions at the largest gap so a short arc becomes a
-    plain interval (the minus point of a split pair has base 0 but lives at
-    the top of its cell, so raw positions can straddle the 0/1 cut)."""
+    """Re-anchor image positions at the largest gap so a short arc of images
+    becomes a plain interval (the minus point of a split pair has base 0 but
+    lives at the top of its cell, so raw positions can straddle the 0/1 cut)."""
     if vals.size <= 1:
         return np.zeros_like(vals)
     order = np.argsort(vals)
@@ -146,88 +152,57 @@ def _group_rows(keys: np.ndarray, members: np.ndarray) -> list[np.ndarray]:
 
 def _stage(inst: RankInstance, active: np.ndarray, radius: float, eps: float):
     """Indices of the active points surviving one epsilon-derivative at the
-    given resolution, plus their oscillation values and witness pairs."""
+    given resolution, plus their oscillation values and witness pairs.
+
+    A ball is a cylinder (equal key columns) intersected with a window of
+    positions, so each cylinder group is sorted once and measured by one
+    window-oscillation call.
+    """
+    if inst.kind == "split":
+        # full-window cylinder key: the base distance supplies the radius,
+        # and full word agreement stops beyond-horizon coordinates from
+        # leaking fake oscillation into shifted images (valid for shifts
+        # up to horizon - log2(1/eps))
+        keys = inst.words[active]
+    elif inst.kind == "prefix":
+        keys = inst.words[active][:, inst.weights > radius]
+    elif inst.kind in ("circle", "value"):
+        keys = None
+    else:
+        raise ValueError(f"unknown instance kind {inst.kind!r}")
+    groups = [active] if keys is None or keys.shape[1] == 0 else _group_rows(keys, active)
     survivors: list[int] = []
     osc_map: dict[int, float] = {}
     witness: dict[int, tuple[int, int]] = {}
-
-    if inst.kind in ("split", "prefix"):
+    for members in groups:
+        if members.size < 2:
+            continue
+        # prefix balls are whole cylinders: one position for every member
+        pos = np.zeros(members.size) if inst.kind == "prefix" else inst.positions[members]
+        rows = np.arange(members.size)
+        if inst.kind in ("split", "circle"):
+            # circle positions: copy the members within the radius of the cut
+            # one turn over, so every window sees its arc neighbours
+            up = np.nonzero(pos <= radius)[0]
+            down = np.nonzero(pos >= 1.0 - radius)[0]
+            rows = np.concatenate([rows, up, down])
+            pos = np.concatenate([pos, pos[up] + 1.0, pos[down] - 1.0])
+        order = np.argsort(pos, kind="stable")
+        base, rows = pos[order], rows[order]
+        points = members[rows]
+        cols = inst.img_words[points] * inst.weights
         if inst.kind == "split":
-            # full-window cylinder key: the base distance supplies the radius,
-            # and full word agreement stops beyond-horizon coordinates from
-            # leaking fake oscillation into shifted images (valid for shifts
-            # up to horizon - log2(1/eps))
-            cols = np.arange(inst.words.shape[1])
-        else:
-            cols = np.nonzero(inst.weights > radius)[0]
-        keys = inst.words[active][:, cols]
-        groups = [active] if keys.shape[1] == 0 else _group_rows(keys, active)
-        for members in groups:
-            if members.size < 2:
-                continue
-            if inst.kind == "split":
-                # cells are short arcs but can straddle the 0/1 cut (the minus
-                # point of a split pair); unwrap both base and image positions
-                base = _unwrap_circular(inst.positions[members])
-                if float(base.max()) > 1.0 - radius:
-                    raise ValueError("cell spans the whole circle at this radius")
-                order = np.argsort(base, kind="stable")
-                members = members[order]
-                base = base[order]
-                ib = _unwrap_circular(inst.img_positions[members])
-                if float(ib.max() - ib.min()) > 0.5:
-                    raise ValueError("image arc exceeds a half circle; osc undefined here")
-                img_cols = np.concatenate(
-                    [inst.img_words[members] * inst.weights, ib[:, None]], axis=1
-                )
-                osc = K.window_oscillation(base, radius, img_cols, np.ones(img_cols.shape[1]))
-                for j in np.nonzero(osc >= eps)[0]:
-                    idx = int(members[j])
-                    survivors.append(idx)
-                    osc_map[idx] = float(osc[j])
-                    witness[idx] = _window_witness(members, base, img_cols, j, radius)
-            else:
-                img = inst.img_words[members] * inst.weights
-                spread = img.max(axis=0) - img.min(axis=0)
-                osc = float(spread.max())
-                if osc >= eps:
-                    mcol = int(spread.argmax())
-                    i1 = int(members[img[:, mcol].argmax()])
-                    i2 = int(members[img[:, mcol].argmin()])
-                    for idx in members:
-                        survivors.append(int(idx))
-                        osc_map[int(idx)] = osc
-                        witness[int(idx)] = (i1, i2)
-    elif inst.kind in ("circle", "value"):
-        pos = inst.positions[active]
-        if inst.kind == "circle":
-            ext_pos = np.concatenate([pos - 1.0, pos, pos + 1.0])
-            ext_img = np.tile(inst.img_words[active] * inst.weights, (3, 1))
-            order = np.argsort(ext_pos, kind="stable")
-            osc_all = K.window_oscillation(
-                ext_pos[order], radius, ext_img[order], np.ones(ext_img.shape[1])
-            )
-            back = np.empty_like(order)
-            back[order] = np.arange(order.size)
-            osc = osc_all[back[len(pos) : 2 * len(pos)]]
-            for j in np.nonzero(osc >= eps)[0]:
-                idx = int(active[j])
-                survivors.append(idx)
-                osc_map[idx] = float(osc[j])
-                witness[idx] = (idx, idx)
-        else:
-            order = np.argsort(pos, kind="stable")
-            members = active[order]
-            base = pos[order]
-            img_cols = inst.img_words[members] * inst.weights
-            osc = K.window_oscillation(base, radius, img_cols, np.ones(img_cols.shape[1]))
-            for j in np.nonzero(osc >= eps)[0]:
-                idx = int(members[j])
-                survivors.append(idx)
-                osc_map[idx] = float(osc[j])
-                witness[idx] = _window_witness(members, base, img_cols, j, radius)
-    else:
-        raise ValueError(f"unknown instance kind {inst.kind!r}")
+            ib = _unwrap_circular(inst.img_positions[members])
+            if float(ib.max() - ib.min()) > 0.5:
+                raise ValueError("image arc exceeds a half circle; osc undefined here")
+            cols = np.concatenate([cols, ib[rows, None]], axis=1)
+        osc = K.window_oscillation(base, radius, cols, np.ones(cols.shape[1]))
+        # only a point's own copy can survive
+        for j in np.nonzero((order < members.size) & (osc >= eps))[0]:
+            idx = int(points[j])
+            survivors.append(idx)
+            osc_map[idx] = float(osc[j])
+            witness[idx] = _window_witness(points, base, cols, j, radius)
     return np.array(sorted(survivors), dtype=np.int64), osc_map, witness
 
 
@@ -245,6 +220,9 @@ def _window_witness(members, base, img_cols, j, radius):
 # ---------------------------------------------------------------------------
 # the rank iteration
 # ---------------------------------------------------------------------------
+
+STAGE_BUDGET = 8  # derivative stages before the budget flag (beta None)
+RERUN_SCALES = (1.0, 0.5, 0.25)  # schedule scales whose ranks must agree
 
 
 @dataclass
@@ -317,15 +295,13 @@ def beta_rank(
     p: ApproxElement | RankInstance,
     epsilon: float,
     r_schedule: Sequence[float] | None = None,
-    stage_budget: int = 8,
-    rerun_scales: Sequence[float] = (1.0, 0.5, 0.25),
     raise_on_unstable: bool = True,
 ) -> RankTrace:
     """Oscillation rank of the element on its sample.
 
-    Runs the derivative iteration once per rerun scale (the schedule scaled
-    down); the result is stabilized when all runs agree on the terminal
-    index.
+    Runs the derivative iteration, at most ``STAGE_BUDGET`` stages, once per
+    rerun scale in ``RERUN_SCALES`` (the schedule scaled down); the result is
+    stabilized when all runs agree on the terminal index.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -335,13 +311,13 @@ def beta_rank(
         raise ValueError("resolution schedule must be strictly decreasing")
 
     traces = []
-    for scale in rerun_scales:
+    for scale in RERUN_SCALES:
         schedule = tuple(r * scale for r in base_schedule)
         active = np.arange(len(inst.points), dtype=np.int64)
         stages = [active]
         oscs, wits = [], []
         beta = None
-        for depth in range(stage_budget):
+        for depth in range(STAGE_BUDGET):
             r = schedule[min(depth, len(schedule) - 1)]
             active, osc_map, wit = _stage(inst, active, r, epsilon)
             stages.append(active)
@@ -359,7 +335,7 @@ def beta_rank(
     main.stabilized = stable
     if not stable and raise_on_unstable:
         raise NotStabilizedAcrossResolutions(
-            f"rank estimates {estimates} across rerun scales {tuple(rerun_scales)}",
+            f"rank estimates {estimates} across rerun scales {RERUN_SCALES}",
             estimates=estimates,
         )
     return main
@@ -378,15 +354,13 @@ def oscillation(p: ApproxElement, x, pool: Sequence, radius: float) -> float:
     return best
 
 
-def naive_beta_rank(
-    inst: RankInstance, epsilon: float, schedule: Sequence[float], stage_budget: int = 8
-):
+def naive_beta_rank(inst: RankInstance, epsilon: float, schedule: Sequence[float]):
     """Brute-force oracle: direct pairwise recomputation of every stage."""
     n = len(inst.points)
     active = list(range(n))
     stages = [list(active)]
     beta = None
-    for depth in range(stage_budget):
+    for depth in range(STAGE_BUDGET):
         r = schedule[min(depth, len(schedule) - 1)]
         nxt = []
         for x in active:

@@ -146,6 +146,22 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="no element"):
             run_config({"experiments": [{"kind": "rank", "params": params}]})
 
+    @pytest.mark.parametrize("system", ["cos", "semicocycle", "cantor6"])
+    def test_limit_on_unsupported_system_rejected(self, tmp_path, capsys, system):
+        config = {"experiments": [{"kind": "limit", "params": {"system": system}}]}
+        with pytest.raises(ConfigError, match="split-circle or rotation"):
+            run_config(config)
+        assert main(["run", str(write_config(tmp_path, config))]) == 2
+        assert "config error: limit experiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("system", ["cos", "semicocycle", "cantor6"])
+    def test_rigidity_on_unsupported_system_rejected(self, tmp_path, capsys, system):
+        config = {"experiments": [{"kind": "rigidity", "params": {"system": system}}]}
+        with pytest.raises(ConfigError, match="split-circle or rotation"):
+            run_config(config)
+        assert main(["run", str(write_config(tmp_path, config))]) == 2
+        assert "config error: rigidity experiment" in capsys.readouterr().err
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             run_config({"experiments": [{"kind": "nonsense"}]})
@@ -333,6 +349,9 @@ class TestVerify:
         assert cert["result"] == {"tag": "translation", "params": {"n": "3"}}
         assert verify_certificate(cert)
         assert not verify_certificate(dict(cert, result={"tag": "one_sided", "params": {}}))
+        # a limit certificate on a system no limit experiment handles fails
+        for name in ("cos", "semicocycle", "cantor6"):
+            assert not verify_certificate(dict(cert, system=NAMED_SYSTEMS[name]))
 
     def test_isolation_checks_the_payload_gammas(self):
         report, code = run_config({"experiments": [

@@ -95,14 +95,23 @@ class TestBetaRank:
 
     def test_matches_naive_oracle_small_samples(self, sturmian):
         small = split_sample(sturmian, plain_count=150, split_range=4, horizon=10)
+        cases = []
         for gen in ([2], one_sided_approach(zero(GOLDEN), "below", 10),
                     one_sided_approach(orbit_point(GOLDEN, 1), "above", 10)):
-            p = limit_map(sturmian, gen, small)
-            for eps in (0.05, 0.2):
-                t = beta_rank(p, eps)
-                nb, nstages = naive_beta_rank(build_instance(p), eps, t.schedule)
-                assert t.beta == nb
-                assert t.stage_sizes() == [len(s) for s in nstages]
+            inst = build_instance(limit_map(sturmian, gen, small))
+            cases += [(inst, eps, None) for eps in (0.05, 0.2)]
+        # one-column words make each cell a long arc across the 0/1 cut, and a
+        # constant image arc lets the coarse first radius reach round the cell
+        coarse = split_sample(sturmian, plain_count=150, split_range=4, horizon=0)
+        inst = build_instance(limit_map(sturmian, [1], coarse))
+        inst = dataclasses.replace(inst, img_positions=np.full(len(inst.points), 0.25))
+        cases.append((inst, 0.2, (0.45, 1e-3, 1e-4)))
+        for inst, eps, schedule in cases:
+            t = beta_rank(inst, eps, r_schedule=schedule)
+            nb, nstages = naive_beta_rank(inst, eps, t.schedule)
+            assert t.beta == nb
+            assert [s.tolist() for s in t.stages] == nstages
+            assert t.verify_witnesses(inst)
 
     def test_prefix_codes_match_naive_oracle(self):
         lox = power_limit(ReducedWord.parse("ab"), depth=8)
@@ -115,6 +124,7 @@ class TestBetaRank:
             nb, nstages = naive_beta_rank(inst, eps, t.schedule)
             assert t.beta == nb
             assert [s.tolist() for s in t.stages] == nstages
+            assert t.verify_witnesses(inst)
 
     def test_circle_matches_naive_oracle(self):
         rot = RotationSystem(GOLDEN)
@@ -127,6 +137,7 @@ class TestBetaRank:
             nb, nstages = naive_beta_rank(inst, eps, t.schedule)
             assert t.beta == nb
             assert [s.tolist() for s in t.stages] == nstages
+            assert t.verify_witnesses(inst)
 
     def test_uint8_words_measure_like_float(self, sturmian):
         # 0/1 words are stored as uint8; a distance that subtracted them
@@ -153,6 +164,7 @@ class TestBetaRank:
         assert t.beta == 2
         nb, _ = naive_beta_rank(inst, 0.1, t.schedule)
         assert nb == 2
+        assert t.verify_witnesses(inst)
 
     def test_unstable_raises(self):
         # a constant-image instance never oscillates: stable rank 1; force
