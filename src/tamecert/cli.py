@@ -139,16 +139,38 @@ def run_limit(params, seed):
     return out, [cert]
 
 
+# the longest independence word: the full-shift word of order 24 has 2^24 + 2*24 - 1 symbols
+MAX_HORIZON = (1 << 24) + 47
+
+
+def _windows(params) -> list[int]:
+    """The window lengths of an independence experiment, in increasing order."""
+    return sorted(int(L) for L in params.get("windows", [8, 12, 16, 20]))
+
+
 def _coding_source(params) -> tuple[dict, int]:
-    """The ``source`` descriptor of an independence experiment and its horizon."""
+    """The ``source`` descriptor of an independence experiment and its horizon.
+
+    ConfigError unless every window is in 1..24 and the horizon is at least
+    10x the longest window and at most MAX_HORIZON; this builds no word."""
     coding = params.get("coding", {"system": "sturmian"})
     if coding.get("kind") == "full_shift":
         window = int(coding["window"])
-        return {"kind": "full_shift"}, (1 << window) + 2 * window - 1
-    horizon = int(params.get("horizon", 10_000))
-    if coding.get("kind") == "periodic":
-        return {"kind": "periodic", "pattern": [int(x) for x in coding["pattern"]]}, horizon
-    return resolve_system(coding.get("system", "sturmian")).describe(), horizon
+        if not 1 <= window <= 24:
+            raise ConfigError("a full-shift window must be in 1..24")
+        source, horizon = {"kind": "full_shift"}, (1 << window) + 2 * window - 1
+    else:
+        horizon = int(params.get("horizon", 10_000))
+        if coding.get("kind") == "periodic":
+            source = {"kind": "periodic", "pattern": [int(x) for x in coding["pattern"]]}
+        else:
+            source = resolve_system(coding.get("system", "sturmian")).describe()
+    windows = _windows(params)
+    if not windows or windows[0] < 1 or windows[-1] > 24:
+        raise ConfigError("independence windows must be a nonempty list in 1..24")
+    if not 10 * windows[-1] <= horizon <= MAX_HORIZON:
+        raise ConfigError(f"horizon {horizon} must be in 10 x {windows[-1]}..{MAX_HORIZON}")
+    return source, horizon
 
 
 def _source_word(source: dict, horizon: int) -> np.ndarray:
@@ -190,11 +212,10 @@ def _word(source_json: str, horizon: int) -> np.ndarray:
 def run_independence(params, seed):
     source, horizon = _coding_source(params)
     word = _source_word(source, horizon)
-    windows = [int(L) for L in params.get("windows", [8, 12, 16, 20])]
     budget = int(params.get("node_budget", 5_000_000))
     rows, certs = [], []
     flag = None
-    for L in sorted(windows):
+    for L in _windows(params):
         try:
             cert = tameness.max_independence(word, L, node_budget=budget)
         except BudgetExceeded as exc:
@@ -594,6 +615,8 @@ def verify_certificate(cert: dict) -> bool:
     try:
         if kind == "independence":
             made = tameness.IndependenceCertificate.from_payload(cert)
+            if made.horizon > MAX_HORIZON:
+                return False
             return made.verify(_source_word(cert["source"], made.horizon))
         if kind == "isolation":
             # re-run the exact check on the payload's own gammas

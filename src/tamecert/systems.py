@@ -59,54 +59,81 @@ def split_order_key(x: SplitPoint, ref: CirclePoint):
 
 
 class _CircleWalk:
-    """Walk n -> (A0+n)*alpha + B0 mod 1 on a common-denominator integer grid.
+    """Walk n -> (A0+n)*alpha + B0 mod 1 on the int64 grid of a convergent.
 
-    Positions carry a certified slack: any test that comes within ``slack``
-    grid units of a boundary must be re-decided exactly.  Grid precision is
-    chosen so the accumulated convergent error stays far below the slack.
+    The grid has D = q_k units and puts position n at (A0+n)*p_k +
+    round(B0*q_k) mod D.  That is within |A0+n|/q_{k+1} (convergent error)
+    plus 1/2 (rounding) units of D times the true position, and ``boundary``
+    is under 1 + 2^-20 units off (truncation), so a test that stays
+    ``slack`` = ceil(nmax/q_{k+1}) + 2 units clear of 0, D and the boundary
+    is certified.  Anything closer is re-decided exactly.
     """
 
-    DIGITS = 26
-    SLACK_DIGITS = 20
-    BOUNDARY_EPS = Fraction(1, 10 ** (SLACK_DIGITS + 8))
+    GRID_BITS = 52  # D < 2^52: a 10-bit limb of n times the step stays below 2^62
+    LIMB_BITS = 10
+    BOUNDARY_EPS = Fraction(1, 1 << 72)  # D * eps < 2^-20 grid units
 
     def __init__(self, alpha: RotationNumber, a0: int, b0: Fraction, n0: int, n1: int):
         nmax = max(abs(a0 + n0), abs(a0 + n1)) + 2
-        # smallest k with q_k^2 >= nmax * 10^DIGITS, i.e. q_k >= its ceiling square root
-        k = alpha.denominator_level(math.isqrt(nmax * 10**self.DIGITS - 1) + 1)
+        # q_{k+1} >= min(2^52, nmax * 2^26) makes the slack 3 units whenever
+        # nmax <= 2^52; the target stays below 10^13 sqrt(nmax), so an alpha with
+        # a finite quotient prefix needs no convergent past the first q >= 10^13 sqrt(nmax)
+        k = alpha.denominator_level(min(1 << self.GRID_BITS, nmax << 26)) - 1
         p, q = alpha.numerator(k), alpha.denominator(k)
-        db = b0.denominator
-        self.alpha = alpha
-        self.D = q * db
-        self.step = (p * db) % self.D
-        self.start = ((a0 + n0) * p * db + b0.numerator * q) % self.D
-        self.slack = self.D // 10**self.SLACK_DIGITS + 2
+        self.D = q
+        self.step = p % q
+        rounded_b = (2 * b0.numerator * q + b0.denominator) // (2 * b0.denominator)
+        self.start = ((a0 + n0) * p + rounded_b) % q
+        self.slack = min(-(-nmax // alpha.denominator(k + 1)) + 2, q)
         self.n0, self.n1 = n0, n1
 
     def boundary(self, pt: CirclePoint) -> int:
-        """A boundary value on the grid (error well below slack)."""
+        """D times the value of ``pt``, rounded down to the grid (under 1 + 2^-20 off)."""
         num, den = pt.midpoint(self.BOUNDARY_EPS)
-        v = num * self.D
-        return v // den if v >= 0 else -(-v // den)  # truncated, like int(Fraction)
+        return num * self.D // den
 
-    def arc_symbols(self, width: CirclePoint, exact: Callable[[int], int]) -> list[int]:
-        """1 where the position lies in [0, width), else 0, for n = n0..n1.
+    def positions(self) -> np.ndarray:
+        """Grid positions for n = n0..n1 as int64, one 10-bit limb of n - n0 at a time.
 
-        A position within the slack of 0 or of ``width`` is decided by
+        Scalars enter as np.int64: a Python int operand is converted anew by
+        every array operation, which dominates a short walk.
+        """
+        count = max(self.n1 - self.n0 + 1, 0)
+        limb, d = (1 << self.LIMB_BITS) - 1, np.int64(self.D)
+        rest = np.arange(count, dtype=np.int64)
+        pos, mult, top = np.int64(self.start), self.step, count - 1
+        while top > limb:  # every limb below the top one
+            term = rest & limb
+            term *= np.int64(mult)
+            term += pos
+            term %= d
+            pos = term
+            rest >>= self.LIMB_BITS
+            top >>= self.LIMB_BITS
+            mult = (mult << self.LIMB_BITS) % self.D
+        rest *= np.int64(mult)
+        rest += pos
+        rest %= d
+        return rest
+
+    # the five cells of a grid position: near 0 | inside | near w | outside | near D
+    _INSIDE = np.array([0, 1, 0, 0, 0], dtype=np.uint8)
+    _NEAR = np.array([1, 0, 1, 0, 1], dtype=bool)
+
+    def arc_symbols(self, width: CirclePoint, exact: Callable[[int], int]) -> np.ndarray:
+        """uint8 array: 1 where the position lies in [0, width), else 0, for n = n0..n1.
+
+        A position within the slack of 0, D or ``width`` is decided by
         ``exact(n)`` instead of by the grid.
         """
-        w = self.boundary(width)
-        d, s, sl = self.D, self.step, self.slack
-        u = self.start
-        out = []
-        for n in range(self.n0, self.n1 + 1):
-            if u < sl or u > d - sl or abs(u - w) < sl:
-                out.append(exact(n))
-            else:
-                out.append(1 if u < w else 0)
-            u += s
-            if u >= d:
-                u -= d
+        w, d, sl = self.boundary(width), self.D, self.slack
+        # the edges between the cells, kept in order by leaving a cell empty
+        inside, outside = max(w - sl + 1, sl), w + sl
+        edges = np.array([sl, inside, outside, max(d - sl + 1, outside)], dtype=np.int64)
+        cell = np.searchsorted(edges, self.positions(), side="right")
+        out = self._INSIDE[cell]
+        for i in self._NEAR[cell].nonzero()[0].tolist():
+            out[i] = exact(self.n0 + i)
         return out
 
 
@@ -226,7 +253,7 @@ class SplitCircleSystem:
         """
         lo = self.arc[0]
         walk = _CircleWalk(self.alpha, x.base.a - lo.base.a, x.base.b - lo.base.b, n0, n1)
-        return walk.arc_symbols(self._arc_width, lambda n: self.symbol(x.translate(n)))
+        return walk.arc_symbols(self._arc_width, lambda n: self.symbol(x.translate(n))).tolist()
 
     def word(self, x: SplitPoint, horizon: int) -> np.ndarray:
         """Forward coding word of length ``horizon`` as a uint8 array."""
@@ -354,19 +381,19 @@ class CutProjectCoding:
         """Coding word over [n0, n0 + horizon), bulk-evaluated with exact fallback."""
         cantor = self.cantor_generation is not None
         base = self.base_point
-        hits = np.zeros(horizon, dtype=bool)
+        hits = np.zeros(horizon, dtype=np.uint8)
         for arc in self.deleted if cantor else self.arcs:
             if arc.full:
-                hits[:] = True
+                hits[:] = 1
                 continue
             walk = _CircleWalk(
                 self.alpha, base.a - arc.start.a, base.b - arc.start.b, n0, n0 + horizon - 1
             )
-            hits |= np.array(walk.arc_symbols(
+            hits |= walk.arc_symbols(
                 CirclePoint(self.alpha, 0, arc.length),
                 lambda n, arc=arc: 1 if arc.covers(base.translate(n), open_arc=cantor) else 0,
-            ), dtype=bool)
-        return (~hits if cantor else hits).astype(np.uint8)
+            )
+        return hits ^ 1 if cantor else hits
 
     def describe(self) -> dict:
         d = {"kind": self.kind, "alpha": self.alpha.describe(),
@@ -383,28 +410,39 @@ class CutProjectCoding:
 
 def full_shift_word(window: int) -> np.ndarray:
     """A binary de Bruijn word of order ``window``: every length-``window``
-    pattern occurs.  Serves as the full-shift coding at that window size."""
+    pattern occurs.  Serves as the full-shift coding at that window size.
+
+    The cycle is the complement of the lexicographically least de Bruijn
+    sequence (Fredricksen & Maiorana: the necklaces of length ``window`` in
+    increasing order, each cut to its period), turned to start at 0^window.
+    It is written out linearly, then followed by its first ``window``
+    symbols once more, so that it is the greedy prefer-one word from 0^window
+    with its first ``window`` symbols appended.
+    """
     if window < 1 or window > 24:
         raise ValueError("window must be in 1..24")
-    # standard greedy (prefer-one) de Bruijn construction
-    seen = bytearray(1 << window)
-    word = [0] * window
-    state = 0
-    seen[0] = 1
-    mask = (1 << window) - 1
-    for _ in range((1 << window) - 1):
-        nxt1 = ((state << 1) | 1) & mask
-        nxt0 = (state << 1) & mask
-        if not seen[nxt1]:
-            seen[nxt1] = 1
-            word.append(1)
-            state = nxt1
-        else:
-            seen[nxt0] = 1
-            word.append(0)
-            state = nxt0
-    word.extend(word[:window])  # wrap so cyclic patterns appear linearly
-    return np.asarray(word, dtype=np.uint8)
+    mask = np.uint32((1 << window) - 1)
+
+    def rotate(v, r):
+        out = v << np.uint32(r)
+        out |= v >> np.uint32(window - r)
+        out &= mask
+        return out
+
+    # a necklace is no larger than any of its rotations, so it is 1^window or starts with 0
+    necklaces = np.append(np.arange(1 << (window - 1), dtype=np.uint32), mask)
+    for r in range(1, window):
+        necklaces = necklaces[necklaces <= rotate(necklaces, r)]
+    period = np.full(necklaces.shape, window, dtype=np.uint8)
+    for p in range(window - 1, 0, -1):  # descending, so the least period is written last
+        if window % p == 0:
+            period[rotate(necklaces, p) == necklaces] = p
+    # the leading ``period`` bits of each necklace, most significant first
+    shifts = np.arange(window - 1, -1, -1, dtype=np.uint32)
+    bits = (necklaces[:, None] >> shifts).astype(np.uint8) & 1
+    least = bits[np.arange(window) < period[:, None]]
+    cycle = np.roll(least ^ 1, window)
+    return np.concatenate([cycle, cycle[: window - 1], cycle[:window]])
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,32 @@ class TestRunConfig:
         assert main(["run", str(write_config(tmp_path, config))]) == 2
         assert "config error: rank horizon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coding, horizon, windows", [
+        ({"system": "sturmian"}, 0, [4]),
+        ({"system": "sturmian"}, -5, [4]),
+        ({"system": "sturmian"}, 39, [4]),  # one symbol short of 10x the window
+        ({"system": "cantor6"}, cli.MAX_HORIZON + 1, [4]),
+        ({"kind": "periodic", "pattern": [0, 1]}, 2**40, [4]),
+        ({"kind": "full_shift", "window": 3}, None, [4]),  # 13 symbols
+        ({"kind": "full_shift", "window": 25}, None, [4]),
+        ({"system": "sturmian"}, 2000, []),
+        ({"system": "sturmian"}, 2000, [25]),
+    ])
+    def test_independence_horizon_out_of_range_rejected(self, tmp_path, capsys, monkeypatch,
+                                                        coding, horizon, windows):
+        def no_word(*args):
+            raise AssertionError("a word was built")
+
+        monkeypatch.setattr(cli, "_source_word", no_word)
+        params = {"coding": coding, "windows": windows}
+        if horizon is not None:
+            params["horizon"] = horizon
+        config = {"experiments": [{"kind": "independence", "params": params}]}
+        with pytest.raises(ConfigError):
+            run_config(config)
+        assert main(["run", str(write_config(tmp_path, config))]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     @pytest.mark.parametrize("params", [
         {"system": "sturmian", "plain_count": 50, "translations": [], "one_sided": []},
         {"system": "rotation", "plain_count": 50, "rotations": []},
@@ -306,6 +332,20 @@ class TestVerify:
         }
         for name, bad in tampered.items():
             assert not verify_certificate(bad), name
+
+    def test_horizon_above_bound_fails_before_any_word(self, monkeypatch):
+        report, _ = run_config({"experiments": [
+            {"kind": "independence",
+             "params": {"coding": {"system": "sturmian"}, "horizon": 2000, "windows": [6]}}]})
+        cert = report["results"][0]["certificates"][0]
+        assert verify_certificate(cert)
+
+        def no_word(*args):
+            raise AssertionError("a word was built")
+
+        monkeypatch.setattr(cli, "_source_word", no_word)
+        for horizon in (cli.MAX_HORIZON + 1, 2**40):
+            assert not verify_certificate(dict(cert, horizon=horizon))
 
     def test_verify_rejects_other_schema_versions(self, tmp_path, capsys):
         report, _ = run_config({"experiments": [

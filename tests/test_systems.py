@@ -3,11 +3,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tamecert._kernels as K
 from tamecert.cli import NAMED_SYSTEMS
-from tamecert.errors import DepthInsufficient
-from tamecert.exactarith import GOLDEN, SQRT2_MINUS_1, CirclePoint, orbit_point, point, zero
+from tamecert.errors import BoundaryUndecidable, DepthInsufficient
+from tamecert.exactarith import (
+    GOLDEN,
+    SQRT2_MINUS_1,
+    CirclePoint,
+    RotationNumber,
+    orbit_point,
+    point,
+    zero,
+)
 from tamecert.systems import (
     MINUS,
     PLAIN,
@@ -193,11 +203,137 @@ class TestCutProject:
             CutProjectCoding(GOLDEN, cantor_generation=6, cantor_scale=Fraction(3))
 
 
+# walk oracle: the grid walks against the exact pointwise symbols
+
+MIXED = RotationNumber((3, 1, 7), period=(2, 5))
+_ALPHAS = st.sampled_from([GOLDEN, SQRT2_MINUS_1, MIXED])
+_DENOMINATORS = st.one_of(st.integers(1, 12), st.integers(1, 2**70))
+
+
+@st.composite
+def _fractions(draw):
+    den = draw(_DENOMINATORS)
+    return Fraction(draw(st.integers(-2 * den, 2 * den)), den)
+
+
+_WINDOWS = st.tuples(st.integers(-60, 60), st.integers(0, 40))  # (n0, length); length 0 is empty
+
+
+def _base_point(draw, alpha, ends, n0, length):
+    """A point whose orbit meets one of ``ends`` inside the window, or any point."""
+    if ends and length and draw(st.booleans()):
+        return draw(st.sampled_from(ends)).translate(-draw(st.integers(n0, n0 + length - 1)))
+    return point(alpha, draw(st.integers(-40, 40)), draw(_fractions()))
+
+
+@st.composite
+def split_walk_cases(draw):
+    alpha = draw(_ALPHAS)
+    system = SplitCircleSystem(alpha, split=draw(st.sampled_from(["orbit", "rationals"])))
+    n0, length = draw(_WINDOWS)
+    base = _base_point(draw, alpha, [end.base for end in system.arc], n0, length)
+    x = draw(st.sampled_from(system.split_fiber(base)))  # both side tags on a split base
+    return system, x, n0, n0 + length - 1
+
+
+@st.composite
+def cut_project_cases(draw):
+    alpha = draw(_ALPHAS)
+    mode = draw(st.sampled_from(["cantor", "interval", "full"]))
+    if mode == "cantor":
+        generation = draw(st.integers(1, 4))
+        arcs = CutProjectCoding(alpha, cantor_generation=generation).deleted
+    else:
+        arcs = [Arc(point(alpha, draw(st.integers(-5, 5)), draw(_fractions())),
+                    draw(st.fractions(Fraction(1, 97), Fraction(96, 97), max_denominator=97)))
+                for _ in range(draw(st.integers(1, 2)))]
+        if mode == "full":
+            arcs.append(Arc(point(alpha, draw(st.integers(-5, 5))), Fraction(1)))
+    ends = [end for arc in arcs
+            for end in (arc.start, arc.start + CirclePoint(alpha, 0, arc.length))]
+    n0, length = draw(_WINDOWS)
+    base = _base_point(draw, alpha, ends, n0, length)
+    if mode == "cantor":
+        system = CutProjectCoding(alpha, cantor_generation=generation, base_point=base)
+    else:
+        system = CutProjectCoding(alpha, arcs=arcs, base_point=base)
+    return system, n0, length
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=split_walk_cases())
+def test_coding_word_matches_pointwise_symbols(case):
+    system, x, n0, n1 = case
+    assert system.coding_word(x, n0, n1) == [system.symbol(x.translate(n)) for n in range(n0, n1 + 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cut_project_cases())
+def test_cut_project_word_matches_symbol_at(case):
+    system, n0, length = case
+    word = system.word(length, n0=n0)
+    assert word.dtype == np.uint8
+    assert word.tolist() == [system.symbol_at(n) for n in range(n0, n0 + length)]
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_grid_leaves_a_plain_endpoint_hit_undecided(end):
+    # no split points: both arc ends 0 and alpha are plain; T^5 x sits on the
+    # end ``end`` and the orbit meets the other end one step before or after
+    strict = SplitCircleSystem(GOLDEN, split=(), boundary_convention=None)
+    x = strict.pt(point(GOLDEN, end - 5))
+    with pytest.raises(BoundaryUndecidable):
+        strict.coding_word(x, 5, 5)
+    with pytest.raises(BoundaryUndecidable):
+        strict.coding_word(x, -30, 30)
+    assert strict.coding_word(x, 7, 60) == [strict.symbol(x.translate(n)) for n in range(7, 61)]
+
+
+def test_walks_decide_exactly_only_at_boundary_hits(monkeypatch):
+    calls = []
+    for cls, name in ((SplitCircleSystem, "symbol"), (Arc, "covers")):
+        orig = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda *a, orig=orig, **kw: calls.append(1) or orig(*a, **kw))
+    sturmian = SplitCircleSystem(GOLDEN)
+    sturmian.word(sturmian.orbit_pt(0, PLUS), 10_000)
+    assert len(calls) == 2  # positions 0 and 1 sit on the arc ends 0 and alpha
+    CutProjectCoding(GOLDEN, cantor_generation=6).word(100_000)
+    assert len(calls) == 2  # the orbit of 1/7 meets no deleted-arc end
+
+
+def greedy_de_bruijn(window):
+    """The prefer-one de Bruijn word from 0^window, its first window symbols appended."""
+    seen = bytearray(1 << window)
+    word = [0] * window
+    state, mask = 0, (1 << window) - 1
+    seen[0] = 1
+    for _ in range((1 << window) - 1):
+        one = ((state << 1) | 1) & mask
+        state = one if not seen[one] else (state << 1) & mask
+        seen[state] = 1
+        word.append(state & 1)
+    return word + word[:window]
+
+
 class TestFullShift:
     def test_de_bruijn_complete(self):
         for L in (3, 8):
             w = full_shift_word(L)
             assert len(K.extract_factors(w, L)) == 2**L
+
+    def test_equals_greedy_word(self):
+        for L in range(1, 15):
+            assert full_shift_word(L).tolist() == greedy_de_bruijn(L), L
+
+    def test_order_twenty(self):
+        w = full_shift_word(20)
+        assert w.dtype == np.uint8 and len(w) == 2**20 + 2 * 20 - 1
+        assert len(K.extract_factors(w, 20)) == 2**20
+
+    @pytest.mark.parametrize("window", [0, 25])
+    def test_window_out_of_range(self, window):
+        with pytest.raises(ValueError):
+            full_shift_word(window)
 
 
 class TestCos:
