@@ -382,7 +382,7 @@ def run_isolation(params, seed):
             "gammas": [_point_str(g) for g in gammas]}
     return {"diagonal_all_isolated": diag.all_isolated,
             "single_circle_all_isolated": single.all_isolated,
-            "single_circle_conflicts": sum(1 for c in single.conflicts if c)}, [cert]
+            "single_circle_conflicts": sum(1 for c in single.conflicts if c is not None)}, [cert]
 
 
 def run_counterexample(params, seed):
@@ -615,7 +615,7 @@ def verify_certificate(cert: dict) -> bool:
     try:
         if kind == "independence":
             made = tameness.IndependenceCertificate.from_payload(cert)
-            if made.horizon > MAX_HORIZON:
+            if not 10 * made.window <= made.horizon <= MAX_HORIZON:
                 return False
             return made.verify(_source_word(cert["source"], made.horizon))
         if kind == "isolation":

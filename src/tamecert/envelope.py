@@ -15,7 +15,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -61,10 +61,9 @@ class CodingMetric:
     def __init__(self, system: SplitCircleSystem, horizon: int = 8):
         self.system = system
         self.horizon = horizon
-        self._words: dict[SplitPoint, list[int]] = {}
-        self._pos: dict[SplitPoint, float] = {}
+        self._words: dict[SplitPoint, np.ndarray] = {}
 
-    def word(self, x: SplitPoint) -> list[int]:
+    def word(self, x: SplitPoint) -> np.ndarray:
         w = self._words.get(x)
         if w is None:
             w = self.system.coding_word(x, -self.horizon, self.horizon)
@@ -103,41 +102,20 @@ class CodingMetric:
             out[i] = self.word(points[i])
         return out
 
-    def position(self, x: SplitPoint) -> float:
-        v = self._pos.get(x)
-        if v is None:
-            v = x.base.as_float()
-            self._pos[x] = v
-        return v
-
     def __call__(self, x: SplitPoint, y: SplitPoint) -> float:
-        wx, wy = self.word(x), self.word(y)
-        h = self.horizon
-        base = abs(self.position(x) - self.position(y))
+        base = abs(x.base.as_float() - y.base.as_float())
         best = min(base, 1.0 - base) if x.base != y.base else 0.0
-        for i, (a, b) in enumerate(zip(wx, wy)):
-            if a != b:
-                d = 2.0 ** (-abs(i - h))
-                if d > best:
-                    best = d
+        diff = np.flatnonzero(self.word(x) != self.word(y))
+        if diff.size:
+            best = max(best, 2.0 ** -int(np.abs(diff - self.horizon).min()))
         return best
 
 
 class CircleMetric:
-    """Arc-length distance on plain circle points (cached float positions)."""
-
-    def __init__(self):
-        self._pos: dict[CirclePoint, float] = {}
-
-    def position(self, x: CirclePoint) -> float:
-        v = self._pos.get(x)
-        if v is None:
-            v = x.as_float()
-            self._pos[x] = v
-        return v
+    """Arc-length distance on plain circle points."""
 
     def __call__(self, x: CirclePoint, y: CirclePoint) -> float:
-        d = abs(self.position(x) - self.position(y))
+        d = abs(x.as_float() - y.as_float())
         return min(d, 1.0 - d)
 
 
@@ -147,7 +125,6 @@ class SampleSet:
 
     points: list
     metric: Callable[[Any, Any], float]
-    label: str = ""
 
     def __post_init__(self):
         if not self.points:
@@ -155,6 +132,12 @@ class SampleSet:
 
     def __len__(self):
         return len(self.points)
+
+    @cached_property
+    def index(self) -> dict:
+        """Point -> position in ``points``, built on the first lookup and shared
+        by every element sampled on this set."""
+        return {p: i for i, p in enumerate(self.points)}
 
     def check_metric_axioms(self, trials: int = 40, seed: int = 0) -> bool:
         """Spot-check symmetry, identity and the triangle inequality."""
@@ -204,12 +187,12 @@ def split_sample(
         for x in system.split_fiber(base):
             if x not in pts:
                 pts.append(x)
-    return SampleSet(pts, CodingMetric(system, horizon), label="split_circle")
+    return SampleSet(pts, CodingMetric(system, horizon))
 
 
 def rotation_sample(system: RotationSystem, count: int = 120) -> SampleSet:
     pts = [CirclePoint(system.alpha, 0, Fraction(k, count + 1)) for k in range(count + 1)]
-    return SampleSet(pts, CircleMetric(), label="rotation")
+    return SampleSet(pts, CircleMetric())
 
 
 def cos_sample(
@@ -224,7 +207,7 @@ def cos_sample(
             pts.append(CosFiber(k, v))
     for d in regular_denoms:
         pts.append(CosRegular(CirclePoint(system.alpha, 0, Fraction(1, d))))
-    return SampleSet(pts, lambda x, y: system.metric(x, y), label="cos")
+    return SampleSet(pts, lambda x, y: system.metric(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +255,9 @@ class ApproxElement:
     tolerance: float | None
     stabilized: bool
     rule: Callable[[Any], Any] | None = None
-    _index: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self._index = {p: i for i, p in enumerate(self.sample.points)}
 
     def image_of(self, x):
-        i = self._index.get(x)
+        i = self.sample.index.get(x)
         if i is not None:
             return self.images[i]
         if self.rule is not None:
@@ -325,38 +304,24 @@ def limit_map(
     """Limit of T^{n_i} on the sample along the generator times.
 
     Exact backend whenever the generator is an approach sequence for which
-    the system has a closed-form limit rule; otherwise numeric stabilization:
-    the images of two consecutive stages must agree within the tolerance at
-    every sample point, else NotStabilized.
+    the system has a closed-form limit rule, or a single time; otherwise
+    numeric stabilization: the images of two consecutive stages must agree
+    within the tolerance at every sample point, else NotStabilized.
     """
-    if isinstance(generator, ApproachSequence):
-        rule = _exact_rule(system, generator)
-        if rule is not None:
-            return ApproxElement(
-                system=system,
-                sample=sample,
-                images=[rule(x) for x in sample.points],
-                generator=generator,
-                backend="exact",
-                tolerance=None,
-                stabilized=True,
-                rule=rule,
-            )
-        times = list(generator.times)
-    else:
-        times = list(generator)
-    if not times:
-        raise ValueError("empty generator")
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("generator times must be monotone")
-    times = times[:max_stages]
-    if len(times) == 1:
-        n = times[0]
-        images = [system.step(x, n) for x in sample.points]
-        return ApproxElement(
-            system, sample, images, generator, "exact", None, True,
-            rule=lambda x, n=n: system.step(x, n),
-        )
+    approach = isinstance(generator, ApproachSequence)
+    rule = _exact_rule(system, generator) if approach else None
+    times = list(generator.times if approach else generator)
+    if rule is None:
+        if not times:
+            raise ValueError("empty generator")
+        if any(b < a for a, b in zip(times, times[1:])):
+            raise ValueError("generator times must be monotone")
+        times = times[:max_stages]
+        if len(times) == 1:
+            rule = lambda x, n=times[0]: system.step(x, n)  # noqa: E731
+    if rule is not None:
+        images = [rule(x) for x in sample.points]
+        return ApproxElement(system, sample, images, generator, "exact", None, True, rule=rule)
     prev = [system.step(x, times[0]) for x in sample.points]
     last_delta = None
     for stage in range(1, len(times)):
@@ -658,7 +623,7 @@ def no_countable_basis_witness(excluded: Sequence, scenario: str) -> BasisWitnes
 class IsolationReport:
     eps: Fraction
     isolated: tuple[bool, ...]
-    conflicts: tuple  # per member: None or (other_index, coordinate)
+    conflicts: tuple  # per member: None or the smallest other member index in its rectangle
     all_isolated: bool
 
 
@@ -702,9 +667,8 @@ def sorgenfrey_isolation(members: Sequence, eps: Fraction = Fraction(1, 4)) -> I
             if j != i and all(any(lo <= rank[j] < hi for lo, hi in ranges)
                               for ranges, rank, _ in wins)
         ]
-        hit = (min(inside), None) if inside else None
-        isolated.append(hit is None)
-        conflicts.append(hit)
+        isolated.append(not inside)
+        conflicts.append(min(inside) if inside else None)
     return IsolationReport(eps, tuple(isolated), tuple(conflicts), all(isolated))
 
 
@@ -737,9 +701,6 @@ class RigidityReport:
     distances: dict[int, float]  # n -> sup distance over the sample
     minimum: tuple[int, float]
 
-    def floor(self) -> float:
-        return self.minimum[1]
-
 
 def rigidity_probe(system, sample: SampleSet, times: Sequence[int]) -> RigidityReport:
     """sup-distance(T^n, Id) over the sample for each probe time."""
@@ -767,7 +728,7 @@ def _split_rigidity(system, sample, times, horizon):
     sup = np.array([min(s, 1.0 - s) for s in shifts])
     at = np.asarray(times)
     for x in sample.points:
-        long = np.asarray(system.coding_word(x, -horizon, n_max + horizon))
+        long = system.coding_word(x, -horizon, n_max + horizon)
         for m in range(2 * horizon + 1):
             np.maximum(sup, (long[at + m] != long[m]) * 2.0 ** -abs(m - horizon), out=sup)
     return {n: float(d) for n, d in zip(times, sup)}

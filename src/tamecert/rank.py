@@ -83,10 +83,9 @@ def split_instance(p: ApproxElement) -> RankInstance:
 
 
 def circle_instance(p: ApproxElement) -> RankInstance:
-    metric: CircleMetric = p.sample.metric
     pts = p.sample.points
-    pos = np.array([metric.position(x) for x in pts])
-    img = np.array([metric.position(im) for im in p.images])
+    pos = np.array([x.as_float() for x in pts])
+    img = np.array([im.as_float() for im in p.images])
     cols = np.stack(
         [np.sin(2 * np.pi * img) / (2 * np.pi), np.cos(2 * np.pi * img) / (2 * np.pi)], axis=1
     )
@@ -152,7 +151,7 @@ def _group_rows(keys: np.ndarray, members: np.ndarray) -> list[np.ndarray]:
 
 def _stage(inst: RankInstance, active: np.ndarray, radius: float, eps: float):
     """Indices of the active points surviving one epsilon-derivative at the
-    given resolution, plus their oscillation values and witness pairs.
+    given resolution, plus their witness pairs.
 
     A ball is a cylinder (equal key columns) intersected with a window of
     positions, so each cylinder group is sorted once and measured by one
@@ -172,7 +171,6 @@ def _stage(inst: RankInstance, active: np.ndarray, radius: float, eps: float):
         raise ValueError(f"unknown instance kind {inst.kind!r}")
     groups = [active] if keys is None or keys.shape[1] == 0 else _group_rows(keys, active)
     survivors: list[int] = []
-    osc_map: dict[int, float] = {}
     witness: dict[int, tuple[int, int]] = {}
     for members in groups:
         if members.size < 2:
@@ -201,9 +199,8 @@ def _stage(inst: RankInstance, active: np.ndarray, radius: float, eps: float):
         for j in np.nonzero((order < members.size) & (osc >= eps))[0]:
             idx = int(points[j])
             survivors.append(idx)
-            osc_map[idx] = float(osc[j])
             witness[idx] = _window_witness(points, base, cols, j, radius)
-    return np.array(sorted(survivors), dtype=np.int64), osc_map, witness
+    return np.array(sorted(survivors), dtype=np.int64), witness
 
 
 def _window_witness(members, base, img_cols, j, radius):
@@ -230,10 +227,8 @@ class RankTrace:
     epsilon: float
     schedule: tuple[float, ...]
     stages: list[np.ndarray]  # A^0 superset A^1 superset ...
-    oscillations: list[dict[int, float]]
     witnesses: list[dict[int, tuple[int, int]]]
     beta: int | None  # least stage index with empty set; None = budget flag
-    emptied: bool
     stabilized: bool = True
 
     def stage_sizes(self) -> list[int]:
@@ -315,20 +310,17 @@ def beta_rank(
         schedule = tuple(r * scale for r in base_schedule)
         active = np.arange(len(inst.points), dtype=np.int64)
         stages = [active]
-        oscs, wits = [], []
+        wits = []
         beta = None
         for depth in range(STAGE_BUDGET):
             r = schedule[min(depth, len(schedule) - 1)]
-            active, osc_map, wit = _stage(inst, active, r, epsilon)
+            active, wit = _stage(inst, active, r, epsilon)
             stages.append(active)
-            oscs.append(osc_map)
             wits.append(wit)
             if active.size == 0:
                 beta = depth + 1
                 break
-        traces.append(
-            RankTrace(epsilon, schedule, stages, oscs, wits, beta, beta is not None)
-        )
+        traces.append(RankTrace(epsilon, schedule, stages, wits, beta))
     estimates = [t.beta for t in traces]
     stable = len(set(estimates)) == 1
     main = traces[0]

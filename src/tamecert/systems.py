@@ -244,8 +244,9 @@ class SplitCircleSystem:
     def symbol(self, x: SplitPoint) -> int:
         return 1 if self.in_arc(x) else 0
 
-    def coding_word(self, x: SplitPoint, n0: int, n1: int) -> list[int]:
-        """Symbols of x, Tx, ... over the window [n0, n1], decided exactly.
+    def coding_word(self, x: SplitPoint, n0: int, n1: int) -> np.ndarray:
+        """Symbols of x, Tx, ... over the window [n0, n1] as a uint8 array,
+        decided exactly.
 
         Interior decisions run on a certified integer grid; positions that
         come within the grid slack of an arc endpoint fall back to the exact
@@ -253,11 +254,11 @@ class SplitCircleSystem:
         """
         lo = self.arc[0]
         walk = _CircleWalk(self.alpha, x.base.a - lo.base.a, x.base.b - lo.base.b, n0, n1)
-        return walk.arc_symbols(self._arc_width, lambda n: self.symbol(x.translate(n))).tolist()
+        return walk.arc_symbols(self._arc_width, lambda n: self.symbol(x.translate(n)))
 
     def word(self, x: SplitPoint, horizon: int) -> np.ndarray:
         """Forward coding word of length ``horizon`` as a uint8 array."""
-        return np.asarray(self.coding_word(x, 0, horizon - 1), dtype=np.uint8)
+        return self.coding_word(x, 0, horizon - 1)
 
     def describe(self) -> dict:
         """The spec ``load_system`` rebuilds this system from; ValueError when no
@@ -707,9 +708,8 @@ def asymptotic_defect(system, x, y, window: tuple[int, int]) -> set[int]:
     if isinstance(system, SplitCircleSystem):
         if x.base.compare(y.base) != 0:
             raise ValueError("points lie over different base points")
-        wx = system.coding_word(x, n0, n1)
-        wy = system.coding_word(y, n0, n1)
-        return {n0 + i for i, (a, b) in enumerate(zip(wx, wy)) if a != b}
+        diff = system.coding_word(x, n0, n1) != system.coding_word(y, n0, n1)
+        return set((np.flatnonzero(diff) + n0).tolist())
     if isinstance(system, CosSystem):
         bx, by = system.base(x), system.base(y)
         if bx.compare(by) != 0:

@@ -171,7 +171,7 @@ def test_criterion_07_cos_fiber():
     sampled pairs; decomposition round-trips."""
     cs = CosSystem(GOLDEN, horizon=6)
     pts = [CosFiber(k, v) for k in range(-2, 3) for v in (2.0, -1.0, 0.0, 1.0)]
-    sample = envelope.SampleSet(pts, lambda x, y: cs.metric(x, y), label="cos")
+    sample = envelope.SampleSet(pts, lambda x, y: cs.metric(x, y))
     x0 = cs.generator_point()
 
     upper = one_sided_approach(zero(GOLDEN), "below", 25)

@@ -347,6 +347,24 @@ class TestVerify:
         for horizon in (cli.MAX_HORIZON + 1, 2**40):
             assert not verify_certificate(dict(cert, horizon=horizon))
 
+    def test_horizon_below_ten_windows_fails_before_any_word(self, monkeypatch):
+        report, _ = run_config({"experiments": [
+            {"kind": "independence",
+             "params": {"coding": {"system": "sturmian"}, "horizon": 2000, "windows": [6]}}]})
+        cert = report["results"][0]["certificates"][0]
+        assert cert["window"] == 6
+        # run's range is 10 x window .. MAX_HORIZON; inside it a longer word
+        # shows the same factors, so an upward tamper still verifies
+        for horizon in (60, 2000, 5000):
+            assert verify_certificate(dict(cert, horizon=horizon)), horizon
+
+        def no_word(*args):
+            raise AssertionError("a word was built")
+
+        monkeypatch.setattr(cli, "_source_word", no_word)
+        for horizon in (20, 30, 40, 59):
+            assert not verify_certificate(dict(cert, horizon=horizon)), horizon
+
     def test_verify_rejects_other_schema_versions(self, tmp_path, capsys):
         report, _ = run_config({"experiments": [
             {"kind": "independence",

@@ -61,6 +61,20 @@ class TestSampleSet:
         assert d == 1.0  # symbols differ at coordinate 0
 
 
+class TestSampleIndex:
+    def test_built_on_first_lookup_and_shared(self, sturmian):
+        s = split_sample(sturmian, plain_count=20, split_range=3)
+        p = limit_map(sturmian, [3], s)
+        q = limit_map(sturmian, one_sided_approach(zero(GOLDEN), "below", 10), s)
+        assert "index" not in s.__dict__  # building elements reads no index
+        x = s.points[5]
+        assert p.image_of(x) == p.images[5]
+        built = s.__dict__["index"]
+        assert q.image_of(x) == q.images[5]
+        assert s.__dict__["index"] is built and s.index is built
+        assert built == {y: i for i, y in enumerate(s.points)}
+
+
 class TestLimitMap:
     def test_sturmian_below_gives_minus_element(self, sturmian, sample):
         ap = one_sided_approach(zero(GOLDEN), "below", 10)
@@ -408,7 +422,8 @@ class TestSorgenfrey:
         rep = sorgenfrey_isolation(members, eps=Fraction(1, 4))
         assert not rep.all_isolated
         assert not any(rep.isolated)
-        j, _ = rep.conflicts[0]
+        j = rep.conflicts[0]
+        assert j == 1  # the smallest other index inside [g0, g0 + 1/4)
         g0 = members[0][0][0]
         gj = members[j][0][0]
         assert (gj - g0).compare(CirclePoint(GOLDEN, 0, Fraction(1, 4))) < 0
@@ -425,7 +440,7 @@ def isolation_oracle(members, eps):
                 ((gj - gi) if si == PLUS else (gi - gj)).compare(CirclePoint(gi.alpha, 0, eps)) < 0
                 for (gi, si), (gj, _sj) in zip(mi, mj)
             ):
-                hit = (j, None)
+                hit = j
                 break
         isolated.append(hit is None)
         conflicts.append(hit)
@@ -511,6 +526,36 @@ def test_cell_words_match_per_point_walks(case):
         assert str(got.value) == str(exc)  # the message names the offending point
         return
     assert (batch_words(system, horizon, pts) == want).all()
+
+
+def metric_oracle(system, horizon, x, y):
+    """CodingMetric coordinate by coordinate: the larger of the base arc
+    distance (0 on equal bases) and 2^-|i-h| at the differing coordinate
+    nearest the centre."""
+    d = abs(x.base.as_float() - y.base.as_float())
+    best = min(d, 1.0 - d) if x.base != y.base else 0.0
+    offsets = [abs(n) for n in range(-horizon, horizon + 1)
+               if system.symbol(x.translate(n)) != system.symbol(y.translate(n))]
+    return max(best, 2.0 ** -min(offsets)) if offsets else best
+
+
+_METRIC_SYSTEM = SplitCircleSystem(GOLDEN)
+_METRIC_POINTS = split_sample(_METRIC_SYSTEM, plain_count=12, split_range=3).points
+_SPLIT_PAIRS = [(_METRIC_SYSTEM.orbit_pt(n, MINUS), _METRIC_SYSTEM.orbit_pt(n, PLUS))
+                for n in range(-3, 4)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pair=st.one_of(st.tuples(st.sampled_from(_METRIC_POINTS), st.sampled_from(_METRIC_POINTS)),
+                   st.sampled_from(_SPLIT_PAIRS)),
+    horizon=st.integers(0, 8),
+)
+def test_coding_metric_matches_per_coordinate_formula(pair, horizon):
+    x, y = pair
+    metric = CodingMetric(_METRIC_SYSTEM, horizon)
+    want = metric_oracle(_METRIC_SYSTEM, horizon, x, y)
+    assert metric(x, y) == want == metric(y, x)
 
 
 class TestCodingMetricWords:
