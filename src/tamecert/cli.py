@@ -248,6 +248,9 @@ def run_rank(params, seed):
     rows, certs = [], []
     sys_ = None if sys_name == "boundary-f2" else resolve_system(sys_name)
     if isinstance(sys_, systems.SplitCircleSystem):
+        if sys_.split != "orbit":
+            # translations move a split point off any other split set
+            raise ConfigError("rank experiment needs a split set that is the orbit of 0")
         horizon = int(params.get("horizon", 12))
         if horizon < 1:
             raise ConfigError("rank horizon must be at least 1")

@@ -21,7 +21,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import NotInIdeal, NotStabilized, SampleMismatch
-from .exactarith import ApproachSequence, CirclePoint, one_sided_approach, orbit_point
+from .exactarith import ApproachSequence, CirclePoint, PointArray, one_sided_approach, orbit_point
 from .order import fresh_dyadic
 from .systems import (
     MINUS,
@@ -32,6 +32,7 @@ from .systems import (
     CosRegular,
     CosSystem,
     RotationSystem,
+    SplitArray,
     SplitCircleSystem,
     SplitPoint,
 )
@@ -42,10 +43,13 @@ from .systems import (
 
 
 # Float distance to a cut below which CodingMetric.words takes the exact walk.
-# CirclePoint.as_float rounds the midpoint of a certified enclosure of width
-# 1e-22, so it is within 1e-22/2 plus half an ulp (2^-54 on [0, 1)) of the true
-# value; point and cut errors together stay below 1.2e-16, far under the margin,
-# so a point beyond it lies strictly inside the cell its float places it in.
+# Point positions are CirclePoint.as_float values: point arrays compute them
+# by a certified screen whose results are bitwise equal to as_float, and cuts
+# call as_float directly.  as_float rounds the midpoint of a certified
+# enclosure of width 1e-22, so it is within 1e-22/2 plus half an ulp (2^-54 on
+# [0, 1)) of the true value; point and cut errors together stay below
+# 1.2e-16, far under the margin, so a point beyond it lies strictly inside
+# the cell its float places it in.
 _CUT_MARGIN = 1e-12
 
 
@@ -121,9 +125,12 @@ class CircleMetric:
 
 @dataclass
 class SampleSet:
-    """A finite stand-in for the phase space: points plus a metric."""
+    """A finite stand-in for the phase space: points plus a metric.
 
-    points: list
+    ``points`` is a list, or a point array (PointArray, SplitArray) whose
+    objects are built only when read."""
+
+    points: Sequence
     metric: Callable[[Any, Any], float]
 
     def __post_init__(self):
@@ -166,33 +173,41 @@ def split_sample(
     horizon: int = 8,
     extra_bases: Sequence[CirclePoint] = (),
 ) -> SampleSet:
-    """Plain rationals k/denominator plus split pairs over the orbit window.
+    """Plain rationals k/denominator plus split pairs over the orbit window,
+    as a SplitArray.
 
     ``extra_bases`` admits designated base points (e.g. preimages of split
     points under a one-sided limit under study, so its side tag shows up on
-    the sample images).
+    the sample images).  Should one lie outside the point-array range, the
+    sample is a list of points.
     """
-    pts: list[SplitPoint] = []
-    denom = plain_count + 1
-    for k in range(1, denom):
-        base = CirclePoint(system.alpha, 0, Fraction(k, denom))
-        if not system.splits(base):
-            pts.append(SplitPoint(base, PLAIN))
-    for n in range(-split_range, split_range + 1):
-        y = orbit_point(system.alpha, n)
-        if system.splits(y):
-            pts.append(SplitPoint(y, MINUS))
-            pts.append(SplitPoint(y, PLUS))
-    for base in extra_bases:
-        for x in system.split_fiber(base):
-            if x not in pts:
-                pts.append(x)
+    k = np.arange(1, plain_count + 1, dtype=np.int64)
+    plain = _grid(system, 0 * k, k, 0 * k + (plain_count + 1))
+    n = np.arange(-split_range, split_range + 1, dtype=np.int64)
+    orbit = _grid(system, n, 0 * n, 0 * n + 1)
+    plain = plain.take(np.flatnonzero(~system.split_mask(plain)))
+    orbit = orbit.take(np.repeat(np.flatnonzero(system.split_mask(orbit)), 2))
+    sides = np.concatenate([np.full(len(plain), PLAIN), np.tile([MINUS, PLUS], len(orbit) // 2)])
+    pts = SplitArray(PointArray.concat([plain, orbit]), sides)
+    extra = [x for base in extra_bases for x in system.split_fiber(base) if not pts.contains(x)]
+    if extra:
+        extra = list(dict.fromkeys(extra))
+        more = SplitArray.of(system.alpha, extra)
+        pts = list(pts) + extra if more is None else SplitArray.concat([pts, more])
     return SampleSet(pts, CodingMetric(system, horizon))
 
 
 def rotation_sample(system: RotationSystem, count: int = 120) -> SampleSet:
-    pts = [CirclePoint(system.alpha, 0, Fraction(k, count + 1)) for k in range(count + 1)]
-    return SampleSet(pts, CircleMetric())
+    """The rationals k/(count+1), k = 0..count, as a PointArray."""
+    k = np.arange(count + 1, dtype=np.int64)
+    return SampleSet(_grid(system, 0 * k, k, 0 * k + (count + 1)), CircleMetric())
+
+
+def _grid(system, a, num, den) -> PointArray:
+    pts = PointArray.build(system.alpha, a, num, den)
+    if pts is None:
+        raise ValueError("sample grid outside the point-array range")
+    return pts
 
 
 def cos_sample(
@@ -243,13 +258,15 @@ class CosElement:
 class ApproxElement:
     """A sampled enveloping-semigroup element with provenance.
 
-    ``images[i]`` is the image of ``sample.points[i]``.  Exact-backend
-    elements also carry ``rule``, a closed-form image map usable off-sample.
+    ``images[i]`` is the image of ``sample.points[i]``; the images of a
+    closed-form rule on a point-array sample form a point array too.
+    Exact-backend elements also carry ``rule``, a closed-form image map
+    usable off-sample.
     """
 
     system: Any
     sample: SampleSet
-    images: list
+    images: Sequence
     generator: Any  # ApproachSequence | tuple of times
     backend: str  # 'exact' | 'numeric'
     tolerance: float | None
@@ -270,24 +287,48 @@ class ApproxElement:
         return tuple(self.generator)
 
 
-def _one_sided_rule(system: SplitCircleSystem, gamma: CirclePoint, tag: int):
-    """The split-circle one-sided limit x -> x.base + gamma, carrying ``tag``
-    (MINUS or PLUS) wherever the image base splits."""
+@dataclass(frozen=True)
+class _Shift:
+    """The closed-form image x -> x + gamma of a circle element.  On a split
+    circle the image keeps the side of x (``tag`` None: the translation by an
+    orbit point) or carries ``tag`` wherever its base splits (a one-sided
+    limit)."""
 
-    def rule(x: SplitPoint) -> SplitPoint:
-        nb = x.base + gamma
-        return SplitPoint(nb, tag if system.splits(nb) else PLAIN)
+    system: Any
+    gamma: CirclePoint
+    tag: int | None = None
 
-    return rule
+    def __call__(self, x):
+        if not isinstance(x, SplitPoint):
+            return x + self.gamma
+        nb = x.base + self.gamma
+        if self.tag is None:
+            return SplitPoint(nb, x.side)
+        return SplitPoint(nb, self.tag if self.system.splits(nb) else PLAIN)
+
+    def images(self, points: Sequence) -> Sequence:
+        """The images of ``points``: an array for a point array whose images
+        stay in the array range, else a list built point by point."""
+        if isinstance(points, PointArray):
+            out = points.shift(self.gamma)
+        elif isinstance(points, SplitArray):
+            out = points.base.shift(self.gamma)
+            if out is not None:
+                side = points.side if self.tag is None else np.where(
+                    self.system.split_mask(out), self.tag, PLAIN)
+                out = SplitArray(out, side)
+        else:
+            out = None
+        return [self(x) for x in points] if out is None else out
 
 
 def _exact_rule(system, approach: ApproachSequence):
     """Closed-form limit rule for the generator, when the system has one."""
     gamma, side = approach.target, approach.side
     if isinstance(system, SplitCircleSystem):
-        return _one_sided_rule(system, gamma, MINUS if side == "below" else PLUS)
+        return _Shift(system, gamma, MINUS if side == "below" else PLUS)
     if isinstance(system, RotationSystem):
-        return lambda x: x + gamma
+        return _Shift(system, gamma)
     if isinstance(system, CosSystem) and side == "below":
         # approach through [1/2, 1): the sampled values 2*{h} converge to 2
         return lambda x: CosElement(2.0, gamma).apply(system, x)
@@ -317,10 +358,16 @@ def limit_map(
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("generator times must be monotone")
         times = times[:max_stages]
-        if len(times) == 1:
+        if len(times) == 1 and isinstance(system, (SplitCircleSystem, RotationSystem)):
+            rule = _Shift(system, orbit_point(system.alpha, times[0]))
+        elif len(times) == 1:
             rule = lambda x, n=times[0]: system.step(x, n)  # noqa: E731
     if rule is not None:
-        images = [rule(x) for x in sample.points]
+        images = rule.images(sample.points) if isinstance(rule, _Shift) else [
+            rule(x) for x in sample.points]
+        if isinstance(system, SplitCircleSystem) and not _tags_split(system, images):
+            raise ValueError("an exact split image carries a side tag off the split set "
+                             "(or none on it): the split set is not invariant")
         return ApproxElement(system, sample, images, generator, "exact", None, True, rule=rule)
     prev = [system.step(x, times[0]) for x in sample.points]
     last_delta = None
@@ -337,6 +384,13 @@ def limit_map(
         stages=len(times),
         last_delta=last_delta,
     )
+
+
+def _tags_split(system: SplitCircleSystem, points: Sequence[SplitPoint]) -> bool:
+    """Whether every point carries a side tag exactly when its base splits."""
+    if isinstance(points, SplitArray):
+        return bool(np.array_equal(points.side != PLAIN, system.split_mask(points.base)))
+    return all((x.side != PLAIN) == system.splits(x.base) for x in points)
 
 
 def cos_target_times(
@@ -456,7 +510,7 @@ class IdealDecomposition:
 
     def recompose(self, system, sample: SampleSet) -> list:
         if isinstance(system, SplitCircleSystem):
-            rule = _one_sided_rule(system, self.gamma, MINUS if self.epsilon == "minus" else PLUS)
+            rule = _Shift(system, self.gamma, MINUS if self.epsilon == "minus" else PLUS)
             return [rule(x) for x in sample.points]
         if isinstance(system, CosSystem):
             el = CosElement(float(self.epsilon), self.gamma)

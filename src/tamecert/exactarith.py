@@ -10,12 +10,17 @@ guards against inconsistent inputs.
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 from bisect import bisect_left
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .errors import QuotientsExhausted, RefinementLimit
 
@@ -258,6 +263,15 @@ class CirclePoint:
         n = _floor_linear(self.alpha, self.a, b)
         object.__setattr__(self, "b", b - n)
 
+    @classmethod
+    def _reduced(cls, alpha: RotationNumber, a: int, b: Fraction) -> "CirclePoint":
+        """The point whose ``b`` is already reduced: no floor is taken."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "alpha", alpha)
+        object.__setattr__(p, "a", a)
+        object.__setattr__(p, "b", b)
+        return p
+
     # -- group structure ----------------------------------------------------
 
     def __add__(self, other: "CirclePoint") -> "CirclePoint":
@@ -393,6 +407,197 @@ def compare(x: CirclePoint, y: CirclePoint) -> str:
     """Ordering of two points as 'less' | 'equal' | 'greater'."""
     c = x.compare(y)
     return "less" if c < 0 else ("greater" if c > 0 else "equal")
+
+
+# ---------------------------------------------------------------------------
+# point arrays: many points of the subgroup as int64 columns
+# ---------------------------------------------------------------------------
+
+# The array range: |a| <= 2^40 and 1 <= den < 2^53, so a, num and den are
+# exact float64 values and every sum built from them stays inside int64.
+ARRAY_A_MAX = 1 << 40
+ARRAY_DEN_MAX = 1 << 53
+
+
+def _two_sum(x, y):
+    """(s, e) with s = fl(x + y) and s + e = x + y exactly (Knuth)."""
+    s = x + y
+    v = s - x
+    return s, (x - (s - v)) + (y - v)
+
+
+def _halves(x):
+    """x = hi + lo, each with at most 26 significant bits (Veltkamp)."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_prod(x, y):
+    """(p, e) with p = fl(x * y) and p + e = x * y exactly (Dekker)."""
+    p = x * y
+    xh, xl = _halves(x)
+    yh, yl = _halves(y)
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def _exact_rows(alpha: RotationNumber, a: list, num: list, den: list) -> tuple[list, list]:
+    """floor(a*alpha + num/den) and the ``as_float`` position of each row,
+    point by point: what the float screen cannot certify."""
+    floors, positions = [], []
+    for ai, ni, di in zip(a, num, den):
+        b = Fraction(ni, di)
+        p = CirclePoint(alpha, ai, b)
+        floors.append(int(b - p.b))
+        positions.append(p.as_float())
+    return floors, positions
+
+
+def _floor_screen(alpha: RotationNumber, a, num, den) -> tuple[np.ndarray, np.ndarray]:
+    """floor(a*alpha + num/den) (int64) and the position of every row in the
+    array range, bitwise equal to ``CirclePoint.as_float``.
+
+    A double-double evaluation (alpha to 2^-120, num/den by one remainder
+    step, every product and sum exact but the last few) is within
+    E = (|a|+1) 2^-102 of the value, and ``as_float`` rounds a midpoint within
+    1e-22/2 of the value.  When the evaluation f + h + l (f an integer) has
+    0 < h < 1 and lies more than the margin (|a|+1) 2^-100 + 2^-72, over twice
+    E + 1e-22/2, inside the rounding cell of h, both the value and that
+    midpoint lie in the cell, which is inside (0, 1): the floor is f and the
+    position h.  Every other row with a != 0 is decided exactly.  A row with
+    a == 0 is num/den: floor 0, position one correctly rounded division.
+    """
+    A, R, D = (np.asarray(c, dtype=np.float64) for c in (a, num, den))
+    q1 = R / D
+    s, se = _two_prod(q1, D)
+    q2 = ((R - s) - se) / D  # R - q1*D is exact, so q1 + q2 is num/den to 2^-107
+    try:
+        c = alpha.convergent(alpha.level_for(Fraction(1, 1 << 120)))
+        ah = float(c)
+        al = float(c - Fraction(ah))
+    except QuotientsExhausted:  # a finite quotient supply: decide every row exactly
+        ah = al = math.nan
+    p, pe = _two_prod(A, ah)
+    s1, e1 = _two_sum(p, q1)
+    f = np.floor(s1)
+    u, ue = _two_sum(s1, -f)  # inexact for s1 < 0, e.g. -0.3 + 1
+    h, l = _two_sum(u, (((pe + A * al) + q2) + e1) + ue)
+    margin = (np.abs(A) + 1.0) * 2.0**-100 + 2.0**-72
+    up, down = np.nextafter(h, 2.0) - h, h - np.nextafter(h, -1.0)
+    sure = (h > 0) & (h < 1) & (l + margin < up / 2) & (l - margin > -down / 2)
+    rational = A == 0
+    floor = np.where(sure, f, 0.0).astype(np.int64)  # rows neither sure nor rational are redone
+    positions = np.where(rational, q1, h)
+    rows = np.flatnonzero(~(sure | rational))
+    if rows.size:
+        floor[rows], positions[rows] = _exact_rows(
+            alpha, *(np.asarray(c)[rows].tolist() for c in (a, num, den))
+        )
+    return floor, positions
+
+
+class PointSequence(abc.Sequence):
+    """A sequence of points held as arrays, with float ``positions``, whose
+    objects are built only when read: one point per integer index, or all of
+    them once, as ``objects``, for iteration, slices, search and comparison."""
+
+    __hash__ = None
+
+    def __getitem__(self, i):
+        if isinstance(i, slice) or "objects" in self.__dict__:
+            return self.objects[i]
+        return self.point(i)
+
+    def __iter__(self):
+        return iter(self.objects)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, tuple, PointSequence)):
+            return self.objects == list(other)
+        return NotImplemented
+
+    def index(self, x) -> int:
+        return self.objects.index(x)
+
+
+class PointArray(PointSequence):
+    """Points a*alpha + b of the subgroup as int64 columns ``a``, ``num``, ``den``.
+
+    num/den is b mod 1 in canonical form (0 <= num < den, gcd 1).  One
+    batched floor gives ``floor`` = floor(a*alpha + num/den), so the reduced
+    b of a point is num/den - floor, and ``positions``, its value as
+    ``CirclePoint.as_float`` gives it (bitwise).
+    """
+
+    def __init__(self, alpha: RotationNumber, a, num, den, floor=None, positions=None):
+        self.alpha, self.a, self.num, self.den = alpha, a, num, den
+        if floor is None:
+            floor, positions = _floor_screen(alpha, a, num, den)
+        self.floor, self.positions = floor, positions
+
+    @classmethod
+    def build(cls, alpha: RotationNumber, a, num, den) -> "PointArray | None":
+        """The points a_i*alpha + num_i/den_i (den_i > 0); None when a value
+        is outside the array range, where points stay objects."""
+        try:
+            a, num, den = (np.asarray(c, dtype=np.int64) for c in (a, num, den))
+        except OverflowError:
+            return None
+        if a.size and not (-ARRAY_A_MAX <= a.min() and a.max() <= ARRAY_A_MAX
+                           and 1 <= den.min() and den.max() < ARRAY_DEN_MAX):
+            return None
+        g = np.gcd(num, den)
+        den = den // g
+        return cls(alpha, a, num // g % den, den)
+
+    @classmethod
+    def of(cls, alpha: RotationNumber, points) -> "PointArray | None":
+        """The array of the CirclePoints ``points``, or None (see ``build``)."""
+        bs = [p.b for p in points]
+        return cls.build(alpha, [p.a for p in points],
+                         [b.numerator % b.denominator for b in bs], [b.denominator for b in bs])
+
+    def shift(self, g: CirclePoint) -> "PointArray | None":
+        """Every point plus ``g``, or None when a sum leaves the array range."""
+        if g.alpha != self.alpha:
+            raise ValueError("points use different rotation numbers")
+        gd = g.b.denominator
+        if abs(g.a) > ARRAY_A_MAX or any(
+            math.lcm(d, gd) >= ARRAY_DEN_MAX for d in set(self.den.tolist())
+        ):
+            return None
+        lcm = np.lcm(self.den, gd)
+        num = self.num * (lcm // self.den) + (g.b.numerator % gd) * (lcm // gd)
+        return PointArray.build(self.alpha, self.a + g.a, num, lcm)
+
+    def take(self, rows) -> "PointArray":
+        return PointArray(self.alpha, *(c[rows] for c in self._columns()))
+
+    @staticmethod
+    def concat(parts: Sequence["PointArray"]) -> "PointArray":
+        cols = zip(*(p._columns() for p in parts))
+        return PointArray(parts[0].alpha, *(np.concatenate(c) for c in cols))
+
+    def _columns(self):
+        return self.a, self.num, self.den, self.floor, self.positions
+
+    def matches(self, p: CirclePoint) -> np.ndarray:
+        """Boolean mask of the rows equal to ``p``."""
+        d = p.b.denominator
+        return (self.a == p.a) & (self.num == p.b.numerator % d) & (self.den == d)
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def point(self, i) -> CirclePoint:
+        a, n, d, f = (int(c[i]) for c in (self.a, self.num, self.den, self.floor))
+        return CirclePoint._reduced(self.alpha, a, Fraction(n - f * d, d))
+
+    @cached_property
+    def objects(self) -> list[CirclePoint]:
+        new, alpha = CirclePoint._reduced, self.alpha
+        cols = (c.tolist() for c in (self.a, self.num, self.den, self.floor))
+        return [new(alpha, a, Fraction(n - f * d, d)) for a, n, d, f in zip(*cols)]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import numpy as np
 from . import _kernels as K
 from .errors import NotStabilizedAcrossResolutions
 from .envelope import ApproxElement, CircleMetric, CodingMetric
+from .exactarith import PointSequence
 from .systems import RotationSystem, SplitCircleSystem
 
 
@@ -47,7 +48,7 @@ class RankInstance:
     """
 
     kind: str
-    points: list
+    points: Sequence
     words: np.ndarray | None  # (n, W) point words (split/prefix kinds; uint8 for split)
     img_words: np.ndarray  # (n, W) image descriptor columns, weighted by `weights`
     weights: np.ndarray  # (W,)
@@ -70,22 +71,28 @@ class RankInstance:
         return min(gaps)
 
 
+def _positions(points) -> np.ndarray:
+    """Circle positions (split points: of their bases), read off a point
+    array or, for a list, computed point by point."""
+    if isinstance(points, PointSequence):
+        return points.positions
+    return np.array([getattr(x, "base", x).as_float() for x in points])
+
+
 def split_instance(p: ApproxElement) -> RankInstance:
     metric: CodingMetric = p.sample.metric
-    pts = p.sample.points
+    pts, imgs = p.sample.points, p.images
     h = metric.horizon
-    pos = np.array([x.base.as_float() for x in pts])
-    img_pos = np.array([im.base.as_float() for im in p.images])
+    pos, img_pos = _positions(pts), _positions(imgs)
     words = metric.words(pts, pos)
-    img_words = metric.words(p.images, img_pos)
+    img_words = metric.words(imgs, img_pos)
     weights = 2.0 ** -np.abs(np.arange(-h, h + 1, dtype=np.float64))
     return RankInstance("split", pts, words, img_words, weights, pos, img_pos)
 
 
 def circle_instance(p: ApproxElement) -> RankInstance:
     pts = p.sample.points
-    pos = np.array([x.as_float() for x in pts])
-    img = np.array([im.as_float() for im in p.images])
+    pos, img = _positions(pts), _positions(p.images)
     cols = np.stack(
         [np.sin(2 * np.pi * img) / (2 * np.pi), np.cos(2 * np.pi * img) / (2 * np.pi)], axis=1
     )

@@ -18,12 +18,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BoundaryUndecidable, DepthInsufficient
-from .exactarith import GOLDEN, CirclePoint, RotationNumber, orbit_point, point, zero
+from .exactarith import (
+    GOLDEN,
+    CirclePoint,
+    PointArray,
+    PointSequence,
+    RotationNumber,
+    orbit_point,
+    point,
+    zero,
+)
 
 MINUS, PLAIN, PLUS = -1, 0, 1
 SIDE_NAMES = {MINUS: "minus", PLAIN: "plain", PLUS: "plus"}
@@ -46,6 +56,42 @@ class SplitPoint:
 
     def __repr__(self):
         return f"SplitPoint({self.base!r}, {SIDE_NAMES[self.side]})"
+
+
+class SplitArray(PointSequence):
+    """Split points as a PointArray of bases and an int8 column of side tags."""
+
+    def __init__(self, base: PointArray, side):
+        self.base = base
+        self.side = np.asarray(side, dtype=np.int8)
+
+    @classmethod
+    def of(cls, alpha: RotationNumber, points: Sequence[SplitPoint]) -> "SplitArray | None":
+        """The array of ``points``, or None when a base is outside the array range."""
+        base = PointArray.of(alpha, [x.base for x in points])
+        return None if base is None else cls(base, [x.side for x in points])
+
+    @staticmethod
+    def concat(parts: Sequence["SplitArray"]) -> "SplitArray":
+        return SplitArray(PointArray.concat([p.base for p in parts]),
+                          np.concatenate([p.side for p in parts]))
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self.base.positions
+
+    def contains(self, x: SplitPoint) -> bool:
+        return bool((self.base.matches(x.base) & (self.side == x.side)).any())
+
+    def __len__(self) -> int:
+        return len(self.side)
+
+    def point(self, i) -> SplitPoint:
+        return SplitPoint(self.base.point(i), int(self.side[i]))
+
+    @cached_property
+    def objects(self) -> list[SplitPoint]:
+        return [SplitPoint(b, s) for b, s in zip(self.base.objects, self.side.tolist())]
 
 
 def split_order_key(x: SplitPoint, ref: CirclePoint):
@@ -192,6 +238,17 @@ class SplitCircleSystem:
         if self.split == "rationals":
             return y.is_rational
         return any(y.compare(e) == 0 for e in self._explicit)
+
+    def split_mask(self, points: PointArray) -> np.ndarray:
+        """``splits`` of every point of the array, as a boolean mask."""
+        if self.split == "orbit":
+            return points.den == 1
+        if self.split == "rationals":
+            return points.a == 0
+        mask = np.zeros(len(points), dtype=bool)
+        for e in self._explicit:
+            mask |= points.matches(e)
+        return mask
 
     def split_fiber(self, y: CirclePoint) -> list[SplitPoint]:
         """The preimage of y under the projection back to the circle."""

@@ -180,6 +180,19 @@ class TestRunConfig:
         assert main(["run", str(write_config(tmp_path, config))]) == 2
         assert "config error: limit experiment" in capsys.readouterr().err
 
+    def test_rank_on_rationals_split_rejected(self, tmp_path, capsys, monkeypatch):
+        # the sample would keep only 0- and 0+ (every plain k/(n+1) splits), and
+        # the translations would tag unsplit bases: reject before any sample
+        def no_sample(*args, **kwargs):
+            raise AssertionError("a sample was built")
+
+        monkeypatch.setattr(envelope, "split_sample", no_sample)
+        config = {"experiments": [{"kind": "rank", "params": {"system": "rationals-split"}}]}
+        with pytest.raises(ConfigError, match="orbit of 0"):
+            run_config(config)
+        assert main(["run", str(write_config(tmp_path, config))]) == 2
+        assert "config error: rank experiment" in capsys.readouterr().err
+
     @pytest.mark.parametrize("system", ["cos", "semicocycle", "cantor6"])
     def test_rigidity_on_unsupported_system_rejected(self, tmp_path, capsys, system):
         config = {"experiments": [{"kind": "rigidity", "params": {"system": system}}]}

@@ -16,6 +16,7 @@ from tamecert.systems import (
     CosFiber,
     CosSystem,
     RotationSystem,
+    SplitArray,
     SplitCircleSystem,
     SplitPoint,
 )
@@ -73,6 +74,45 @@ class TestSampleIndex:
         assert q.image_of(x) == q.images[5]
         assert s.__dict__["index"] is built and s.index is built
         assert built == {y: i for i, y in enumerate(s.points)}
+
+
+class TestPointArraySamples:
+    def test_extra_bases_join_once(self, sturmian):
+        extra = [orbit_point(GOLDEN, 2), point(GOLDEN, 0, Fraction(1, 5)),  # already sampled
+                 point(GOLDEN, 1, Fraction(1, 3)), point(GOLDEN, 1, Fraction(1, 3)),
+                 orbit_point(GOLDEN, 9)]
+        s = split_sample(sturmian, plain_count=4, split_range=3, extra_bases=extra)
+        assert isinstance(s.points, SplitArray)
+        want = [SplitPoint(point(GOLDEN, 0, Fraction(k, 5)), PLAIN) for k in range(1, 5)]
+        for n in range(-3, 4):
+            want += [sturmian.orbit_pt(n, MINUS), sturmian.orbit_pt(n, PLUS)]
+        want += [SplitPoint(point(GOLDEN, 1, Fraction(1, 3)), PLAIN),
+                 sturmian.orbit_pt(9, MINUS), sturmian.orbit_pt(9, PLUS)]
+        assert s.points == want
+
+    def test_points_outside_the_array_range_stay_objects(self, sturmian):
+        far = point(GOLDEN, 0, Fraction(1, 2**60 + 1))
+        s = split_sample(sturmian, plain_count=6, split_range=2, extra_bases=[far])
+        assert isinstance(s.points, list) and s.points[-1] == SplitPoint(far, PLAIN)
+        arrays = split_sample(sturmian, plain_count=6, split_range=2)
+        gamma = point(GOLDEN, 1, Fraction(1, 2**53 + 1))  # every lcm leaves the range
+        for sample in (s, arrays):
+            p = limit_map(sturmian, one_sided_approach(gamma, "below", 6), sample)
+            assert isinstance(p.images, list)
+            assert p.images == [SplitPoint(x.base + gamma, PLAIN) for x in sample.points]
+
+    def test_exact_split_images_tag_exactly_the_split_bases(self, sturmian, sample):
+        for gen in ([3], one_sided_approach(point(GOLDEN, 2, Fraction(1, 3)), "above", 8)):
+            images = limit_map(sturmian, gen, sample).images
+            assert all((im.side != PLAIN) == sturmian.splits(im.base) for im in images)
+        # a translation moves the split rationals off their split set: 0 +- alpha
+        # would keep side tags over an unsplit base
+        q0 = SplitCircleSystem(GOLDEN, split="rationals")
+        degenerate = split_sample(q0, plain_count=4, split_range=2)
+        assert degenerate.points == q0.split_fiber(point(GOLDEN, 0))
+        for pts in (degenerate, SampleSet(list(degenerate.points), degenerate.metric)):
+            with pytest.raises(ValueError, match="split set is not invariant"):
+                limit_map(q0, [1], pts)
 
 
 class TestLimitMap:

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from decimal import ROUND_FLOOR, Decimal, localcontext
@@ -7,10 +8,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from tamecert import exactarith
 from tamecert.exactarith import (
+    ARRAY_A_MAX,
+    ARRAY_DEN_MAX,
     GOLDEN,
     SQRT2_MINUS_1,
     CirclePoint,
+    PointArray,
     RotationNumber,
     _floor_linear,
     compare,
@@ -381,3 +388,106 @@ def test_as_float_is_midpoint_of_bounds(cf, a, n, d):
     p = CirclePoint(RotationNumber(*cf), a, Fraction(n, d))
     lo, hi = p.bounds(Fraction(1, 10**22))
     assert p.as_float().hex() == float((lo + hi) / 2).hex()
+
+
+# ---------------------------------------------------------------------------
+# point arrays against the per-point CirclePoint path
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def array_row(draw, alpha):
+    """(a, num, den) of a point a*alpha + num/den, from one of six families."""
+    kind = draw(st.sampled_from(["small", "wide", "orbit", "integer", "near_integer", "outside"]))
+    if kind == "small":  # small-rational b, negative a included
+        return (draw(st.integers(-10**4, 10**4)), draw(st.integers(-10**6, 10**6)),
+                draw(st.integers(1, 60)))
+    if kind == "wide":  # up to the edges of the array range
+        return (draw(st.integers(-ARRAY_A_MAX, ARRAY_A_MAX)), draw(st.integers(-2**62, 2**62)),
+                draw(st.sampled_from([ARRAY_DEN_MAX - 1, draw(st.integers(1, ARRAY_DEN_MAX - 1))])))
+    if kind == "orbit":  # b an integer: the fractional part of b is exactly 0
+        return draw(st.integers(-10**9, 10**9)), draw(st.integers(-5, 5)), 1
+    if kind == "integer":  # the value itself is exactly 0
+        return 0, draw(st.integers(-5, 5)), 1
+    if kind == "outside":  # one value just past the range
+        return draw(st.sampled_from([(1, 1, ARRAY_DEN_MAX), (ARRAY_A_MAX + 1, 0, 1),
+                                     (-ARRAY_A_MAX - 1, 1, 3), (2, 2**63, 5)]))
+    # a = s*q_k and m/d the nearest multiple of 1/d to -(a*alpha - s*p_k):
+    # the value is within 1/(2d) <= 5e-14 of an integer
+    k = draw(st.integers(2, alpha.denominator_level(2**40) - 1))
+    s, d = draw(st.sampled_from([-1, 1])), draw(st.integers(10**13, 10**15))
+    a, p = s * alpha.denominator(k), s * alpha.numerator(k)
+    m = round(-(a * alpha.convergent(alpha.level_for(Fraction(1, 10**40))) - p) * d)
+    return a, (m - p * d) % d, d
+
+
+def assert_array_matches(arr: PointArray, want: list[CirclePoint]):
+    assert len(arr) == len(want)
+    for i, p in enumerate(want):
+        q = arr[i]  # one point, built on its own
+        assert (q.a, q.b) == (p.a, p.b) and q == p and hash(q) == hash(p)
+        assert arr.positions[i].hex() == p.as_float().hex()
+    assert arr.objects == want and [hash(q) for q in arr] == [hash(p) for p in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), alpha=st.sampled_from([GOLDEN, SQRT2_MINUS_1]))
+def test_point_array_matches_per_point_path(data, alpha):
+    rows = data.draw(st.lists(array_row(alpha), min_size=1, max_size=12))
+    arr = PointArray.build(alpha, *zip(*rows))
+    assert (arr is not None) == all(abs(a) <= ARRAY_A_MAX and abs(n) < 2**63 and
+                                    1 <= d < ARRAY_DEN_MAX for a, n, d in rows)
+    want = [CirclePoint(alpha, a, Fraction(n, d)) for a, n, d in rows]
+    of = PointArray.of(alpha, want)  # reads b mod 1, so num is never out of range
+    assert (of is not None) == all(abs(p.a) <= ARRAY_A_MAX and p.b.denominator < ARRAY_DEN_MAX
+                                   for p in want)
+    if arr is None:
+        return
+    assert_array_matches(arr, want)
+    assert_array_matches(of, want)
+    g = CirclePoint(alpha, data.draw(st.integers(-40, 40)),
+                    Fraction(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 12))))
+    shifted = arr.shift(g)
+    fits = all(math.lcm(p.b.denominator, g.b.denominator) < ARRAY_DEN_MAX and
+               abs(p.a + g.a) <= ARRAY_A_MAX for p in want)
+    assert (shifted is not None) == fits
+    if fits:
+        assert_array_matches(shifted, [p + g for p in want])
+
+
+def test_point_array_range_is_checked():
+    assert PointArray.build(GOLDEN, [-ARRAY_A_MAX, ARRAY_A_MAX], [1, 1], [3, ARRAY_DEN_MAX - 1])
+    assert PointArray.build(GOLDEN, [0], [1], [ARRAY_DEN_MAX]) is None
+    assert PointArray.build(GOLDEN, [ARRAY_A_MAX + 1], [0], [1]) is None
+    assert PointArray.of(GOLDEN, [point(GOLDEN, 0, Fraction(1, 3**40))]) is None
+    arr = PointArray.build(GOLDEN, [1, 2], [1, 1], [3**33, 7])  # 3^33 < 2^53 < 5 * 3^33
+    assert arr.shift(point(GOLDEN, 0, Fraction(1, 3))) is not None
+    assert arr.shift(point(GOLDEN, 0, Fraction(1, 5))) is None  # the lcm leaves the range
+    assert arr.shift(point(GOLDEN, ARRAY_A_MAX, 0)) is None
+
+
+def test_screen_defers_exactly_the_rows_it_cannot_certify(monkeypatch):
+    rows = []
+
+    def counted(alpha, a, num, den):
+        rows.extend(zip(a, num, den))
+        return exact_rows(alpha, a, num, den)
+
+    exact_rows = exactarith._exact_rows
+    monkeypatch.setattr(exactarith, "_exact_rows", counted)
+    k = np.arange(10_000)
+    PointArray.build(GOLDEN, k % 7 - 3, k, 0 * k + 10_001)
+    assert rows == []  # far from every integer and rounding boundary
+    q, p = GOLDEN.denominator(40), GOLDEN.numerator(40)  # q*alpha - p is ~1e-17 from 0
+    arr = PointArray.build(GOLDEN, [q, 0, 1], [-p, 0, 0], [1, 1, 1])
+    assert rows == [(q, 0, 1)]  # num is b mod 1; the value 0 is rational and needs no fallback
+    assert arr.positions[1] == 0.0 and arr[1] == exactarith.zero(GOLDEN)
+    assert arr[0] == CirclePoint(GOLDEN, q, Fraction(-p))
+
+
+def test_short_quotient_supply_decides_every_row_exactly():
+    # 60 quotients resolve as_float (1e-22) for small a but not the screen's 2^-120
+    alpha = RotationNumber((1,) * 60)
+    rows = [(1, 1, 3), (-2, 0, 1), (0, 2, 5), (5, -7, 9)]
+    assert_array_matches(PointArray.build(alpha, *zip(*rows)),
+                         [CirclePoint(alpha, a, Fraction(n, d)) for a, n, d in rows])

@@ -6,10 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tamecert import exactarith
 from tamecert.boundary import ReducedWord, boundary_sample, loxodromic_rank_arrays, power_limit
-from tamecert.envelope import limit_map, rotation_sample, split_sample
+from tamecert.cli import run_config
+from tamecert.envelope import (
+    CircleMetric,
+    CodingMetric,
+    SampleSet,
+    limit_map,
+    rotation_sample,
+    split_sample,
+)
 from tamecert.errors import NotStabilizedAcrossResolutions
-from tamecert.exactarith import GOLDEN, one_sided_approach, orbit_point, point, zero
+from tamecert.exactarith import GOLDEN, PointArray, one_sided_approach, orbit_point, point, zero
 from tamecert.rank import (
     _group_rows,
     _image_dist,
@@ -22,7 +31,7 @@ from tamecert.rank import (
     system_rank,
     value_instance,
 )
-from tamecert.systems import RotationSystem, SplitCircleSystem
+from tamecert.systems import MINUS, PLAIN, PLUS, RotationSystem, SplitArray, SplitCircleSystem, SplitPoint
 
 F = Fraction
 
@@ -269,3 +278,87 @@ class TestBoundaryRank:
         sr = system_rank(fam, 0.05)
         assert sr.beta == 2 and sr.witness == "loxodromic"
         assert sr.traces["parabolic"].beta == 1
+
+
+# ---------------------------------------------------------------------------
+# point-array instances against the per-point path
+# ---------------------------------------------------------------------------
+
+# the rank-sturmian and rank-rotation experiments of the rank-sweep benchmark
+RANK_RUNS = [
+    {"kind": "rank", "params": {"system": "sturmian", "plain_count": 10_000, "horizon": 12}},
+    {"kind": "rank", "params": {"system": "rotation", "plain_count": 2000}},
+]
+
+
+def _per_point_sample(system, plain_count, horizon):
+    """split_sample (split range 8) or rotation_sample as a list of point objects."""
+    alpha = system.alpha
+    if isinstance(system, RotationSystem):
+        return SampleSet([point(alpha, 0, F(k, plain_count + 1)) for k in range(plain_count + 1)],
+                         CircleMetric())
+    pts = [SplitPoint(point(alpha, 0, F(k, plain_count + 1)), PLAIN)
+           for k in range(1, plain_count + 1)]
+    for n in range(-8, 9):
+        pts += [system.orbit_pt(n, MINUS), system.orbit_pt(n, PLUS)]
+    return SampleSet(pts, CodingMetric(system, horizon))
+
+
+def _per_point_arrays(rule, sample) -> dict:
+    """The arrays of build_instance, from the rule's images one point at a time."""
+    pts = sample.points
+    imgs = [rule(x) for x in pts]
+    if isinstance(sample.metric, CodingMetric):
+        pos = np.array([x.base.as_float() for x in pts])
+        img_pos = np.array([x.base.as_float() for x in imgs])
+        return {"words": sample.metric.words(pts, pos), "positions": pos,
+                "img_words": sample.metric.words(imgs, img_pos), "img_positions": img_pos}
+    pos = np.array([x.as_float() for x in pts])
+    img_pos = np.array([x.as_float() for x in imgs])
+    turn = 2 * np.pi * img_pos
+    return {"words": None, "positions": pos, "img_positions": img_pos,
+            "img_words": np.stack([np.sin(turn), np.cos(turn)], axis=1) / (2 * np.pi)}
+
+
+@pytest.mark.parametrize("run", RANK_RUNS, ids=["sturmian", "rotation"])
+def test_array_instances_equal_per_point_instances(run):
+    params = run["params"]
+    split = params["system"] == "sturmian"
+    system = SplitCircleSystem(GOLDEN) if split else RotationSystem(GOLDEN)
+    count = params["plain_count"]
+    sample = (split_sample(system, plain_count=count, split_range=8, horizon=12) if split
+              else rotation_sample(system, count))
+    oracle = _per_point_sample(system, count, 12)
+    assert sample.points == oracle.points
+    gens = ([[1], [3], one_sided_approach(zero(GOLDEN), "below", 10)] if split
+            else [one_sided_approach(point(GOLDEN, 0, F(1, 3)), "above", 8), [2]])
+    for gen in gens:
+        el = limit_map(system, gen, sample)
+        got = build_instance(el)
+        for name, want in _per_point_arrays(el.rule, oracle).items():
+            have = getattr(got, name)
+            if want is None:
+                assert have is None
+            else:
+                assert have.dtype == want.dtype and np.array_equal(have, want), name
+
+
+def test_rank_runs_screen_every_point_and_build_no_point_list(monkeypatch):
+    rows = []
+    exact_rows = exactarith._exact_rows
+
+    def counted(alpha, a, num, den):
+        rows.extend(a)
+        return exact_rows(alpha, a, num, den)
+
+    def built(arr):
+        raise AssertionError(f"a rank run built every point of a {type(arr).__name__}")
+
+    monkeypatch.setattr(exactarith, "_exact_rows", counted)
+    for cls in (PointArray, SplitArray):
+        monkeypatch.setattr(cls, "objects", property(built))
+    report, code = run_config({"experiments": RANK_RUNS})
+    assert code == 0 and [r["result"]["sample_size"] for r in report["results"]] == [10_034, 2001]
+    # of ~32k sample points and images one is decided exactly: T^3 of 1536/10001,
+    # 3*alpha + 1536/10001 - 2, lies 1.5e-22 from a float64 rounding boundary
+    assert rows == [3]
