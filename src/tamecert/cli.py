@@ -10,6 +10,7 @@ config and seed apart from the wall-time field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -92,15 +93,11 @@ def run_limit(params, seed):
     side = params.get("side", "below")
     depth = int(params.get("depth", 10))
     approach = one_sided_approach(target, side, depth)
-    extra = [(-target).translate(k) for k in range(-3, 4)]
-    sample = envelope.split_sample(
-        sys_,
+    sample = envelope.limit_sample(
+        sys_, target,
         plain_count=int(params.get("plain_count", 200)),
         split_range=int(params.get("split_range", 8)),
         horizon=int(params.get("horizon", 8)),
-        extra_bases=extra,
-    ) if isinstance(sys_, systems.SplitCircleSystem) else envelope.rotation_sample(
-        sys_, int(params.get("plain_count", 200))
     )
     numeric = bool(params.get("numeric", False))
     generator = list(approach.times) if numeric else approach
@@ -139,10 +136,6 @@ def run_limit(params, seed):
     return out, [cert]
 
 
-# the longest independence word: the full-shift word of order 24 has 2^24 + 2*24 - 1 symbols
-MAX_HORIZON = (1 << 24) + 47
-
-
 def _windows(params) -> list[int]:
     """The window lengths of an independence experiment, in increasing order."""
     return sorted(int(L) for L in params.get("windows", [8, 12, 16, 20]))
@@ -151,13 +144,12 @@ def _windows(params) -> list[int]:
 def _coding_source(params) -> tuple[dict, int]:
     """The ``source`` descriptor of an independence experiment and its horizon.
 
-    ConfigError unless every window is in 1..24 and the horizon is at least
-    10x the longest window and at most MAX_HORIZON; this builds no word."""
+    ValueError unless there are windows, each passes ``tameness.check_window`` and
+    the horizon passes ``tameness.check_horizon`` for the longest; builds no word."""
     coding = params.get("coding", {"system": "sturmian"})
     if coding.get("kind") == "full_shift":
         window = int(coding["window"])
-        if not 1 <= window <= 24:
-            raise ConfigError("a full-shift window must be in 1..24")
+        tameness.check_window(window)
         source, horizon = {"kind": "full_shift"}, (1 << window) + 2 * window - 1
     else:
         horizon = int(params.get("horizon", 10_000))
@@ -166,10 +158,11 @@ def _coding_source(params) -> tuple[dict, int]:
         else:
             source = resolve_system(coding.get("system", "sturmian")).describe()
     windows = _windows(params)
-    if not windows or windows[0] < 1 or windows[-1] > 24:
-        raise ConfigError("independence windows must be a nonempty list in 1..24")
-    if not 10 * windows[-1] <= horizon <= MAX_HORIZON:
-        raise ConfigError(f"horizon {horizon} must be in 10 x {windows[-1]}..{MAX_HORIZON}")
+    if not windows:
+        raise ValueError("independence windows must be a nonempty list")
+    for window in windows:
+        tameness.check_window(window)
+    tameness.check_horizon(windows[-1], horizon)
     return source, horizon
 
 
@@ -398,20 +391,15 @@ def run_counterexample(params, seed):
     sound = 0
     last = None
     for _ in range(count):
-        if scenario == "circle_parabolic":
+        if scenario in ("circle_parabolic", "circular_order"):
             cset = [Fraction(rng.randint(1, 997), 997) for _ in range(size)]
-            w = envelope.no_countable_basis_witness(cset, "circle_parabolic")
-            last = {"differs_at": str(w.differs_at)}
+            w = order.circular_counterexample(cset, 0)
+            last = {"differs_at" if scenario == "circle_parabolic" else "b": str(w.b)}
         elif scenario == "projective_p_infty":
             pts = [(rng.randint(-99, 99), rng.randint(-99, 99)) for _ in range(size)]
             pts = [p for p in pts if p != (0, 0)] or [(1, 0)]
             w = envelope.no_countable_basis_witness(pts, "projective_p_infty")
             last = {"line_direction": [str(x) for x in w.differs_at]}
-        elif scenario == "circular_order":
-            cset = [Fraction(rng.randint(1, 997), 997) for _ in range(size)]
-            out = order.circular_counterexample(cset, Fraction(0))
-            w = out
-            last = {"b": str(out.b)}
         else:
             raise ConfigError(f"unknown scenario {scenario!r}")
         sound += 1 if w.sound else 0
@@ -508,19 +496,50 @@ def _digest(obj) -> str:
     return hashlib.sha256(_canonical(obj).encode()).hexdigest()[:16]
 
 
-def run_config(config: dict, jobs: int = 1, seed: int | None = None) -> tuple[dict, int]:
-    if "experiments" in config:
-        experiments = config["experiments"]
-    else:
-        experiments = [config]
-    seed = int(config.get("seed", 0) if seed is None else seed)
+# what reading a malformed parameter or payload field raises
+_MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError)
+
+
+def _experiments(config) -> list[dict]:
+    """The experiments of a config; ConfigError unless the config is an object
+    with an integer seed whose experiments (or the config itself) are objects
+    with a known kind, object ``params`` and positive, finite ``epsilons``."""
+    if not isinstance(config, dict):
+        raise ConfigError("a config must be an object")
+    seed = config.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigError(f"seed must be an integer, not {seed!r}")
+    experiments = config["experiments"] if "experiments" in config else [config]
+    if not isinstance(experiments, list) or not all(isinstance(e, dict) for e in experiments):
+        raise ConfigError("experiments must be a list of objects")
     for i, exp in enumerate(experiments):
-        kind = exp.get("kind")
-        if kind not in DISPATCH:
+        kind, params = exp.get("kind"), exp.get("params", {})
+        if not isinstance(kind, str) or kind not in DISPATCH:
             raise ConfigError(f"experiment {i}: unknown kind {kind!r}")
-        eps = exp.get("params", {}).get("epsilons")
-        if eps is not None and any(float(e) <= 0 for e in eps):
-            raise ConfigError(f"experiment {i}: epsilon must be positive")
+        with _param_errors(_exp_id(i, exp)):
+            if not isinstance(params, dict):
+                raise TypeError("params must be an object")
+            if not all(0 < float(e) < float("inf") for e in params.get("epsilons") or ()):
+                raise ValueError("epsilon must be positive and finite")
+    return experiments
+
+
+def _exp_id(i: int, exp: dict):
+    return exp.get("id", f"{exp['kind']}-{i}")
+
+
+@contextlib.contextmanager
+def _param_errors(exp_id):
+    """Turn a malformed parameter's error into a ConfigError naming the experiment."""
+    try:
+        yield
+    except _MALFORMED as exc:
+        raise ConfigError(f"experiment {exp_id}: {type(exc).__name__}: {exc}") from exc
+
+
+def run_config(config: dict, jobs: int = 1, seed: int | None = None) -> tuple[dict, int]:
+    experiments = _experiments(config)
+    seed = config.get("seed", 0) if seed is None else seed
 
     exit_code = 0
     results: list[dict | None] = [None] * len(experiments)
@@ -529,9 +548,10 @@ def run_config(config: dict, jobs: int = 1, seed: int | None = None) -> tuple[di
         i, exp = i_exp
         kind = exp["kind"]
         params = exp.get("params", {})
-        entry = {"id": exp.get("id", f"{kind}-{i}"), "kind": kind}
+        entry = {"id": _exp_id(i, exp), "kind": kind}
         try:
-            result, certs = DISPATCH[kind](params, seed)
+            with _param_errors(entry["id"]):
+                result, certs = DISPATCH[kind](params, seed)
             entry["result"] = result
             entry["certificates"] = certs
             entry["status"] = "ok"
@@ -618,8 +638,8 @@ def verify_certificate(cert: dict) -> bool:
     try:
         if kind == "independence":
             made = tameness.IndependenceCertificate.from_payload(cert)
-            if not 10 * made.window <= made.horizon <= MAX_HORIZON:
-                return False
+            tameness.check_window(made.window)
+            tameness.check_horizon(made.window, made.horizon)
             return made.verify(_source_word(cert["source"], made.horizon))
         if kind == "isolation":
             # re-run the exact check on the payload's own gammas
@@ -642,13 +662,7 @@ def verify_certificate(cert: dict) -> bool:
             sys_ = _circle_system(cert["system"], "limit")
             gen = cert["generator"]
             target = _parse_point(sys_.alpha, gen["target"])
-            if isinstance(sys_, systems.SplitCircleSystem):
-                extra = [(-target).translate(k) for k in range(-3, 4)]
-                sample = envelope.split_sample(
-                    sys_, plain_count=60, split_range=4, extra_bases=extra
-                )
-            else:
-                sample = envelope.rotation_sample(sys_, 60)
+            sample = envelope.limit_sample(sys_, target, plain_count=60, split_range=4)
             element = envelope.limit_map(sys_, one_sided_approach(target, gen["side"], 6), sample)
             cls = envelope.classify(element)
             return cls.tag == cert["result"]["tag"]
@@ -665,7 +679,7 @@ def verify_certificate(cert: dict) -> bool:
                 and (count >= 0 if sound else count == 0)
                 and order._defeat_adversaries(f, sorted(pins)) == bool(sound)
             )
-    except (ConfigError, KeyError, ValueError, TypeError):
+    except (ConfigError, *_MALFORMED):
         return False
     raise ConfigError(f"cannot verify certificate kind {kind!r}")
 

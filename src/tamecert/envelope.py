@@ -12,6 +12,7 @@ isolation rectangles and rigidity probes.
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import NotInIdeal, NotStabilized, SampleMismatch
 from .exactarith import ApproachSequence, CirclePoint, PointArray, one_sided_approach, orbit_point
-from .order import fresh_dyadic
+from .order import circular_counterexample
 from .systems import (
     MINUS,
     PLAIN,
@@ -197,6 +198,18 @@ def split_sample(
     return SampleSet(pts, CodingMetric(system, horizon))
 
 
+def limit_sample(system, target: CirclePoint, plain_count: int, split_range: int,
+                 horizon: int = 8) -> SampleSet:
+    """The sample of a limit aimed at ``target``: on a split circle,
+    ``split_sample`` with the split fibers over -target + k*alpha, |k| <= 3,
+    whose images carry the limit's side tag; else ``rotation_sample``."""
+    if not isinstance(system, SplitCircleSystem):
+        return rotation_sample(system, plain_count)
+    base = -target
+    return split_sample(system, plain_count, split_range, horizon,
+                        [base.translate(k) for k in range(-3, 4)])
+
+
 def rotation_sample(system: RotationSystem, count: int = 120) -> SampleSet:
     """The rationals k/(count+1), k = 0..count, as a PointArray."""
     k = np.arange(count + 1, dtype=np.int64)
@@ -322,16 +335,32 @@ class _Shift:
         return [self(x) for x in points] if out is None else out
 
 
+def _images(rule, points: Sequence) -> Sequence:
+    """The images of ``points`` under a closed-form rule."""
+    return rule.images(points) if isinstance(rule, _Shift) else [rule(x) for x in points]
+
+
+def _ideal_rule(system, epsilon, gamma: CirclePoint):
+    """The image map of the minimal-ideal element epsilon * gamma: x + gamma
+    tagged 'minus' or 'plus' where its base splits, or the cos rule v_eps g_gamma."""
+    if isinstance(system, SplitCircleSystem):
+        return _Shift(system, gamma, MINUS if epsilon == "minus" else PLUS)
+    if isinstance(system, CosSystem):
+        el = CosElement(float(epsilon), gamma)
+        return lambda x: el.apply(system, x)
+    raise TypeError("no minimal-ideal rule for this system")
+
+
 def _exact_rule(system, approach: ApproachSequence):
     """Closed-form limit rule for the generator, when the system has one."""
     gamma, side = approach.target, approach.side
     if isinstance(system, SplitCircleSystem):
-        return _Shift(system, gamma, MINUS if side == "below" else PLUS)
+        return _ideal_rule(system, "minus" if side == "below" else "plus", gamma)
     if isinstance(system, RotationSystem):
         return _Shift(system, gamma)
     if isinstance(system, CosSystem) and side == "below":
         # approach through [1/2, 1): the sampled values 2*{h} converge to 2
-        return lambda x: CosElement(2.0, gamma).apply(system, x)
+        return _ideal_rule(system, 2.0, gamma)
     return None
 
 
@@ -363,8 +392,7 @@ def limit_map(
         elif len(times) == 1:
             rule = lambda x, n=times[0]: system.step(x, n)  # noqa: E731
     if rule is not None:
-        images = rule.images(sample.points) if isinstance(rule, _Shift) else [
-            rule(x) for x in sample.points]
+        images = _images(rule, sample.points)
         if isinstance(system, SplitCircleSystem) and not _tags_split(system, images):
             raise ValueError("an exact split image carries a side tag off the split set "
                              "(or none on it): the split set is not invariant")
@@ -428,11 +456,6 @@ def cos_target_times(
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
-
-
-def _points_equal(a, b) -> bool:
-    # canonical representations make structural equality value-correct
-    return a == b
 
 
 def classify(p: ApproxElement) -> ElementClass:
@@ -508,14 +531,9 @@ class IdealDecomposition:
     epsilon: Any  # 'minus' | 'plus' for split systems; 2.0 or t in [-1,1] for cos
     gamma: CirclePoint
 
-    def recompose(self, system, sample: SampleSet) -> list:
-        if isinstance(system, SplitCircleSystem):
-            rule = _Shift(system, self.gamma, MINUS if self.epsilon == "minus" else PLUS)
-            return [rule(x) for x in sample.points]
-        if isinstance(system, CosSystem):
-            el = CosElement(float(self.epsilon), self.gamma)
-            return [el.apply(system, x) for x in sample.points]
-        raise TypeError("no recomposition rule for this system")
+    def recompose(self, system, sample: SampleSet) -> Sequence:
+        """The images of the sample under epsilon * gamma."""
+        return _images(_ideal_rule(system, self.epsilon, self.gamma), sample.points)
 
 
 def decompose_minimal(p: ApproxElement, system=None, gamma: CirclePoint | None = None) -> IdealDecomposition:
@@ -569,7 +587,7 @@ class DeterminingSet:
 
 
 def determining_set(
-    family: Sequence, pool: Sequence, p, eq: Callable = _points_equal, exhaustive_limit: int = 20
+    family: Sequence, pool: Sequence, p, eq: Callable = operator.eq, exhaustive_limit: int = 20
 ) -> DeterminingSet:
     """Smallest pool subset on which no other family member matches p.
 
@@ -613,7 +631,7 @@ def determining_set(
 
 
 def determining_growth(
-    family: Sequence, pool: Sequence, p, sizes: Sequence[int], eq: Callable = _points_equal
+    family: Sequence, pool: Sequence, p, sizes: Sequence[int], eq: Callable = operator.eq
 ) -> list[tuple[int, int]]:
     """|C| as the family grows through nested prefixes of the given sizes."""
     out = []
@@ -657,14 +675,8 @@ def no_countable_basis_witness(excluded: Sequence, scenario: str) -> BasisWitnes
         differs = q.apply(direction) == direction != "inf"
         return BasisWitness(scenario, q, tuple(pts), direction, agrees and differs)
     if scenario == "circle_parabolic":
-        target = Fraction(0)
-        cset = {Fraction(c) % 1 for c in excluded}
-        b = fresh_dyadic(cset | {target})
-        def p_ab(x, a=target, b=b):
-            return b if x == b else a
-        agrees = all(p_ab(c) == target for c in cset)
-        differs = p_ab(b) == b != target
-        return BasisWitness(scenario, p_ab, tuple(sorted(cset)), b, agrees and differs)
+        w = circular_counterexample(excluded, 0)
+        return BasisWitness(scenario, w.image_of, w.agrees_on, w.b, w.sound)
     raise ValueError(f"unknown scenario {scenario!r}")
 
 

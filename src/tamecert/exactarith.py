@@ -403,12 +403,6 @@ def orbit_point(alpha: RotationNumber, n: int) -> CirclePoint:
     return CirclePoint(alpha, n, Fraction(0))
 
 
-def compare(x: CirclePoint, y: CirclePoint) -> str:
-    """Ordering of two points as 'less' | 'equal' | 'greater'."""
-    c = x.compare(y)
-    return "less" if c < 0 else ("greater" if c > 0 else "equal")
-
-
 # ---------------------------------------------------------------------------
 # point arrays: many points of the subgroup as int64 columns
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from typing import Sequence
 
 from .errors import NoWitness
 
+# side tags of split points: the left copy, an unsplit point, the right copy
 MINUS, PLAIN, PLUS = -1, 0, 1
 
 
@@ -337,14 +338,21 @@ def zero_map(x) -> Fraction:
 
 @dataclass(frozen=True)
 class CircularCounterexample:
+    """The map sending b to itself and every other point of [0, 1) to a."""
+
     a: Fraction
     b: Fraction
     agrees_on: tuple[Fraction, ...]
-    sound: bool
 
     def image_of(self, x) -> Fraction:
-        x = Fraction(x) % 1
+        """The image of a point x of [0, 1)."""
         return self.b if x == self.b else self.a
+
+    @property
+    def sound(self) -> bool:
+        """Re-evaluated: the map agrees with the constant a on the excluded set and fixes b."""
+        return all(self.image_of(c) == self.a for c in self.agrees_on) and (
+            self.image_of(self.b) == self.b != self.a)
 
 
 def fresh_dyadic(avoid) -> Fraction:
@@ -361,12 +369,8 @@ def fresh_dyadic(avoid) -> Fraction:
 def circular_counterexample(excluded: Sequence, a) -> CircularCounterexample:
     """A two-point-target map agreeing with the constant-to-a map on the
     excluded set but fixing a fresh point b: finite sets never determine the
-    constant map on the circle."""
+    constant map on the circle.  The set may contain a itself, which the map
+    sends to a like every point other than b."""
     a = Fraction(a) % 1
-    cset = tuple(sorted(Fraction(c) % 1 for c in excluded))
-    if a in cset:
-        raise ValueError("the target must avoid the excluded set")
-    b = fresh_dyadic(set(cset) | {a})
-    out = CircularCounterexample(a, b, cset, sound=False)
-    sound = all(out.image_of(c) == a for c in cset) and out.image_of(b) == b != a
-    return CircularCounterexample(a, b, cset, sound)
+    cset = {Fraction(c) % 1 for c in excluded}
+    return CircularCounterexample(a, fresh_dyadic(cset | {a}), tuple(sorted(cset)))

@@ -305,8 +305,8 @@ def beta_rank(
     rerun scale in ``RERUN_SCALES`` (the schedule scaled down); the result is
     stabilized when all runs agree on the terminal index.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     inst = p if isinstance(p, RankInstance) else build_instance(p)
     base_schedule = tuple(r_schedule) if r_schedule is not None else default_schedule(inst, epsilon)
     if any(b >= a for a, b in zip(base_schedule, base_schedule[1:])):

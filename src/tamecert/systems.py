@@ -15,6 +15,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,8 +35,9 @@ from .exactarith import (
     point,
     zero,
 )
+from .order import MINUS, PLAIN, PLUS
+from .tameness import check_window
 
-MINUS, PLAIN, PLUS = -1, 0, 1
 SIDE_NAMES = {MINUS: "minus", PLAIN: "plain", PLUS: "plus"}
 TWO_PI = 2.0 * math.pi
 
@@ -412,18 +414,11 @@ class CutProjectCoding:
                 center = orbit_point(alpha, j)
                 start = center - CirclePoint(alpha, 0, length / 2)
                 deleted.append(Arc(start, length))
-            self._check_disjoint(deleted)
+            # two arcs overlap iff one start lies inside the other open arc
+            if any(a.covers(b.start, open_arc=True) or b.covers(a.start, open_arc=True)
+                   for a, b in itertools.combinations(deleted, 2)):
+                raise ValueError("deleted arcs must be pairwise disjoint")
             self.deleted = tuple(deleted)
-
-    @staticmethod
-    def _check_disjoint(arcs: Sequence[Arc]) -> None:
-        for i, a in enumerate(arcs):
-            for b in arcs[i + 1 :]:
-                # overlap iff one start lies inside the other open arc
-                for u, v in ((a, b), (b, a)):
-                    off = v.start - u.start
-                    if not off.is_zero and off.compare(CirclePoint(u.start.alpha, 0, u.length)) < 0:
-                        raise ValueError("deleted arcs must be pairwise disjoint")
 
     # -- membership ----------------------------------------------------------
 
@@ -477,8 +472,7 @@ def full_shift_word(window: int) -> np.ndarray:
     symbols once more, so that it is the greedy prefer-one word from 0^window
     with its first ``window`` symbols appended.
     """
-    if window < 1 or window > 24:
-        raise ValueError("window must be in 1..24")
+    check_window(window)
     mask = np.uint32((1 << window) - 1)
 
     def rotate(v, r):

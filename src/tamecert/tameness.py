@@ -19,6 +19,21 @@ import numpy as np
 from . import _kernels as K
 from .errors import BudgetExceeded
 
+MAX_WINDOW = 24  # the widest window searched, and the highest full-shift order
+MAX_HORIZON = (1 << MAX_WINDOW) + 2 * MAX_WINDOW - 1  # symbols of that full-shift word
+
+
+def check_window(window: int) -> None:
+    """ValueError unless the window is in 1..MAX_WINDOW."""
+    if not 1 <= window <= MAX_WINDOW:
+        raise ValueError(f"window {window} must be in 1..{MAX_WINDOW}")
+
+
+def check_horizon(length: int, horizon: int) -> None:
+    """ValueError unless the horizon is in 10 x length..MAX_HORIZON."""
+    if not 10 * length <= horizon <= MAX_HORIZON:
+        raise ValueError(f"horizon {horizon} must be in 10 x {length}..{MAX_HORIZON}")
+
 
 def factor_masks(word, window: int) -> np.ndarray:
     """Sorted distinct factors of the given window length, as bitmasks."""
@@ -56,8 +71,7 @@ def complexity(word, length: int, horizon: int | None = None) -> ComplexityProfi
     """Factor-count profile p(1..length) from a coding word."""
     w = np.asarray(word, dtype=np.int64)
     horizon = w.shape[0] if horizon is None else horizon
-    if horizon < 10 * length:
-        raise ValueError(f"horizon {horizon} too short for length {length} (need >= 10x)")
+    check_horizon(length, horizon)
     w = w[:horizon]
     counts = {ell: int(K.extract_factors(w, ell).size) for ell in range(1, length + 1)}
     return ComplexityProfile(counts, horizon)
@@ -138,11 +152,9 @@ def max_independence(
     the first maximum found the lexicographically smallest one.  On budget
     exhaustion raises BudgetExceeded with the best certificate attached.
     """
-    if window > 24:
-        raise ValueError("window above the search budget (max 24)")
+    check_window(window)
     w = np.asarray(word, dtype=np.int64)
-    if w.shape[0] < 10 * window:
-        raise ValueError("horizon must be at least 10x the window")
+    check_horizon(window, w.shape[0])
     factors = factor_masks(w, window)
     cap = min(window, int(math.log2(len(factors))) if len(factors) else 0)
     best: tuple[int, ...] = ()

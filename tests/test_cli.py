@@ -142,7 +142,7 @@ class TestRunConfig:
         ({"system": "sturmian"}, 0, [4]),
         ({"system": "sturmian"}, -5, [4]),
         ({"system": "sturmian"}, 39, [4]),  # one symbol short of 10x the window
-        ({"system": "cantor6"}, cli.MAX_HORIZON + 1, [4]),
+        ({"system": "cantor6"}, tameness.MAX_HORIZON + 1, [4]),
         ({"kind": "periodic", "pattern": [0, 1]}, 2**40, [4]),
         ({"kind": "full_shift", "window": 3}, None, [4]),  # 13 symbols
         ({"kind": "full_shift", "window": 25}, None, [4]),
@@ -260,6 +260,48 @@ class TestCliMain:
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ([1, 2], "a config must be an object"),
+        ({"experiments": [1]}, "experiments must be a list of objects"),
+        ({"experiments": {"kind": "catalog"}}, "experiments must be a list of objects"),
+        ({"experiments": [{"kind": ["catalog"]}]}, "experiment 0: unknown kind ['catalog']"),
+        ({"experiments": [{"kind": "catalog", "params": []}]},
+         "experiment catalog-0: TypeError: params must be an object"),
+        ({"seed": "abc", "experiments": [{"kind": "catalog"}]}, "seed must be an integer"),
+        ({"experiments": [{"kind": "limit", "id": "lim", "params": {"depth": "x"}}]},
+         "experiment lim: ValueError"),
+        ({"experiments": [{"kind": "limit", "id": "lim", "params": {"depth": None}}]},
+         "experiment lim: TypeError"),
+        ({"experiments": [{"kind": "rank", "id": "rk", "params": {"epsilons": ["x"]}}]},
+         "experiment rk: ValueError"),
+        ({"experiments": [{"kind": "rank", "id": "rk", "params": {"epsilons": ["nan"]}}]},
+         "experiment rk: ValueError: epsilon must be positive and finite"),
+        ({"experiments": [{"kind": "limit", "id": "lim",
+                           "params": {"target": {"a": 0, "b": "1/0"}}}]},
+         "experiment lim: ZeroDivisionError"),
+        ({"experiments": [{"kind": "determine", "params": {"family": "staircase"}}]},
+         "experiment determine-0: KeyError: 'map'"),
+    ])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, config, message):
+        out = tmp_path / "never.json"
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    @pytest.mark.parametrize("scenario", ["circle_parabolic", "circular_order",
+                                          "projective_p_infty"])
+    def test_counterexample_scenarios_run_and_verify(self, tmp_path, scenario, seed):
+        # at seed 3, three circular_order draws put 997/997 = 0, the target, in the set
+        cfg = write_config(tmp_path, {"seed": seed, "experiments": [
+            {"kind": "counterexample", "params": {"scenario": scenario}}]})
+        out = tmp_path / "report.json"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["results"][0]["result"]
+        assert result["sound"] == result["count"] == 100
+        assert main(["verify", str(out)]) == 0
+
     def test_list_systems(self, capsys):
         assert main(["list-systems"]) == 0
         out = capsys.readouterr().out
@@ -357,7 +399,7 @@ class TestVerify:
             raise AssertionError("a word was built")
 
         monkeypatch.setattr(cli, "_source_word", no_word)
-        for horizon in (cli.MAX_HORIZON + 1, 2**40):
+        for horizon in (tameness.MAX_HORIZON + 1, 2**40):
             assert not verify_certificate(dict(cert, horizon=horizon))
 
     def test_horizon_below_ten_windows_fails_before_any_word(self, monkeypatch):
@@ -470,7 +512,8 @@ class TestVerify:
         def without(cert, key):
             return {k: v for k, v in cert.items() if k != key}
 
-        bad = [dict(iso, eps="1"), dict(iso, eps="x"), dict(iso, count="five"),
+        bad = [dict(iso, eps="1"), dict(iso, eps="x"), dict(iso, eps="1/0"),
+               dict(iso, count="five"),
                without(iso, "gammas"), without(iso, "count"), without(ind, "witnesses"),
                dict(ind, witnesses={"00": "000000", "10": "100000"}),  # schema 1 shape
                dict(ind, witnesses="not base64!"), dict(ind, witnesses="AAA="),

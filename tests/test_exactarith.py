@@ -20,7 +20,6 @@ from tamecert.exactarith import (
     PointArray,
     RotationNumber,
     _floor_linear,
-    compare,
     one_sided_approach,
     orbit_point,
     parse_rotation_number,
@@ -77,9 +76,9 @@ def test_alternating_sides():
 
 def test_compare_examples():
     x = point(GOLDEN, 1)
-    assert compare(x, x) == "equal"
-    assert compare(point(GOLDEN, 1), point(GOLDEN, 0, Fraction(1, 2))) == "greater"
-    assert compare(point(GOLDEN, 2, -1), point(GOLDEN, 1)) == "less"
+    assert x.compare(x) == 0
+    assert point(GOLDEN, 1).compare(point(GOLDEN, 0, Fraction(1, 2))) == 1
+    assert point(GOLDEN, 2, -1).compare(point(GOLDEN, 1)) == -1
 
 
 def test_reduction_canonical():
@@ -119,8 +118,8 @@ def test_compare_agrees_with_50_digit_evaluation(a1, a2, n1, d1, n2, d2):
     vx = (a1 * GOLDEN_50 + Fraction(n1, d1)) % 1
     vy = (a2 * GOLDEN_50 + Fraction(n2, d2)) % 1
     if abs(vx - vy) > Fraction(1, 10**30):
-        expected = "less" if vx < vy else "greater"
-        assert compare(x, y) == expected
+        expected = -1 if vx < vy else 1
+        assert x.compare(y) == expected
 
 
 def test_compare_transitive_antisymmetric():
@@ -210,6 +209,21 @@ def test_quotients_exhausted():
     assert alpha.quotients(3) == [1, 2, 3]
     with pytest.raises(QuotientsExhausted):
         alpha.quotient(4)
+
+
+@pytest.mark.parametrize("k", [30, 31])  # convergents on either side of alpha
+def test_refinement_limit_reached(monkeypatch, k):
+    from tamecert.errors import RefinementLimit
+
+    c = GOLDEN.convergent(k)  # alpha - c is within 1/q_k^2 of 0
+    x, y = point(GOLDEN, 1), point(GOLDEN, 0, c)
+    assert _floor_linear(GOLDEN, 1, -c) == (0 if k % 2 == 0 else -1)
+    assert x.compare(y) == (1 if k % 2 == 0 else -1)
+    monkeypatch.setattr(exactarith, "REFINEMENT_CAP", 1)  # one enclosure, far wider than |alpha - c|
+    with pytest.raises(RefinementLimit):
+        _floor_linear(GOLDEN, 1, -c)
+    with pytest.raises(RefinementLimit):
+        x.compare(y)
 
 
 def test_invalid_quotients_rejected():

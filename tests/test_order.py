@@ -276,9 +276,16 @@ class TestCircularCounterexample:
             out = circular_counterexample(cset, F(0))
             assert out.sound
 
-    def test_target_in_set_rejected(self):
-        with pytest.raises(ValueError):
-            circular_counterexample([F(0)], F(0))
+    def test_target_in_set_is_sound(self):
+        from tamecert.envelope import no_countable_basis_witness
+
+        # 997/997 is 0 mod 1: the map still agrees with the constant 0 there
+        for cset in ([F(0)], [F(1)], [F(1, 2), F(997, 997), F(1, 4)]):
+            out = circular_counterexample(cset, F(0))
+            assert out.sound and F(0) in out.agrees_on and out.image_of(F(0)) == F(0)
+            assert out.b not in out.agrees_on and out.image_of(out.b) == out.b
+            w = no_countable_basis_witness(cset, "circle_parabolic")
+            assert w.sound and w.differs_at == out.b and w.agrees_on == out.agrees_on
 
     def test_fresh_dyadic_by_level_then_numerator(self):
         from tamecert.envelope import no_countable_basis_witness

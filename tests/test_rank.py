@@ -190,6 +190,11 @@ class TestBetaRank:
         with pytest.raises(ValueError):
             beta_rank(p_minus, 0.1, r_schedule=(0.1, 0.2))
 
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, float("nan"), float("inf")])
+    def test_epsilon_must_be_positive_and_finite(self, p_minus, epsilon):
+        with pytest.raises(ValueError, match="positive and finite"):
+            beta_rank(p_minus, epsilon)
+
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())

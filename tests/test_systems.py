@@ -292,6 +292,7 @@ def test_grid_leaves_a_plain_endpoint_hit_undecided(end):
 
 
 def test_walks_decide_exactly_only_at_boundary_hits(monkeypatch):
+    cantor = CutProjectCoding(GOLDEN, cantor_generation=6)  # its disjointness check uses covers
     calls = []
     for cls, name in ((SplitCircleSystem, "symbol"), (Arc, "covers")):
         orig = getattr(cls, name)
@@ -299,7 +300,7 @@ def test_walks_decide_exactly_only_at_boundary_hits(monkeypatch):
     sturmian = SplitCircleSystem(GOLDEN)
     sturmian.word(sturmian.orbit_pt(0, PLUS), 10_000)
     assert len(calls) == 2  # positions 0 and 1 sit on the arc ends 0 and alpha
-    CutProjectCoding(GOLDEN, cantor_generation=6).word(100_000)
+    cantor.word(100_000)
     assert len(calls) == 2  # the orbit of 1/7 meets no deleted-arc end
 
 

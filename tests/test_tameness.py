@@ -113,6 +113,26 @@ class TestIndependence:
         witnesses[0] = forged
         assert not replace(cert, witnesses=witnesses).verify(sturmian_word)
 
+    @pytest.mark.parametrize("window, accepted", [(0, False), (20, True), (24, True),
+                                                  (25, False), (30, False)])
+    def test_verify_applies_the_window_range(self, window, accepted):
+        from tamecert.cli import _source_word, verify_certificate
+
+        source, horizon = {"kind": "periodic", "pattern": [0, 1, 1]}, 400
+        word = _source_word(source, horizon)
+        # position 0 shows both symbols; factor_masks takes windows up to 62 bits,
+        # so only verify's window range can reject 25 and 30
+        factors = factor_masks(word, window) if window else np.zeros(1, dtype=np.int64)
+        positions = [0] if window else []
+        patterns = K.project_masks(factors, np.asarray(positions, dtype=np.int64))
+        witnesses = [factors[patterns == p][0] for p in range(1 << len(positions))]
+        cert = {"kind": "independence", "source": source, "window": window,
+                "horizon": horizon, "positions": positions,
+                "witnesses": pack_masks(witnesses), "exhausted": True}
+        assert verify_certificate(cert) is accepted
+        if window:  # the certificate is sound apart from the window range
+            assert IndependenceCertificate.from_payload(cert).verify(word)
+
     def test_positions_outside_window_rejected(self, sturmian_word):
         cert = max_independence(sturmian_word, 8)
         assert cert.positions == (0, 2)
