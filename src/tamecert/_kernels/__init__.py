@@ -9,6 +9,7 @@ them.
 from . import _fallback as fallback
 from ._fallback import (
     BACKEND,
+    ball_bounds,
     distinct_projection_count,
     extract_factors,
     project_masks,

@@ -62,17 +62,49 @@ def distinct_projection_count(factors, positions) -> int:
     return int(np.count_nonzero(seen))
 
 
-def window_oscillation(values, radius: float, images, weights) -> np.ndarray:
+def ball_bounds(values, radius: float, segments=None, rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """Index range ``[lo, hi)`` of the ball of every row, or of each of ``rows``.
+
+    Rows are ordered by ``(segments, values)``; the ball of row i holds the
+    rows of its segment with ``values[i] - radius <= v <= values[i] + radius``.
+    Without segments every row is in one segment.  Segments are bounded by
+    integer keys, ``segment * (n + 1) + rank``, where the rank of a value is
+    the number of values below it, so the float thresholds are compared with
+    the values themselves and never with shifted copies of them.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    at = v if rows is None else v[rows]
+    if segments is None:
+        return (np.searchsorted(v, at - radius, side="left"),
+                np.searchsorted(v, at + radius, side="right"))
+    u = np.sort(v)
+    seg = np.asarray(segments, dtype=np.int64)
+    stride = v.shape[0] + 1
+    keys = seg * stride + np.searchsorted(u, v, side="left")
+    base = (seg if rows is None else seg[rows]) * stride
+    lo = np.searchsorted(keys, base + np.searchsorted(u, at - radius, side="left"))
+    hi = np.searchsorted(keys, base + np.searchsorted(u, at + radius, side="right"))
+    return lo, hi
+
+
+def window_oscillation(values, radius: float, images, weights, segments=None, bits=None,
+                       bit_weights=None) -> np.ndarray:
     """Per-point oscillation over value-metric balls.
 
-    ``values`` must be sorted ascending; the ball of point i is the index
-    range with |values[j] - values[i]| <= radius.  The oscillation at i is
-    the largest weighted per-column spread of ``images`` over that range.
+    The ball of a row is its ``ball_bounds`` range: ``values`` are sorted
+    ascending within each of the ``segments`` (rows ordered by segment), and
+    a ball never leaves its segment.  The oscillation at a row is the largest
+    weighted spread over its ball of a column of ``images``, or of a bit of
+    the packed int64 columns ``bits``.  Bit k of the packed columns (column
+    k // 63, bit k % 63) weighs ``bit_weights[k]``, which must not increase
+    with k, and bits beyond ``bit_weights`` must be clear; a bit spreads over
+    a ball when the ball holds it both set and clear, so the bits add the
+    weight of the lowest such bit.
 
-    Range max/min come from a sparse table built up to the longest ball:
-    level k holds the column max/min of every run of 2^k rows, and a ball of
-    length L is covered by two overlapping level-floor(log2 L) runs.  Max and
-    min are exact, so the result equals a direct scan of each ball.
+    Range max/min (OR/AND for bits) come from a sparse table built up to the
+    longest ball: level k holds the reduction of every run of 2^k rows, and a
+    ball of length L is covered by two overlapping level-floor(log2 L) runs.
+    The reductions are exact, so the result equals a direct scan of each ball.
     """
     v = np.asarray(values, dtype=np.float64)
     img = np.asarray(images, dtype=np.float64)
@@ -82,20 +114,50 @@ def window_oscillation(values, radius: float, images, weights) -> np.ndarray:
         return np.empty(0, dtype=np.float64)
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    lo = np.searchsorted(v, v - radius, side="left")
-    hi = np.searchsorted(v, v + radius, side="right")
+    lo, hi = ball_bounds(v, radius, segments)
     level = np.frexp(hi - lo)[1] - 1  # floor(log2(ball length)), exact
-    spread = np.empty_like(img)
+    osc = np.empty(n, dtype=np.float64)
     top, bottom = img, img  # level-k run max/min, one row per run start
+    if bits is not None:
+        some = every = np.asarray(bits, dtype=np.int64)  # level-k run OR/AND
+        table = np.zeros(63 * some.shape[1] + 1)  # bit weights, then 0 for no bit
+        table[: len(bit_weights)] = bit_weights
     for k in range(int(level.max()) + 1):
         if k:
             half = 1 << (k - 1)
             top = np.maximum(top[:-half], top[half:])
             bottom = np.minimum(bottom[:-half], bottom[half:])
+            if bits is not None:
+                some = some[:-half] | some[half:]
+                every = every[:-half] & every[half:]
         at = np.nonzero(level == k)[0]
         if at.size:
-            first, last = lo[at], hi[at] - (1 << k)
-            spread[at] = np.maximum(top[first], top[last]) - np.minimum(
-                bottom[first], bottom[last]
-            )
-    return np.max(spread * w, axis=1)
+            # in place where it can: at the commonest level ``at`` holds nearly
+            # every row, so each temporary is as long as the input
+            first, last = lo[at], hi[at]
+            last -= 1 << k
+            spread = np.maximum(top[first], top[last])
+            spread -= np.minimum(bottom[first], bottom[last])
+            spread *= w
+            osc[at] = spread.max(axis=1)
+            del spread
+            if bits is not None:
+                varying = some[first]
+                varying |= some[last]
+                constant = every[first]
+                constant &= every[last]
+                varying ^= constant  # AND within OR: the bits both set and clear
+                del constant
+                osc[at] = np.maximum(osc[at], table[_lowest_bit(varying)])
+    return osc
+
+
+def _lowest_bit(varying: np.ndarray) -> np.ndarray:
+    """Index of the lowest set bit of each row of packed 63-bit columns
+    (bit k % 63 of column k // 63), 63 * columns for a row with none.
+    Overwrites ``varying``."""
+    cols = varying.shape[1]
+    varying &= -varying  # the lowest set bit alone, an exact power of two
+    bit = np.frexp(varying)[1] + (63 * np.arange(cols) - 1)
+    bit[varying == 0] = 63 * cols
+    return bit.min(axis=1)

@@ -27,14 +27,21 @@ def inverse_letter(c: str) -> str:
 def reduce_letters(letters: Iterable[str]) -> tuple[str, ...]:
     """Cancel adjacent inverse pairs; the result is the minimal-length word."""
     stack: list[str] = []
+    _push_letters(stack, letters)
+    return tuple(stack)
+
+
+def _push_letters(stack: list[str], letters: Iterable[str]) -> None:
+    """Append letters to a reduced word held as a stack, cancelling each
+    letter against an inverse on top; the stack stays reduced."""
     for c in letters:
-        if c not in _INverse:
+        inv = _INverse.get(c)
+        if inv is None:
             raise ValueError(f"letter {c!r} not in {ALPHABET!r}")
-        if stack and stack[-1] == inverse_letter(c):
+        if stack and stack[-1] == inv:
             stack.pop()
         else:
             stack.append(c)
-    return tuple(stack)
 
 
 @dataclass(frozen=True)
@@ -128,7 +135,7 @@ def periodic_point(prefix: ReducedWord, period: ReducedWord, depth: int) -> Boun
         raise ValueError("period must be nontrivial")
     letters = list(prefix.letters)
     while len(letters) < depth + len(period):
-        letters = list(reduce_letters(tuple(letters) + period.letters))
+        _push_letters(letters, period.letters)
     return BoundaryPoint(tuple(letters[:depth]))
 
 

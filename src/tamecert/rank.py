@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ class RankInstance:
     """Arrays backing the rank computation for one sampled element.
 
     Every kind shares one derivative stage: a ball is a cylinder of equal
-    ``words`` key columns cut down to a window of ``positions``.
+    leading ``words`` columns cut down to a window of ``positions``.
     kind 'split': binary coding words (uint8) plus base positions on the
     circle; the distance is 1 off the full-word cylinder, else the base arc
     distance.
@@ -45,6 +46,10 @@ class RankInstance:
     kind 'value': plain positions and scalar image values.
     ``img_positions`` are the images' circle positions (split and circle
     kinds); the split stage adds them, unwrapped, as one more image column.
+
+    The arrays the stages share are computed once per instance: the word
+    order behind ``cylinder_ids`` (one lexsort, for every key width) and the
+    split kind's packed image words (``image_bits``).
     """
 
     kind: str
@@ -69,6 +74,44 @@ class RankInstance:
         if not gaps:
             raise ValueError("degenerate instance: no separating scale")
         return min(gaps)
+
+    @cached_property
+    def _word_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows in lexicographic word order (stable), and for each sorted
+        row after the first the first column where it differs from the row
+        before (the word width where it equals it)."""
+        w = self.words
+        order = np.lexsort(w.T[::-1])
+        diff = w[order[1:]] != w[order[:-1]]
+        first_diff = np.where(diff.any(axis=1), diff.argmax(axis=1), w.shape[1])
+        # the narrowest integer types: the cache lives as long as the instance
+        return (order.astype(np.min_scalar_type(w.shape[0])),
+                first_diff.astype(np.min_scalar_type(w.shape[1])))
+
+    def cylinder_ids(self, width: int) -> np.ndarray:
+        """Cylinder id of every point: equal ids for equal first ``width`` word
+        columns, ascending in the lexicographic order of those columns."""
+        ids = np.zeros(len(self.points), dtype=np.int64)
+        if self.words is not None and width > 0:
+            order, first_diff = self._word_order
+            ids[order[1:]] = np.cumsum(first_diff < width)
+        return ids
+
+    @cached_property
+    def image_bits(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 0/1 image words as packed int64 columns of 63 bits, and the
+        weight of each bit: the word columns go in by descending weight, ties
+        in column order, so the lowest bit that varies over a ball is the
+        ball's first word column of widest spread."""
+        heaviest = np.argsort(-self.weights, kind="stable")
+        packed = np.empty((len(self.points), -(-heaviest.size // 63)), dtype=np.int64)
+        for c in range(packed.shape[1]):
+            octets = np.zeros((packed.shape[0], 8), dtype=np.uint8)
+            chunk = np.packbits(self.img_words[:, heaviest[63 * c:63 * c + 63]], axis=1,
+                                bitorder="little")
+            octets[:, :chunk.shape[1]] = chunk
+            packed[:, c] = octets.view("<i8")[:, 0]
+        return packed, self.weights[heaviest]
 
 
 def _positions(points) -> np.ndarray:
@@ -129,96 +172,161 @@ def build_instance(p: ApproxElement) -> RankInstance:
 # ---------------------------------------------------------------------------
 
 
-def _unwrap_circular(vals: np.ndarray) -> np.ndarray:
-    """Re-anchor image positions at the largest gap so a short arc of images
-    becomes a plain interval (the minus point of a split pair has base 0 but
-    lives at the top of its cell, so raw positions can straddle the 0/1 cut)."""
-    if vals.size <= 1:
-        return np.zeros_like(vals)
-    order = np.argsort(vals)
-    sp = vals[order]
-    gaps = np.diff(sp)
-    wrap = 1.0 - (sp[-1] - sp[0])
-    if gaps.size and float(gaps.max()) > wrap:
-        cut = sp[int(gaps.argmax()) + 1]
-    else:
-        cut = sp[0]
-    return (vals - cut) % 1.0
-
-
-def _group_rows(keys: np.ndarray, members: np.ndarray) -> list[np.ndarray]:
-    """Split ``members`` by equal rows of ``keys``: groups in ascending
-    lexicographic key order (the order of ``np.unique(keys, axis=0)``), each
-    group's members in their original order (the sort is stable)."""
-    order = np.lexsort(keys.T[::-1])
-    sk = keys[order]
-    cuts = np.nonzero((sk[1:] != sk[:-1]).any(axis=1))[0] + 1
-    return np.split(members[order], cuts)
+def _unwrap_circular(vals: np.ndarray, cylinder: np.ndarray) -> np.ndarray:
+    """Re-anchor each cylinder's image positions at their largest gap so a
+    short arc of images becomes a plain interval (the minus point of a split
+    pair has base 0 but lives at the top of its cell, so raw positions can
+    straddle the 0/1 cut).  A lone point goes to 0.  Raises when the images
+    of a cylinder of two or more points span more than half a circle."""
+    order = np.lexsort((vals, cylinder))
+    sv, sc = vals[order], cylinder[order]
+    start = np.flatnonzero(np.r_[True, sc[1:] != sc[:-1]])
+    end = np.r_[start[1:], sv.size]
+    seg = np.repeat(np.arange(start.size), end - start)
+    gap = np.full(sv.size, -np.inf)  # to the next image of the same cylinder
+    inside = sc[1:] == sc[:-1]
+    gap[:-1][inside] = np.diff(sv)[inside]
+    widest = np.maximum.reduceat(gap, start)
+    at = np.flatnonzero(gap == widest[seg])
+    first = at[np.r_[True, seg[at][1:] != seg[at][:-1]]]  # first widest gap of each cylinder
+    wrap = 1.0 - (sv[end - 1] - sv[start])
+    cut = sv[np.where(widest > wrap, first + 1, start)]
+    out = (sv - cut[seg]) % 1.0
+    span = np.maximum.reduceat(out, start) - np.minimum.reduceat(out, start)
+    if np.any((end - start >= 2) & (span > 0.5)):
+        raise ValueError("image arc exceeds a half circle; osc undefined here")
+    unwrapped = np.empty_like(out)
+    unwrapped[order] = out
+    return unwrapped
 
 
 def _stage(inst: RankInstance, active: np.ndarray, radius: float, eps: float):
     """Indices of the active points surviving one epsilon-derivative at the
     given resolution, plus their witness pairs.
 
-    A ball is a cylinder (equal key columns) intersected with a window of
-    positions, so each cylinder group is sorted once and measured by one
-    window-oscillation call.
+    One pass over every cylinder at once: ``_stage_arrays`` orders the
+    active points and their copies by (cylinder, position) into one array, a
+    ball is a window of positions inside its cylinder's segment of that
+    array, and one window-oscillation call measures every ball.
+    """
+    values, segments, points, own, cols, bits, bit_weights = _stage_arrays(inst, active, radius)
+    osc = K.window_oscillation(values, radius, cols, np.ones(cols.shape[1]), segments, bits,
+                               bit_weights)
+    # only a point's own copy can survive
+    hit = np.nonzero(own & (osc >= eps))[0]
+    top, bottom = _witness_rows(values, radius, segments, cols, bits, bit_weights, osc[hit], hit)
+    survivors = points[hit]
+    witness = dict(zip(survivors.tolist(), zip(points[top].tolist(), points[bottom].tolist())))
+    return np.sort(survivors), witness
+
+
+def _stage_arrays(inst: RankInstance, active: np.ndarray, radius: float):
+    """The stage's one array, ordered by (cylinder, position): the members,
+    then the copies of those within the radius of the 0/1 cut one turn up,
+    then those one turn down (split and circle kinds), ties in that order.
+
+    Returns the positions, the cylinder segments, the points, which rows are
+    the members' own, and the image columns: float columns (pre-weighted)
+    and, for the split kind, the packed word bits and their weights.
     """
     if inst.kind == "split":
         # full-window cylinder key: the base distance supplies the radius,
         # and full word agreement stops beyond-horizon coordinates from
         # leaking fake oscillation into shifted images (valid for shifts
         # up to horizon - log2(1/eps))
-        keys = inst.words[active]
+        width = inst.words.shape[1]
     elif inst.kind == "prefix":
-        keys = inst.words[active][:, inst.weights > radius]
+        # the key columns are those heavier than the radius, a prefix of the
+        # decreasing weights
+        width = int(np.count_nonzero(inst.weights > radius))
     elif inst.kind in ("circle", "value"):
-        keys = None
+        width = 0
     else:
         raise ValueError(f"unknown instance kind {inst.kind!r}")
-    groups = [active] if keys is None or keys.shape[1] == 0 else _group_rows(keys, active)
-    survivors: list[int] = []
-    witness: dict[int, tuple[int, int]] = {}
-    for members in groups:
-        if members.size < 2:
-            continue
-        # prefix balls are whole cylinders: one position for every member
-        pos = np.zeros(members.size) if inst.kind == "prefix" else inst.positions[members]
-        rows = np.arange(members.size)
-        if inst.kind in ("split", "circle"):
-            # circle positions: copy the members within the radius of the cut
-            # one turn over, so every window sees its arc neighbours
-            up = np.nonzero(pos <= radius)[0]
-            down = np.nonzero(pos >= 1.0 - radius)[0]
-            rows = np.concatenate([rows, up, down])
-            pos = np.concatenate([pos, pos[up] + 1.0, pos[down] - 1.0])
-        order = np.argsort(pos, kind="stable")
-        base, rows = pos[order], rows[order]
-        points = members[rows]
+    cylinder = inst.cylinder_ids(width)[active]
+    # prefix balls are whole cylinders: one position for every member
+    pos = np.zeros(active.size) if inst.kind == "prefix" else inst.positions[active]
+    rows = np.arange(active.size)
+    if inst.kind in ("split", "circle"):
+        # circle positions: copy the members within the radius of the cut
+        # one turn over, so every window sees its arc neighbours
+        up = np.nonzero(pos <= radius)[0]
+        down = np.nonzero(pos >= 1.0 - radius)[0]
+        rows = np.concatenate([rows, up, down])
+        pos = np.concatenate([pos, pos[up] + 1.0, pos[down] - 1.0])
+    order = np.lexsort((pos, cylinder[rows]))
+    rows = rows[order]
+    points = active[rows]
+    if inst.kind == "split":
+        # the images' circle positions, unwrapped per cylinder, after the words
+        cols = _unwrap_circular(inst.img_positions[active], cylinder)[rows, None]
+        packed, bit_weights = inst.image_bits
+        bits = packed[points]
+    else:
         cols = inst.img_words[points] * inst.weights
-        if inst.kind == "split":
-            ib = _unwrap_circular(inst.img_positions[members])
-            if float(ib.max() - ib.min()) > 0.5:
-                raise ValueError("image arc exceeds a half circle; osc undefined here")
-            cols = np.concatenate([cols, ib[rows, None]], axis=1)
-        osc = K.window_oscillation(base, radius, cols, np.ones(cols.shape[1]))
-        # only a point's own copy can survive
-        for j in np.nonzero((order < members.size) & (osc >= eps))[0]:
-            idx = int(points[j])
-            survivors.append(idx)
-            witness[idx] = _window_witness(points, base, cols, j, radius)
-    return np.array(sorted(survivors), dtype=np.int64), witness
+        bits = bit_weights = None
+    return pos[order], cylinder[rows], points, order < active.size, cols, bits, bit_weights
 
 
-def _window_witness(members, base, img_cols, j, radius):
-    lo = int(np.searchsorted(base, base[j] - radius, side="left"))
-    hi = int(np.searchsorted(base, base[j] + radius, side="right"))
-    block = img_cols[lo:hi]
-    spread = block.max(axis=0) - block.min(axis=0)
-    mcol = int(spread.argmax())
-    i1 = int(members[lo + block[:, mcol].argmax()])
-    i2 = int(members[lo + block[:, mcol].argmin()])
-    return (i1, i2)
+def _witness_rows(values, radius, segments, cols, bits, bit_weights, osc, hit):
+    """Witness rows of each hit: the first row of its ball that holds the
+    maximum and the first that holds the minimum of the ball's first column
+    of widest spread, word bits (in column order) before the float columns.
+
+    A widest column spreads by exactly the hit's oscillation.  A bit column
+    spreads by its weight or not at all, so only the bits of that weight are
+    read, through the next set and the next clear row; a float column is
+    read through first-occurrence argmax and argmin tables.
+    """
+    top = np.full(hit.size, -1)
+    bottom = np.full(hit.size, -1)
+    if hit.size == 0:
+        return top, bottom
+    lo, hi = K.ball_bounds(values, radius, segments, hit)
+    if bits is not None:
+        for k in np.nonzero(np.isin(bit_weights, osc))[0]:
+            bit = ((bits[:, k // 63] >> (k % 63)) & 1).astype(bool)
+            set_at, clear_at = _next_row(bit, lo), _next_row(~bit, lo)
+            take = (top < 0) & (osc == bit_weights[k]) & (set_at < hi) & (clear_at < hi)
+            top[take], bottom[take] = set_at[take], clear_at[take]
+    for c in range(cols.shape[1]):
+        todo = np.nonzero(top < 0)[0]
+        if todo.size == 0:
+            break
+        col = cols[:, c]
+        first_max = _first_extreme(col, lo[todo], hi[todo], np.greater_equal)
+        first_min = _first_extreme(col, lo[todo], hi[todo], np.less_equal)
+        take = col[first_max] - col[first_min] == osc[todo]
+        top[todo[take]], bottom[todo[take]] = first_max[take], first_min[take]
+    return top, bottom
+
+
+def _next_row(mask: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """The first row at or after each of ``lo`` where ``mask`` holds (the
+    row count if none)."""
+    rows = np.append(np.nonzero(mask)[0], mask.size)
+    return rows[np.searchsorted(rows, lo)]
+
+
+def _first_extreme(col: np.ndarray, lo: np.ndarray, hi: np.ndarray, keeps_left) -> np.ndarray:
+    """First row of each range ``[lo, hi)`` holding the range's extreme of
+    ``col``: the maximum with ``np.greater_equal``, the minimum with
+    ``np.less_equal``.  Level k of the sparse table holds the first extreme
+    row of every run of 2^k rows; the left run wins ties, so two overlapping
+    runs give the first extreme of their union."""
+    level = np.frexp(hi - lo)[1] - 1
+    best = np.arange(col.size)
+    out = np.empty_like(lo)
+    for k in range(int(level.max()) + 1):
+        if k:
+            half = 1 << (k - 1)
+            left, right = best[:-half], best[half:]
+            best = np.where(keeps_left(col[left], col[right]), left, right)
+        at = np.nonzero(level == k)[0]
+        if at.size:
+            left, right = best[lo[at]], best[hi[at] - (1 << k)]
+            out[at] = np.where(keeps_left(col[left], col[right]), left, right)
+    return out
 
 
 # ---------------------------------------------------------------------------

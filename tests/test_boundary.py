@@ -58,6 +58,25 @@ class TestReduce:
         conj3, core3 = (W("b") * W("ab") * W("B")).cyclic_reduce()
         assert str(conj3) == "e" and str(core3) == "ba"
 
+    def test_bad_letter_rejected(self):
+        with pytest.raises(ValueError, match="not in"):
+            reduce_letters("abx")
+
+
+@pytest.mark.parametrize("depth", [1, 5, 16, 40])
+def test_periodic_point_matches_rereduced_word(depth):
+    # the reference re-reduces the whole word for every period it appends
+    def reference(prefix, period):
+        letters = prefix.letters
+        while len(letters) < depth + len(period):
+            letters = reduce_letters(letters + period.letters)
+        return letters[:depth]
+
+    words = [w for n in range(4) for w in all_reduced_words(n)]
+    for prefix in words:
+        for period in words[1:]:
+            assert periodic_point(prefix, period, depth).prefix == reference(prefix, period)
+
 
 class TestBoundaryAction:
     def test_identity_fixes(self):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tamecert import exactarith
@@ -20,9 +20,11 @@ from tamecert.envelope import (
 from tamecert.errors import NotStabilizedAcrossResolutions
 from tamecert.exactarith import GOLDEN, PointArray, one_sided_approach, orbit_point, point, zero
 from tamecert.rank import (
-    _group_rows,
+    RankInstance,
     _image_dist,
     _point_dist,
+    _stage,
+    _unwrap_circular,
     beta_rank,
     build_instance,
     naive_beta_rank,
@@ -198,18 +200,141 @@ class TestBetaRank:
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_group_rows_matches_unique(data):
+def test_cylinder_ids_match_unique_rows(data):
     n = data.draw(st.integers(1, 40))
     width = data.draw(st.integers(1, 6))
     symbols = data.draw(st.sampled_from([2, 4]))  # split words, prefix codes
     dtype = data.draw(st.sampled_from([np.uint8, np.float64]))
     cells = data.draw(st.lists(st.integers(0, symbols - 1), min_size=n * width, max_size=n * width))
-    keys = np.asarray(cells, dtype=dtype).reshape(n, width)
-    members = np.cumsum(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
-    _, inv = np.unique(keys, axis=0, return_inverse=True)
-    inv = inv.ravel()
-    want = [members[inv == g].tolist() for g in range(int(inv.max()) + 1)]
-    assert [g.tolist() for g in _group_rows(keys, members)] == want
+    words = np.asarray(cells, dtype=dtype).reshape(n, width)
+    inst = RankInstance("prefix", range(n), words, words, 2.0 ** -np.arange(width))
+    for key_width in range(width + 1):
+        ids = inst.cylinder_ids(key_width)
+        if key_width == 0:
+            want = np.zeros(n, dtype=np.int64)
+        else:
+            want = np.unique(words[:, :key_width], axis=0, return_inverse=True)[1].ravel()
+        assert ids.dtype == np.int64 and ids.tolist() == want.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the one-pass stage
+# ---------------------------------------------------------------------------
+
+
+def _split_instance(words, img_words, positions, img_positions, horizon):
+    weights = 2.0 ** -np.abs(np.arange(-horizon, horizon + 1, dtype=np.float64))
+    return RankInstance("split", range(len(positions)), np.asarray(words, dtype=np.uint8),
+                        np.asarray(img_words, dtype=np.uint8), weights,
+                        np.asarray(positions, dtype=np.float64),
+                        np.asarray(img_positions, dtype=np.float64))
+
+
+class TestStage:
+    @pytest.mark.parametrize("horizon, plain_count", [(6, 120), (40, 80)])
+    def test_split_stages_match_naive_oracle(self, sturmian, horizon, plain_count):
+        small = split_sample(sturmian, plain_count=plain_count, split_range=4, horizon=horizon)
+        el = limit_map(sturmian, one_sided_approach(zero(GOLDEN), "below", 10), small)
+        inst = build_instance(el)
+        assert inst.image_bits[0].shape[1] == -(-(2 * horizon + 1) // 63)
+        # a coarse first radius reaches across the 0/1 cut inside a cylinder
+        schedule = (0.02, 1e-3, 1e-4)
+        r = schedule[0]
+        ids = inst.cylinder_ids(inst.words.shape[1])
+        sizes = np.bincount(ids)
+        # several cylinders; lone points only at the long horizon
+        assert (sizes >= 2).sum() >= 2 and (sizes == 1).any() == (horizon == 40)
+        near_cut = (inst.positions <= r) | (inst.positions >= 1 - r)
+        assert (sizes[ids[near_cut]] >= 2).any()
+        for eps in (2.0 ** -horizon, 0.05):
+            t = beta_rank(inst, eps, r_schedule=schedule, raise_on_unstable=False)
+            nb, nstages = naive_beta_rank(inst, eps, t.schedule)
+            assert t.beta == nb
+            assert [s.tolist() for s in t.stages] == nstages
+            assert t.verify_witnesses(inst)
+
+    def test_witness_takes_the_first_widest_word_column(self):
+        # h = 2: columns 0 and 4 both weigh 1/4, and column 0 comes first;
+        # their first max/min rows differ, so the pair names the column
+        img = np.zeros((4, 5), dtype=np.uint8)
+        img[:, 0] = [0, 1, 1, 0]
+        img[:, 4] = [1, 0, 0, 1]
+        pos = [0.1, 0.1001, 0.1003, 0.1004]
+        active = np.arange(4)
+
+        def stage(img_pos, radius=0.01):
+            inst = _split_instance(np.zeros((4, 5)), img, pos, img_pos, horizon=2)
+            return _stage(inst, active, radius, 0.25)
+
+        survivors, witness = stage([0.3] * 4)
+        assert survivors.tolist() == [0, 1, 2, 3]
+        assert witness == {i: (1, 0) for i in range(4)}
+        # an image arc as wide as the word weight: the word column still wins
+        assert stage([0.25, 0.375, 0.375, 0.5])[1] == {i: (1, 0) for i in range(4)}
+        # a wider arc is the witness: its first max row, its first min row
+        assert stage([0.625, 0.25, 0.25, 0.625])[1] == {i: (0, 1) for i in range(4)}
+        # a smaller radius splits the ball: rows 0-1 and rows 2-3
+        survivors, witness = stage([0.625, 0.25, 0.25, 0.625], radius=0.00015)
+        assert survivors.tolist() == [0, 1, 2, 3]
+        assert witness == {0: (0, 1), 1: (0, 1), 2: (3, 2), 3: (3, 2)}
+
+    def test_witness_reads_the_second_packed_column(self):
+        # h = 40: the columns h -/+ 35 sit at bits 69 and 70, in the second
+        # 63-bit column; both weigh 2^-35, and h - 35 comes first
+        h = 40
+        img = np.zeros((3, 2 * h + 1), dtype=np.uint8)
+        img[:, h - 35] = [1, 0, 1]
+        img[:, h + 35] = [0, 0, 1]
+        inst = _split_instance(np.zeros((3, 2 * h + 1)), img, [0.5, 0.5, 0.5], [0.5] * 3, h)
+        survivors, witness = _stage(inst, np.arange(3), 1e-3, 2.0 ** -35)
+        assert survivors.tolist() == [0, 1, 2]
+        assert witness == {i: (0, 1) for i in range(3)}
+        assert _stage(inst, np.arange(3), 1e-3, 2.0 ** -34)[0].size == 0
+        # without column h - 35 the tie goes to h + 35
+        img[:, h - 35] = 0
+        inst = _split_instance(np.zeros((3, 2 * h + 1)), img, [0.5, 0.5, 0.5], [0.5] * 3, h)
+        assert _stage(inst, np.arange(3), 1e-3, 2.0 ** -35)[1] == {i: (2, 0) for i in range(3)}
+
+    # (cylinder key, image position in eighths, active) per point
+    @settings(max_examples=80, deadline=None)
+    @given(cells=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 7), st.booleans()),
+                          min_size=1, max_size=12))
+    @example(cells=[(0, 0, True), (0, 3, True), (0, 6, True)])  # spans 5/8
+    @example(cells=[(0, 0, True), (0, 4, True), (1, 2, True)])  # exactly half, and a lone point
+    @example(cells=[(0, 0, True), (0, 3, False), (0, 6, True), (1, 1, True)])  # inactive middle
+    @example(cells=[(0, 0, True), (1, 4, True), (1, 7, False), (2, 2, True)])  # lone actives
+    def test_half_circle_check_per_cylinder(self, cells):
+        keys, eighths, flags = (np.asarray(c) for c in zip(*cells))
+        n = keys.size
+        active = np.flatnonzero(flags) if flags.any() else np.arange(n)
+        words = np.zeros((n, 3), dtype=np.uint8)
+        words[:, 0], words[:, 2] = keys & 1, keys >> 1
+        img_pos = eighths / 8
+        inst = _split_instance(words, np.zeros((n, 3)), np.linspace(0.1, 0.9, n), img_pos, 1)
+        # the rule, one cylinder of the active points at a time
+        want = np.zeros(active.size)
+        too_wide = False
+        for key in set(keys[active].tolist()):
+            at = np.flatnonzero(keys[active] == key)
+            if at.size >= 2:
+                want[at] = _unwrap_oracle(img_pos[active[at]])
+                too_wide |= float(want[at].max() - want[at].min()) > 0.5
+        if too_wide:
+            with pytest.raises(ValueError, match="half circle"):
+                _stage(inst, active, 0.05, 0.1)
+        else:
+            _stage(inst, active, 0.05, 0.1)
+            got = _unwrap_circular(img_pos[active], inst.cylinder_ids(3)[active])
+            assert got.tolist() == want.tolist()
+
+
+def _unwrap_oracle(vals):
+    """The largest-gap re-anchoring of one cylinder's image positions."""
+    sp = np.sort(vals)
+    gaps = np.diff(sp)
+    if gaps.size and float(gaps.max()) > 1.0 - (sp[-1] - sp[0]):
+        return (vals - sp[int(gaps.argmax()) + 1]) % 1.0
+    return (vals - sp[0]) % 1.0
 
 
 class TestOtherRotationNumber:

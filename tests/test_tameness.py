@@ -257,12 +257,21 @@ def test_projection_count_matches_bruteforce(data):
     assert K.distinct_projection_count(factors, np.asarray(positions, dtype=np.int64)) == len(brute)
 
 
-def _oscillation_oracle(values, radius, images, weights):
-    """Per-point oracle for window_oscillation: max/min of each column over the ball."""
+def _oscillation_oracle(values, radius, images, weights, segments=None, bits=None,
+                        bit_weights=None):
+    """Per-point oracle for window_oscillation: max/min of each column, and
+    each bit that is both set and clear, over the ball."""
+    seg = np.zeros(values.size) if segments is None else segments
     out = []
-    for x in values:
-        block = images[np.abs(values - x) <= radius]
-        out.append(np.max((block.max(axis=0) - block.min(axis=0)) * weights))
+    for x, s in zip(values, seg):
+        ball = (np.abs(values - x) <= radius) & (seg == s)
+        block = images[ball]
+        osc = np.max((block.max(axis=0) - block.min(axis=0)) * weights)
+        for k, w in enumerate([] if bits is None else bit_weights):
+            column = (bits[ball, k // 63] >> (k % 63)) & 1
+            if column.min() != column.max():
+                osc = max(osc, w)
+        out.append(osc)
     return np.asarray(out, dtype=np.float64)
 
 
@@ -272,14 +281,40 @@ def _oscillation_cases(draw):
     # 1/8 grid in [0, 2] repeat often, and 8.0 exceeds the whole span
     n = draw(st.integers(0, 40))
     m = draw(st.integers(1, 4))
-    values = np.sort(np.asarray(draw(st.lists(st.integers(0, 16), min_size=n, max_size=n))) / 8)
+    values = np.asarray(draw(st.lists(st.integers(0, 16), min_size=n, max_size=n))) / 8
     radius = draw(st.sampled_from([0.0, 0.125, 0.375, 1.0, 8.0]))
     cells = draw(st.lists(st.floats(-4, 4), min_size=n * m, max_size=n * m))
     weights = draw(st.lists(st.floats(0, 4), min_size=m, max_size=m))
-    return values, radius, np.asarray(cells, dtype=np.float64).reshape(n, m), np.asarray(weights)
+    case = [np.sort(values), radius, np.asarray(cells, dtype=np.float64).reshape(n, m),
+            np.asarray(weights)]
+    if draw(st.booleans()):
+        # rows ordered by (segment, value); equal values in two segments
+        segments = np.asarray(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        order = np.lexsort((values, segments))
+        case[0] = values[order]
+        extra = [segments[order]]
+        if draw(st.booleans()):
+            # packed bit columns: bit k weighs bit_weights[k], non-increasing
+            # in k; a second column when there are more than 63 weights
+            nbits = draw(st.sampled_from([1, 5, 63, 70, 126]))
+            cols = -(-nbits // 63)
+            words = draw(st.lists(st.integers(0, (1 << 63) - 1), min_size=n * cols,
+                                  max_size=n * cols))
+            bits = np.asarray(words, dtype=np.int64).reshape(n, cols)
+            for c in range(cols):  # bits past the last weight stay clear
+                bits[:, c] &= (1 << min(63, nbits - 63 * c)) - 1
+            # sparse bits, so that a bit often holds one value over a ball
+            for c in range(cols):
+                bits[:, c] &= np.asarray(draw(st.lists(
+                    st.integers(0, (1 << 63) - 1), min_size=n, max_size=n)), dtype=np.int64)
+            bit_weights = -np.sort(-np.asarray(draw(st.lists(
+                st.sampled_from([0.0, 0.5, 1.0, 2.0, 8.0]), min_size=nbits, max_size=nbits))))
+            extra += [bits, bit_weights]
+        case += extra
+    return tuple(case)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(case=_oscillation_cases())
 @example(case=(np.empty(0), 0.125, np.empty((0, 2)), np.ones(2)))
 @example(case=(np.array([0.5]), 0.0, np.array([[1.0, -2.0]]), np.array([1.0, 3.0])))
@@ -287,10 +322,17 @@ def _oscillation_cases(draw):
                np.array([0.5])))
 @example(case=(np.array([0.0, 0.5, 1.0]), 8.0, np.array([[0.0, 1.0], [3.0, 1.0], [1.0, 0.0]]),
                np.array([0.25, 2.0])))
+# a ball stops at its segment although the next value is within the radius
+@example(case=(np.array([0.0, 0.125, 0.0, 0.125]), 1.0, np.array([[0.0], [1.0], [5.0], [7.0]]),
+               np.array([1.0]), np.array([0, 0, 1, 1])))
+# bit 64 (second column) weighs as much as bit 63 but only it varies
+@example(case=(np.array([0.0, 0.25, 0.5]), 0.25, np.zeros((3, 1)), np.ones(1),
+               np.zeros(3, dtype=np.int64),
+               np.array([[0, 2], [0, 0], [0, 2]], dtype=np.int64),
+               np.r_[np.full(63, 4.0), 2.0, 2.0]))
 def test_window_oscillation_matches_bruteforce(case):
-    values, radius, images, weights = case
-    want = _oscillation_oracle(values, radius, images, weights)
-    got = K.window_oscillation(values, radius, images, weights)
+    want = _oscillation_oracle(*case)
+    got = K.window_oscillation(*case)
     assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
