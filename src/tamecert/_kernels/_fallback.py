@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 BACKEND = "fallback"
+_QUERY_BLOCK = 2048  # balls read per step: bounds the temporaries of a level
 
 
 def extract_factors(word, length: int) -> np.ndarray:
@@ -131,24 +132,15 @@ def window_oscillation(values, radius: float, images, weights, segments=None, bi
                 some = some[:-half] | some[half:]
                 every = every[:-half] & every[half:]
         at = np.nonzero(level == k)[0]
-        if at.size:
-            # in place where it can: at the commonest level ``at`` holds nearly
-            # every row, so each temporary is as long as the input
-            first, last = lo[at], hi[at]
-            last -= 1 << k
-            spread = np.maximum(top[first], top[last])
-            spread -= np.minimum(bottom[first], bottom[last])
-            spread *= w
-            osc[at] = spread.max(axis=1)
-            del spread
+        for start in range(0, at.size, _QUERY_BLOCK):
+            part = at[start:start + _QUERY_BLOCK]
+            first, last = lo[part], hi[part] - (1 << k)
+            spread = np.maximum(top[first], top[last]) - np.minimum(bottom[first], bottom[last])
+            osc[part] = np.max(spread * w, axis=1)
             if bits is not None:
-                varying = some[first]
-                varying |= some[last]
-                constant = every[first]
-                constant &= every[last]
-                varying ^= constant  # AND within OR: the bits both set and clear
-                del constant
-                osc[at] = np.maximum(osc[at], table[_lowest_bit(varying)])
+                # AND within OR: XOR leaves the bits both set and clear
+                varying = (some[first] | some[last]) ^ (every[first] & every[last])
+                osc[part] = np.maximum(osc[part], table[_lowest_bit(varying)])
     return osc
 
 

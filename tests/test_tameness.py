@@ -334,6 +334,9 @@ def test_window_oscillation_matches_bruteforce(case):
     want = _oscillation_oracle(*case)
     got = K.window_oscillation(*case)
     assert got.dtype == np.float64 and np.array_equal(got, want)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(K.fallback, "_QUERY_BLOCK", 3)  # several blocks of balls per level
+        assert np.array_equal(K.window_oscillation(*case), want)
 
 
 @settings(max_examples=60, deadline=None)
