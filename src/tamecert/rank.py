@@ -225,9 +225,10 @@ def _stage_arrays(inst: RankInstance, active: np.ndarray, radius: float):
     then the copies of those within the radius of the 0/1 cut one turn up,
     then those one turn down (split and circle kinds), ties in that order.
 
-    Returns the positions, the cylinder segments, the points, which rows are
-    the members' own, and the image columns: float columns (pre-weighted)
-    and, for the split kind, the packed word bits and their weights.
+    Returns the positions, the cylinder segments (None for one cylinder),
+    the points, which rows are the members' own, and the image columns:
+    float columns (pre-weighted) and, for the split kind, the packed word
+    bits and their weights.
     """
     if inst.kind == "split":
         # full-window cylinder key: the base distance supplies the radius,
@@ -265,7 +266,9 @@ def _stage_arrays(inst: RankInstance, active: np.ndarray, radius: float):
     else:
         cols = inst.img_words[points] * inst.weights
         bits = bit_weights = None
-    return pos[order], cylinder[rows], points, order < active.size, cols, bits, bit_weights
+    # one cylinder: no segment keys to compare
+    segments = cylinder[rows] if width else None
+    return pos[order], segments, points, order < active.size, cols, bits, bit_weights
 
 
 def _witness_rows(values, radius, segments, cols, bits, bit_weights, osc, hit):
