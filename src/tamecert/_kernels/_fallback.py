@@ -68,24 +68,21 @@ def ball_bounds(values, radius: float, segments=None, rows=None) -> tuple[np.nda
 
     Rows are ordered by ``(segments, values)``; the ball of row i holds the
     rows of its segment with ``values[i] - radius <= v <= values[i] + radius``.
-    Without segments every row is in one segment.  Segments are bounded by
-    integer keys, ``segment * (n + 1) + rank``, where the rank of a value is
-    the number of values below it, so the float thresholds are compared with
-    the values themselves and never with shifted copies of them.
+    Without segments every row is in one segment.  With them, each row is
+    keyed by ``segment + 1j * value``, which NumPy orders lexicographically,
+    so the float thresholds are compared with the values themselves and never
+    with shifted copies of them.
     """
     v = np.asarray(values, dtype=np.float64)
     at = v if rows is None else v[rows]
     if segments is None:
         return (np.searchsorted(v, at - radius, side="left"),
                 np.searchsorted(v, at + radius, side="right"))
-    u = np.sort(v)
-    seg = np.asarray(segments, dtype=np.int64)
-    stride = v.shape[0] + 1
-    keys = seg * stride + np.searchsorted(u, v, side="left")
-    base = (seg if rows is None else seg[rows]) * stride
-    lo = np.searchsorted(keys, base + np.searchsorted(u, at - radius, side="left"))
-    hi = np.searchsorted(keys, base + np.searchsorted(u, at + radius, side="right"))
-    return lo, hi
+    seg = np.asarray(segments, dtype=np.float64)
+    keys = seg + 1j * v
+    base = seg if rows is None else seg[rows]
+    return (np.searchsorted(keys, base + 1j * (at - radius), side="left"),
+            np.searchsorted(keys, base + 1j * (at + radius), side="right"))
 
 
 def window_oscillation(values, radius: float, images, weights, segments=None, bits=None,

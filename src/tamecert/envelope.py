@@ -12,11 +12,11 @@ isolation rectangles and rigidity probes.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -43,15 +43,17 @@ from .systems import (
 # ---------------------------------------------------------------------------
 
 
-# Float distance to a cut below which CodingMetric.words takes the exact walk.
-# Point positions are CirclePoint.as_float values: point arrays compute them
-# by a certified screen whose results are bitwise equal to as_float, and cuts
-# call as_float directly.  as_float rounds the midpoint of a certified
-# enclosure of width 1e-22, so it is within 1e-22/2 plus half an ulp (2^-54 on
-# [0, 1)) of the true value; point and cut errors together stay below
-# 1.2e-16, far under the margin, so a point beyond it lies strictly inside
-# the cell its float places it in.
+# Float distance to a cut within which the float order is not trusted:
+# CodingMetric.words takes the exact walk there, sorgenfrey_isolation the
+# exact compare.  Positions are CirclePoint.as_float values (point arrays
+# compute them by a certified screen, bitwise equal); coding cuts call
+# as_float and the isolation cut is float(eps).  as_float rounds the midpoint
+# of a certified enclosure of width 1e-22, so it is within 1e-22/2 plus half
+# an ulp (2^-54 on [0, 1)) of the true value; point and cut errors together
+# stay below 1.2e-16, far under the margin, so a point beyond it lies
+# strictly on the side of the cut its float places it on.
 _CUT_MARGIN = 1e-12
+_PAIR_BLOCK = 8192  # pair rows per step of sorgenfrey_isolation: bounds its temporaries
 
 
 class CodingMetric:
@@ -700,9 +702,12 @@ def sorgenfrey_isolation(members: Sequence, eps: Fraction = Fraction(1, 4)) -> I
     right-half-open basic interval [gamma, gamma+eps) and -1 for the left
     version (gamma-eps, gamma].  A member is isolated when its product
     rectangle contains no other member; its conflict is the smallest other
-    index inside the rectangle.  Each coordinate is sorted once, and a
-    basic interval is a cyclic window of that order found by bisection;
-    every order decision is an exact ``compare``.
+    index inside the rectangle: every coordinate offset, g_j - g_i for side
+    +1 and g_i - g_j otherwise, taken in [0, 1), is below eps.  The offsets
+    of a block of pairs are one ``PointArray`` per coordinate, built from the
+    members' columns over one common denominator; the exact ``compare``
+    decides the offsets within ``_CUT_MARGIN`` of eps, the float position the
+    rest.  ValueError when a member or an offset is outside the array range.
     """
     eps = Fraction(eps)
     if not 0 < eps <= Fraction(1, 2):
@@ -710,46 +715,45 @@ def sorgenfrey_isolation(members: Sequence, eps: Fraction = Fraction(1, 4)) -> I
     n = len(members)
     if len({len(m) for m in members}) > 1:
         raise ValueError("members must have the same number of coordinates")
-    key = cmp_to_key(CirclePoint.compare)
-    coords = []  # per coordinate: sorted values, rank of each member, sorted order, eps
-    for c in range(len(members[0]) if members else 0):
-        pts = [m[c][0] for m in members]
-        order = sorted(range(n), key=lambda j: key(pts[j]))
-        rank = [0] * n
-        for r, j in enumerate(order):
-            rank[j] = r
-        coords.append(([pts[j] for j in order], rank, order, CirclePoint(pts[0].alpha, 0, eps)))
-    isolated: list[bool] = []
-    conflicts: list = []
-    for i, mi in enumerate(members):
-        wins = [(_window(vals, g, side, step), rank, order)
-                for (g, side), (vals, rank, order, step) in zip(mi, coords)]
-        candidates: Any = range(n)
-        if wins:  # scan the members of the narrowest window, test the others by rank
-            narrow, _, by_rank = min(wins, key=lambda w: sum(hi - lo for lo, hi in w[0]))
-            candidates = (by_rank[r] for lo, hi in narrow for r in range(lo, hi))
-        inside = [
-            j for j in candidates
-            if j != i and all(any(lo <= rank[j] < hi for lo, hi in ranges)
-                              for ranges, rank, _ in wins)
-        ]
-        isolated.append(not inside)
-        conflicts.append(min(inside) if inside else None)
-    return IsolationReport(eps, tuple(isolated), tuple(conflicts), all(isolated))
+    coords = [_isolation_columns([m[c] for m in members], eps)
+              for c in range(len(members[0]) if members else 0)]
+    conflicts: list = [None] * n
+    rows, cut = max(1, _PAIR_BLOCK // max(n, 1)), float(eps)
+    for start in range(0, n, rows):
+        i, j = np.divmod(np.arange(start * n, min(start + rows, n) * n), n)
+        i, j = i[i != j], j[i != j]
+        for alpha, a, num, den, sign, bound in coords:
+            s = sign[i]
+            off = PointArray.build(alpha, s * (a[j] - a[i]), s * (num[j] - num[i]), den)
+            if off is None:
+                raise ValueError("isolation offsets outside the point-array range")
+            inside = off.positions < cut
+            for r in np.flatnonzero(np.abs(off.positions - cut) <= _CUT_MARGIN):
+                inside[r] = off.point(r).compare(bound) < 0
+            i, j = i[inside], j[inside]
+        # pairs run in (i, j) order, so the first pair of each i holds its smallest j
+        hit, first = np.unique(i, return_index=True)
+        for r, k in zip(hit.tolist(), first.tolist()):
+            conflicts[r] = int(j[k])
+    isolated = tuple(c is None for c in conflicts)
+    return IsolationReport(eps, isolated, tuple(conflicts), all(isolated))
 
 
-def _window(vals: list, g: CirclePoint, side: int, step: CirclePoint) -> tuple:
-    """Rank ranges [lo, hi) of the sorted values in [g, g+eps) (side +1) or
-    (g-eps, g] (otherwise); two ranges when the interval wraps past 0."""
-    if side == PLUS:
-        end = g + step
-        lo, hi = bisect_left(vals, g), bisect_left(vals, end)
-        wraps = end.b != g.b + step.b  # reduction mod 1 subtracted an integer
-    else:
-        start = g - step
-        lo, hi = bisect_right(vals, start), bisect_right(vals, g)
-        wraps = start.b != g.b - step.b
-    return ((lo, len(vals)), (0, hi)) if wraps else ((lo, hi),)
+def _isolation_columns(coord: Sequence, eps: Fraction) -> tuple:
+    """One coordinate of the members, (gamma, side) each: the rotation number,
+    integer columns a and num over one common denominator den, each member's
+    sign (+1 for side +1, else -1) and eps as a point."""
+    pts = [g for g, _ in coord]
+    alpha = pts[0].alpha
+    if any(p.alpha != alpha for p in pts):
+        raise ValueError("points use different rotation numbers")
+    den = math.lcm(*(p.b.denominator for p in pts))
+    arr = PointArray.build(alpha, [p.a for p in pts],
+                           [p.b.numerator * (den // p.b.denominator) for p in pts], [den] * len(pts))
+    if arr is None:
+        raise ValueError("isolation members outside the point-array range")
+    sign = np.array([1 if side == PLUS else -1 for _, side in coord], dtype=np.int64)
+    return alpha, arr.a, arr.num * (den // arr.den), np.int64(den), sign, CirclePoint(alpha, 0, eps)
 
 
 def flipped_diagonal(gammas: Sequence[CirclePoint]) -> list[tuple]:

@@ -62,10 +62,6 @@ class NotInIdeal(TamecertError):
     """Decomposition requested for a translation (not a limit element)."""
 
 
-class NoWitness(TamecertError):
-    """No witness exists because the excluded set exhausts the space (defensive)."""
-
-
 class UnknownSeries(TamecertError):
     """Requested plot series is not present in the report."""
 

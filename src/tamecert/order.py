@@ -14,10 +14,8 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import Sequence
-
-from .errors import NoWitness
 
 # side tags of split points: the left copy, an unsplit point, the right copy
 MINUS, PLAIN, PLUS = -1, 0, 1
@@ -356,14 +354,15 @@ class CircularCounterexample:
 
 
 def fresh_dyadic(avoid) -> Fraction:
-    """The first dyadic num/2^level in (0, 1) outside ``avoid``, by level then numerator."""
-    for level in range(1, 64):
+    """The first dyadic num/2^level in (0, 1) outside ``avoid``, by level then
+    numerator.  A finite ``avoid`` cannot hold all 2^(level-1) odd numerators
+    of every level, so the search ends."""
+    for level in count(1):
         denom = 2**level
         for num in range(1, denom, 2):
             cand = Fraction(num, denom)
             if cand not in avoid:
                 return cand
-    raise NoWitness("excluded set exhausts the dyadic grid (defensive)")
 
 
 def circular_counterexample(excluded: Sequence, a) -> CircularCounterexample:

@@ -501,6 +501,18 @@ class TestVerify:
         assert main(["verify", str(path)]) == 1
         assert capsys.readouterr().out.splitlines() == ["limit: FAILED", "isolation: FAILED"]
 
+    def test_isolation_gamma_outside_the_array_range_fails_verify(self, tmp_path, capsys):
+        report, _ = run_config({"experiments": [{"kind": "isolation", "params": {"count": 5}}]})
+        cert = report["results"][0]["certificates"][0]
+        big = dict(cert, gammas=cert["gammas"][:-1] + ["99999999999999999999*alpha+0"])
+        assert not verify_certificate(big)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps([big]))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == ["isolation: FAILED"] and "Traceback" not in err
+
     def test_malformed_fields_fail_verify(self, tmp_path, capsys):
         report, _ = run_config({"experiments": [
             {"kind": "isolation", "params": {"count": 5}},

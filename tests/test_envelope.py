@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+import tamecert.envelope as envelope
 from tamecert.errors import BoundaryUndecidable, NotInIdeal, NotStabilized, SampleMismatch
 from tamecert.exactarith import GOLDEN, SQRT2_MINUS_1, CirclePoint, one_sided_approach, orbit_point, point, zero
 from tamecert.systems import (
@@ -468,6 +469,61 @@ class TestSorgenfrey:
         gj = members[j][0][0]
         assert (gj - g0).compare(CirclePoint(GOLDEN, 0, Fraction(1, 4))) < 0
 
+    def test_members_exactly_eps_apart(self, monkeypatch):
+        # k/8 with eps = 1/4: the member two steps away sits exactly at eps, outside
+        quarter = Fraction(1, 4)
+        calls = []
+        compare = CirclePoint.compare
+        monkeypatch.setattr(CirclePoint, "compare", lambda p, q: calls.append(1) or compare(p, q))
+        for side, want in ((PLUS, [1, 2, 3, 4, 5, 6, 7, 0]), (MINUS, [7, 0, 1, 2, 3, 4, 5, 6])):
+            members = [((point(GOLDEN, 0, Fraction(k, 8)), side),) for k in range(8)]
+            calls.clear()
+            rep = sorgenfrey_isolation(members, eps=quarter)
+            assert calls  # the ties are decided by the exact compare
+            assert list(rep.conflicts) == want
+            assert rep == isolation_oracle(members, quarter)
+        # a second coordinate with the opposite side leaves only equal k inside
+        members = [((point(GOLDEN, 0, Fraction(k, 8)), PLUS), (point(GOLDEN, 1, Fraction(k, 8)), MINUS))
+                   for k in range(8)]
+        rep = sorgenfrey_isolation(members, eps=quarter)
+        assert rep.all_isolated and rep == isolation_oracle(members, quarter)
+
+    def test_irrational_near_ties(self):
+        # q*alpha - p for the convergents p/q of levels 57 and 58 is within
+        # 1e-12 of 0, with opposite signs: offsets 1/4 + q*alpha - p straddle eps
+        quarter = Fraction(1, 4)
+        near = [CirclePoint(GOLDEN, GOLDEN.denominator(k), quarter - GOLDEN.numerator(k))
+                for k in (57, 58)]
+        gaps = [g.as_float() - 0.25 for g in near]
+        assert all(0 < abs(d) < 1e-12 for d in gaps) and gaps[0] * gaps[1] < 0
+        below = 1 + [d < 0 for d in gaps].index(True)
+        for side in (PLUS, MINUS):
+            members = [((zero(GOLDEN), side),)] + [((g if side == PLUS else -g, side),) for g in near]
+            rep = sorgenfrey_isolation(members, eps=quarter)
+            assert rep.conflicts[0] == below
+            assert rep == isolation_oracle(members, quarter)
+
+    def test_offset_whose_float_is_eps(self):
+        # p/q just below 1/3 with q = 2^53 - 1 rounds to float(1/3): only the
+        # exact compare puts member 1 inside the rectangle of member 0
+        q = (1 << 53) - 1
+        below = Fraction((q - 1) // 3, q)
+        assert below < Fraction(1, 3) and float(below) == 1 / 3
+        members = [((zero(GOLDEN), PLUS),), ((point(GOLDEN, 0, below), PLUS),)]
+        rep = sorgenfrey_isolation(members, eps=Fraction(1, 3))
+        assert rep.conflicts == (1, None)
+        assert rep == isolation_oracle(members, Fraction(1, 3))
+
+    def test_members_outside_the_array_range(self):
+        far = point(GOLDEN, 1 << 40)
+        for coord in ([far, point(GOLDEN, -(1 << 40))],  # an offset leaves |a| <= 2^40
+                      [point(GOLDEN, 1 << 41), zero(GOLDEN)],  # a member does
+                      [point(GOLDEN, 0, Fraction(1, 3)), point(GOLDEN, 1, Fraction(1, 1 << 52))],
+                      [point(GOLDEN, 99999999999999999999), zero(GOLDEN)]):
+            with pytest.raises(ValueError, match="point-array range"):
+                sorgenfrey_isolation([((g, PLUS),) for g in coord])
+        assert sorgenfrey_isolation([((far, PLUS),), ((zero(GOLDEN), PLUS),)]).all_isolated
+
 
 def isolation_oracle(members, eps):
     """All-pairs first-hit scan: j conflicts with i when every coordinate
@@ -508,7 +564,11 @@ def isolation_cases(draw):
 @given(case=isolation_cases())
 def test_isolation_matches_all_pairs_oracle(case):
     members, eps = case
-    assert sorgenfrey_isolation(members, eps=eps) == isolation_oracle(members, eps)
+    want = isolation_oracle(members, eps)
+    assert sorgenfrey_isolation(members, eps=eps) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(envelope, "_PAIR_BLOCK", 5)  # several blocks, down to one member row each
+        assert sorgenfrey_isolation(members, eps=eps) == want
 
 
 def word_oracle(system, horizon, pts):

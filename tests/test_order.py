@@ -296,3 +296,10 @@ class TestCircularCounterexample:
         cset = [F(1, 4), F(1, 2), F(5, 8)]
         assert circular_counterexample(cset, F(0)).b == F(3, 4)
         assert no_countable_basis_witness(cset, "circle_parabolic").differs_at == F(3, 4)
+
+    def test_fresh_dyadic_past_a_full_grid(self):
+        # every dyadic up to level 4 is excluded: the first odd numerator of level 5
+        full = {F(num, 2**level) for level in range(1, 5) for num in range(1, 2**level, 2)}
+        assert len(full) == 15
+        assert fresh_dyadic(full) == F(1, 32)
+        assert fresh_dyadic(full | {F(1, 32), F(3, 32)}) == F(5, 32)

@@ -339,6 +339,49 @@ def test_window_oscillation_matches_bruteforce(case):
         assert np.array_equal(K.window_oscillation(*case), want)
 
 
+def _ball_oracle(values, radius, segments):
+    """Per row, the first and one past the last row of its segment whose
+    value is within the radius, by a scan of every row."""
+    lo, hi = [], []
+    for vi, si in zip(values, segments):
+        inside = [k for k, (v, s) in enumerate(zip(values, segments))
+                  if s == si and vi - radius <= v <= vi + radius]
+        lo.append(inside[0])
+        hi.append(inside[-1] + 1)
+    return np.asarray(lo), np.asarray(hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ball_bounds_match_bruteforce(data):
+    n = data.draw(st.integers(1, 30))
+    # values on a 1/8 grid and dyadic radii: v +- radius lands exactly on values
+    values = np.asarray(data.draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))) / 8
+    segments = np.asarray(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    radius = data.draw(st.sampled_from([0.0, 0.125, 0.25, 0.5, 4.0]))
+    order = np.lexsort((values, segments))
+    values, segments = values[order], segments[order]
+    lo, hi = _ball_oracle(values, radius, segments)
+    got = K.ball_bounds(values, radius, segments)
+    assert np.array_equal(got[0], lo) and np.array_equal(got[1], hi)
+    rows = np.asarray(data.draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=np.int64)
+    got = K.ball_bounds(values, radius, segments, rows)
+    assert np.array_equal(got[0], lo[rows]) and np.array_equal(got[1], hi[rows])
+    one = np.zeros(n, dtype=np.int64)  # no segments: one segment
+    lo, hi = _ball_oracle(np.sort(values), radius, one)
+    got = K.ball_bounds(np.sort(values), radius)
+    assert np.array_equal(got[0], lo) and np.array_equal(got[1], hi)
+
+
+def test_ball_bounds_stop_at_segment_edges_and_keep_ties():
+    values = np.array([0.0, 0.25, 0.5, 0.5, 0.75, 1.0])
+    segments = np.array([0, 0, 0, 1, 1, 1])
+    lo, hi = K.ball_bounds(values, 0.25, segments)
+    # 0.5 in segment 0 reaches 0.25 (tie) but not the equal 0.5 of segment 1
+    assert lo.tolist() == [0, 0, 1, 3, 3, 4]
+    assert hi.tolist() == [2, 3, 3, 5, 6, 6]
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_pack_masks_round_trip(data):
