@@ -57,6 +57,14 @@ CONFIGS = {
         _exp("rank-boundary-f2", "rank", system="boundary-f2", depth=16, epsilons=EPSILONS),
     ],
     "acceptance-batch": ACCEPTANCE_BATCH["experiments"],
+    "circle-witnesses": [
+        _exp("counterexample-circular", "counterexample",
+             scenario="circular_order", count=60, size=40),
+        _exp("counterexample-projective", "counterexample",
+             scenario="projective_p_infty", count=30, size=20),
+        _exp("limit-rotation-below", "limit", system="rotation",
+             target={"a": -2, "b": "2/7"}, side="below", depth=20),
+    ],
 }
 
 DIGESTS = {
@@ -68,6 +76,8 @@ DIGESTS = {
     ("rank-sweep", 5): "2e571f3810203de86349541e926cf6e681e34433c906358d6351aacbd00bf436",
     ("acceptance-batch", 3): "4bf661f97e02a85ae521b458298ea3b6d3d6fb4187d3eb68e680c0e4be39bee8",
     ("acceptance-batch", 5): "d4a6ace76a98ce6869cce673256ce06d8a29f0b7c127bddd02a7f8508bfcad6d",
+    ("circle-witnesses", 3): "2a4a98cd987762c191651f72252b28f14f506754c0f13beefa9b39d90776f9ac",
+    ("circle-witnesses", 5): "bb4e21a4aa74b212c27f8f96b569f438da99dfae015d3c468db915f24c506111",
 }
 
 
