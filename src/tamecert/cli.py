@@ -121,8 +121,9 @@ def run_limit(params, seed):
         "error_bounds": [str(b) for b in approach.error_bounds],
     }
     if cls.tag == "one_sided":
-        dec = envelope.decompose_minimal(element)
-        out["decomposition"] = {"epsilon": dec.epsilon, "gamma": _point_str(dec.gamma)}
+        # the minimal-ideal decomposition epsilon * gamma, read off the classification
+        out["decomposition"] = {"epsilon": cls.params["side"],
+                                "gamma": _point_str(cls.params["gamma"])}
     cert = {
         "kind": "limit",
         "system": sys_.describe(),
@@ -392,8 +393,8 @@ def run_counterexample(params, seed):
     last = None
     for _ in range(count):
         if scenario in ("circle_parabolic", "circular_order"):
-            cset = [Fraction(rng.randint(1, 997), 997) for _ in range(size)]
-            w = order.circular_counterexample(cset, 0)
+            drawn = [rng.randint(1, 997) for _ in range(size)]  # the points k/997
+            w = order.circular_counterexample(drawn, 997, 0)
             last = {"differs_at" if scenario == "circle_parabolic" else "b": str(w.b)}
         elif scenario == "projective_p_infty":
             pts = [(rng.randint(-99, 99), rng.randint(-99, 99)) for _ in range(size)]
@@ -642,14 +643,16 @@ def verify_certificate(cert: dict) -> bool:
             tameness.check_horizon(made.window, made.horizon)
             return made.verify(_source_word(cert["source"], made.horizon))
         if kind == "isolation":
-            # re-run the exact check on the payload's own gammas
+            # re-run the exact check on the payload's own gammas; the single-circle
+            # family k/count (side +1) has 1/count as its smallest offset, so, with
+            # eps in (0, 1/2], all its members are isolated iff count * eps <= 1
+            count, eps = int(cert["count"]), Fraction(cert["eps"])
             gammas = [_parse_point(GOLDEN, g) for g in cert["gammas"]]
-            if len(gammas) != int(cert["count"]):
+            if len(gammas) != count:
                 return False
-            rep = envelope.sorgenfrey_isolation(
-                envelope.flipped_diagonal(gammas), eps=Fraction(cert["eps"])
-            )
-            return rep.all_isolated == bool(cert["diagonal_isolated"])
+            rep = envelope.sorgenfrey_isolation(envelope.flipped_diagonal(gammas), eps=eps)
+            return (rep.all_isolated == bool(cert["diagonal_isolated"])
+                    and (count * eps <= 1) == bool(cert["single_circle_isolated"]))
         if kind == "counterexample":
             return int(cert["sound"]) == int(cert["count"])
         if kind == "rank":

@@ -460,6 +460,11 @@ def cos_target_times(
 # ---------------------------------------------------------------------------
 
 
+def _base_side(x) -> tuple[CirclePoint, int]:
+    """The base point and side of a split point; a rotation point is plain."""
+    return (x.base, x.side) if isinstance(x, SplitPoint) else (x, PLAIN)
+
+
 def classify(p: ApproxElement) -> ElementClass:
     """Coarse catalog position of a stabilized element on its sample."""
     if not p.stabilized:
@@ -478,23 +483,20 @@ def classify(p: ApproxElement) -> ElementClass:
             if rare == pts[i]:
                 return ElementClass("loxodromic", {"attracting": common, "repulsing": pts[i]})
 
-    if isinstance(p.system, SplitCircleSystem) and all(isinstance(x, SplitPoint) for x in pts):
-        gamma = imgs[0].base - pts[0].base
-        if all(im.base - x.base == gamma for x, im in zip(pts, imgs)):
-            preserved = all(im.side == x.side for x, im in zip(pts, imgs))
-            if preserved and gamma.on_orbit:
+    if isinstance(p.system, (SplitCircleSystem, RotationSystem)):
+        # every image is its point shifted by one gamma: a translation when gamma
+        # is an orbit point and every side is kept, a one-sided limit when the
+        # images carry one side tag (rotation points are all plain)
+        base, side = zip(*map(_base_side, pts))
+        moved, moved_side = zip(*map(_base_side, imgs))
+        gamma = moved[0] - base[0]
+        if all(c - b == gamma for b, c in zip(base, moved)):
+            if gamma.on_orbit and side == moved_side:
                 return ElementClass("translation", {"n": gamma.orbit_index})
-            sides = {im.side for im in imgs if im.side != PLAIN}
-            if len(sides) == 1:
-                side = sides.pop()
-                return ElementClass(
-                    "one_sided",
-                    {"gamma": gamma, "side": "minus" if side == MINUS else "plus"},
-                )
-    if isinstance(p.system, RotationSystem) and all(isinstance(x, CirclePoint) for x in pts):
-        gamma = imgs[0] - pts[0]
-        if all(im - x == gamma for x, im in zip(pts, imgs)) and gamma.on_orbit:
-            return ElementClass("translation", {"n": gamma.orbit_index})
+            tags = set(moved_side) - {PLAIN}
+            if len(tags) == 1:
+                tag = "minus" if tags.pop() == MINUS else "plus"
+                return ElementClass("one_sided", {"gamma": gamma, "side": tag})
     return ElementClass("unresolved", {})
 
 
@@ -677,7 +679,9 @@ def no_countable_basis_witness(excluded: Sequence, scenario: str) -> BasisWitnes
         differs = q.apply(direction) == direction != "inf"
         return BasisWitness(scenario, q, tuple(pts), direction, agrees and differs)
     if scenario == "circle_parabolic":
-        w = circular_counterexample(excluded, 0)
+        pts = [Fraction(c) for c in excluded]
+        den = math.lcm(*(c.denominator for c in pts))
+        w = circular_counterexample([c.numerator * (den // c.denominator) for c in pts], den, 0)
         return BasisWitness(scenario, w.image_of, w.agrees_on, w.b, w.sound)
     raise ValueError(f"unknown scenario {scenario!r}")
 

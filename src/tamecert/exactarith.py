@@ -223,16 +223,16 @@ SQRT2_MINUS_1 = RotationNumber((), period=(2,))
 
 # Order decisions evaluate a*alpha + n/d at the enclosure endpoints p_k/q_k
 # and p_{k+1}/q_{k+1} as integer fractions (a*p*d + n*q) / (q*d): the
-# denominators are positive, so floors and signs come from integer division
-# and comparison alone.
+# denominators are positive, so floors come from integer division alone, and
+# an order decision is the floor of a difference.
 
 _AS_FLOAT_EPS = Fraction(1, 10**22)
 
 
-def _floor_linear(alpha: RotationNumber, a: int, b: Fraction) -> int:
-    """floor(a*alpha + b), exact.  Terminates because a*alpha + b is an
-    integer only when a == 0 (then b decides directly)."""
-    n, d = b.numerator, b.denominator
+def _floor_linear(alpha: RotationNumber, a: int, n: int, d: int) -> int:
+    """floor(a*alpha + n/d) for d > 0 (n/d need not be reduced), exact.
+    Terminates because a*alpha + n/d is an integer only when a == 0 (then
+    n // d decides directly)."""
     if a == 0:
         return n // d
     ad, P, Q = a * d, alpha._p, alpha._q
@@ -243,7 +243,7 @@ def _floor_linear(alpha: RotationNumber, a: int, b: Fraction) -> int:
         if f == (ad * P[k + 1] + n * Q[k + 1]) // (Q[k + 1] * d):
             return f
         scale <<= 10
-    raise RefinementLimit(f"floor({a}*alpha + {b}) did not resolve")
+    raise RefinementLimit(f"floor({a}*alpha + {n}/{d}) did not resolve")
 
 
 @dataclass(frozen=True)
@@ -260,7 +260,7 @@ class CirclePoint:
 
     def __post_init__(self):
         b = self.b if isinstance(self.b, Fraction) else Fraction(self.b)
-        n = _floor_linear(self.alpha, self.a, b)
+        n = _floor_linear(self.alpha, self.a, b.numerator, b.denominator)
         object.__setattr__(self, "b", b - n)
 
     @classmethod
@@ -355,25 +355,12 @@ class CirclePoint:
         """-1, 0, +1 comparing the represented values in [0,1)."""
         self._check_same_alpha(other)
         x, y = self.b, other.b
-        # db = n/d, with d > 0 but not reduced: only signs are read off it
         da = self.a - other.a
         n = x.numerator * y.denominator - y.numerator * x.denominator
-        if da == 0:
-            return (n > 0) - (n < 0)
-        # sign of da*alpha + db, refined until 0 is excluded
-        alpha = self.alpha
-        dad, P, Q = da * x.denominator * y.denominator, alpha._p, alpha._q
-        scale = 16 * abs(da)
-        for _ in range(REFINEMENT_CAP):
-            k = alpha.level_for(Fraction(1, scale))
-            s0 = dad * P[k] + n * Q[k]
-            s1 = dad * P[k + 1] + n * Q[k + 1]
-            if s0 > 0 and s1 > 0:
-                return 1
-            if s0 < 0 and s1 < 0:
-                return -1
-            scale <<= 10
-        raise RefinementLimit("comparison did not separate (inputs inconsistent?)")
+        # the difference of two values in [0, 1) lies in (-1, 1): its floor is -1 or 0
+        if _floor_linear(self.alpha, da, n, x.denominator * y.denominator) < 0:
+            return -1
+        return 1 if da or n else 0
 
     def __lt__(self, other):
         return self.compare(other) < 0

@@ -336,40 +336,44 @@ def zero_map(x) -> Fraction:
 
 @dataclass(frozen=True)
 class CircularCounterexample:
-    """The map sending b to itself and every other point of [0, 1) to a."""
+    """The map sending b to itself and every other point of [0, 1) to a,
+    against the excluded set {n/denominator : n in numerators}."""
 
     a: Fraction
     b: Fraction
-    agrees_on: tuple[Fraction, ...]
+    numerators: frozenset[int]  # reduced mod the denominator
+    denominator: int
 
     def image_of(self, x) -> Fraction:
         """The image of a point x of [0, 1)."""
         return self.b if x == self.b else self.a
 
     @property
+    def agrees_on(self) -> tuple[Fraction, ...]:
+        """The excluded set as points of [0, 1), in increasing order."""
+        return tuple(Fraction(n, self.denominator) for n in sorted(self.numerators))
+
+    @property
     def sound(self) -> bool:
-        """Re-evaluated: the map agrees with the constant a on the excluded set and fixes b."""
-        return all(self.image_of(c) == self.a for c in self.agrees_on) and (
-            self.image_of(self.b) == self.b != self.a)
+        """Re-evaluated on the numerators: b differs from a and is off the
+        excluded set, so the map fixes b and agrees with the constant a on the set."""
+        n, r = divmod(self.b.numerator * self.denominator, self.b.denominator)
+        return self.b != self.a and not (r == 0 and n in self.numerators)
 
 
-def fresh_dyadic(avoid) -> Fraction:
-    """The first dyadic num/2^level in (0, 1) outside ``avoid``, by level then
-    numerator.  A finite ``avoid`` cannot hold all 2^(level-1) odd numerators
-    of every level, so the search ends."""
-    for level in count(1):
-        denom = 2**level
-        for num in range(1, denom, 2):
-            cand = Fraction(num, denom)
-            if cand not in avoid:
-                return cand
-
-
-def circular_counterexample(excluded: Sequence, a) -> CircularCounterexample:
+def circular_counterexample(numerators: Sequence[int], denominator: int, a) -> CircularCounterexample:
     """A two-point-target map agreeing with the constant-to-a map on the
-    excluded set but fixing a fresh point b: finite sets never determine the
-    constant map on the circle.  The set may contain a itself, which the map
-    sends to a like every point other than b."""
+    excluded set {n/denominator} (denominator > 0) but fixing a fresh point b:
+    finite sets never determine the constant map on the circle.  The set may
+    contain a itself, which the map sends to a like every point other than b.
+
+    b is the first dyadic num/2^level in (0, 1), by level then numerator, that
+    is neither a nor excluded.  A finite set cannot hold all 2^(level-1) odd
+    numerators of every level, so the search ends."""
     a = Fraction(a) % 1
-    cset = {Fraction(c) % 1 for c in excluded}
-    return CircularCounterexample(a, fresh_dyadic(cset | {a}), tuple(sorted(cset)))
+    excluded = frozenset(n % denominator for n in numerators)
+    for level in count(1):
+        for num in range(1, 2**level, 2):
+            w = CircularCounterexample(a, Fraction(num, 2**level), excluded, denominator)
+            if w.sound:
+                return w

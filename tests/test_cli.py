@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from tamecert.cli import (
     verify_certificate,
 )
 from tamecert.errors import ConfigError, UnknownSeries
-from tamecert.exactarith import GOLDEN, CirclePoint
+from tamecert.exactarith import GOLDEN, CirclePoint, one_sided_approach
 from tamecert.tameness import pack_masks, unpack_masks
 
 
@@ -452,6 +453,18 @@ class TestVerify:
         cert = report["results"][0]["certificates"][0]
         assert len(unpack_masks(cert["witnesses"])) == 2**18 and verify_certificate(cert)
 
+    @pytest.mark.parametrize("side, epsilon", [("below", "minus"), ("above", "plus")])
+    def test_limit_decomposition_matches_decompose_minimal(self, side, epsilon):
+        params = {"system": "sturmian", "target": {"a": 1, "b": "1/5"}, "side": side, "depth": 12}
+        out, _ = cli.run_limit(params, 0)
+        sys_ = cli.resolve_system("sturmian")
+        target = cli._point(sys_.alpha, params["target"])
+        sample = envelope.limit_sample(sys_, target, plain_count=200, split_range=8, horizon=8)
+        element = envelope.limit_map(sys_, one_sided_approach(target, side, 12), sample)
+        dec = envelope.decompose_minimal(element)
+        assert dec.epsilon == epsilon
+        assert out["decomposition"] == {"epsilon": dec.epsilon, "gamma": _point_str(dec.gamma)}
+
     def test_rotation_limit_round_trip(self):
         report, code = run_config({"experiments": [
             {"kind": "limit", "params": {"system": "rotation", "target": {"a": 3, "b": 0},
@@ -478,6 +491,28 @@ class TestVerify:
         assert verify_certificate(dict(cert, gammas=zeros, diagonal_isolated=False))
         assert not verify_certificate(dict(cert, gammas=[]))
         assert not verify_certificate(dict(cert, gammas=cert["gammas"][:-1]))
+
+    def test_isolation_single_circle_flag_tamper_detected(self):
+        report, code = run_config({"experiments": [
+            {"kind": "isolation", "params": {"count": 200}}]})
+        assert code == 0
+        cert = report["results"][0]["certificates"][0]
+        assert cert["diagonal_isolated"] and not cert["single_circle_isolated"]
+        assert verify_certificate(cert)
+        assert not verify_certificate(dict(cert, single_circle_isolated=True))
+
+    @pytest.mark.parametrize("eps", ["1/7", "1/4", "1/3", "2/5", "1/2"])
+    def test_isolation_single_circle_closed_form(self, eps):
+        # verify's closed form against the exact check on the family k/count, side +1
+        for count in range(41):
+            members = [((CirclePoint(GOLDEN, 0, Fraction(k, count)), systems.PLUS),)
+                       for k in range(count)]
+            isolated = envelope.sorgenfrey_isolation(members, eps=Fraction(eps)).all_isolated
+            report, _ = run_config({"experiments": [
+                {"kind": "isolation", "params": {"count": count, "eps": eps}}]})
+            cert = report["results"][0]["certificates"][0]
+            assert verify_certificate(dict(cert, single_circle_isolated=isolated))
+            assert not verify_certificate(dict(cert, single_circle_isolated=not isolated))
 
     def test_malformed_point_fails_verify(self, tmp_path, capsys):
         points = [CirclePoint(GOLDEN, a, b) for a, b in [(0, 0), (3, "1/29"), (-7, "-2/5")]]

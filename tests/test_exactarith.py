@@ -217,11 +217,11 @@ def test_refinement_limit_reached(monkeypatch, k):
 
     c = GOLDEN.convergent(k)  # alpha - c is within 1/q_k^2 of 0
     x, y = point(GOLDEN, 1), point(GOLDEN, 0, c)
-    assert _floor_linear(GOLDEN, 1, -c) == (0 if k % 2 == 0 else -1)
+    assert _floor_linear(GOLDEN, 1, -c.numerator, c.denominator) == (0 if k % 2 == 0 else -1)
     assert x.compare(y) == (1 if k % 2 == 0 else -1)
     monkeypatch.setattr(exactarith, "REFINEMENT_CAP", 1)  # one enclosure, far wider than |alpha - c|
     with pytest.raises(RefinementLimit):
-        _floor_linear(GOLDEN, 1, -c)
+        _floor_linear(GOLDEN, 1, -c.numerator, c.denominator)
     with pytest.raises(RefinementLimit):
         x.compare(y)
 
@@ -388,7 +388,7 @@ def test_floor_linear_matches_60_digit_decimal(cf, shared, a, n, d):
         floor = int(value.to_integral_value(rounding=ROUND_FLOOR))
         # a*alpha + b is an integer only for a == 0; keep off the 60-digit noise
         assume(a == 0 or abs(value - floor) > Decimal(10) ** -40)
-    assert _floor_linear(alpha, a, Fraction(n, d)) == floor
+    assert _floor_linear(alpha, a, n, d) == floor  # n/d as drawn, not reduced
 
 
 @settings(max_examples=200, deadline=None)

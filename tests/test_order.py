@@ -1,7 +1,11 @@
+import math
 import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamecert.order import (
     MINUS,
@@ -13,7 +17,6 @@ from tamecert.order import (
     Piece,
     circular_counterexample,
     discrete_family,
-    fresh_dyadic,
     helly_determining_set,
     identity_map,
     parse_step_map,
@@ -257,23 +260,34 @@ class TestDiscreteFamily:
             assert len(res2.points) == m - 1
 
 
+def _numerators(cset):
+    """The rationals of ``cset`` as numerators over the lcm of their denominators."""
+    den = math.lcm(*(F(c).denominator for c in cset))
+    return [F(c).numerator * (den // F(c).denominator) for c in cset], den
+
+
+def fresh_dyadic(avoid):
+    # the target 0 is no dyadic of (0, 1): b is the first dyadic outside ``avoid``
+    return circular_counterexample(*_numerators(avoid), F(0)).b
+
+
 class TestCircularCounterexample:
     def test_explicit_set(self):
-        out = circular_counterexample([F(1, 4), F(1, 2), F(3, 4)], F(0))
+        out = circular_counterexample([1, 2, 3], 4, F(0))
         assert out.sound
+        assert out.agrees_on == (F(1, 4), F(1, 2), F(3, 4))
         assert out.b not in set(out.agrees_on) | {F(0)}
         assert out.image_of(out.b) == out.b
         assert all(out.image_of(c) == F(0) for c in out.agrees_on)
 
     def test_empty_set(self):
-        out = circular_counterexample([], F(0))
+        out = circular_counterexample([], 1, F(0))
         assert out.sound and out.b != F(0)
 
     def test_random_sets_first_pass(self):
         rng = random.Random(23)
         for _ in range(20):
-            cset = [F(rng.randint(1, 96), 97) for _ in range(20)]
-            out = circular_counterexample(cset, F(0))
+            out = circular_counterexample([rng.randint(1, 96) for _ in range(20)], 97, F(0))
             assert out.sound
 
     def test_target_in_set_is_sound(self):
@@ -281,7 +295,7 @@ class TestCircularCounterexample:
 
         # 997/997 is 0 mod 1: the map still agrees with the constant 0 there
         for cset in ([F(0)], [F(1)], [F(1, 2), F(997, 997), F(1, 4)]):
-            out = circular_counterexample(cset, F(0))
+            out = circular_counterexample(*_numerators(cset), F(0))
             assert out.sound and F(0) in out.agrees_on and out.image_of(F(0)) == F(0)
             assert out.b not in out.agrees_on and out.image_of(out.b) == out.b
             w = no_countable_basis_witness(cset, "circle_parabolic")
@@ -294,7 +308,7 @@ class TestCircularCounterexample:
         assert fresh_dyadic({F(1, 2), F(1, 4)}) == F(3, 4)
         assert fresh_dyadic({F(1, 2), F(1, 4), F(3, 4)}) == F(1, 8)
         cset = [F(1, 4), F(1, 2), F(5, 8)]
-        assert circular_counterexample(cset, F(0)).b == F(3, 4)
+        assert circular_counterexample(*_numerators(cset), F(0)).b == F(3, 4)
         assert no_countable_basis_witness(cset, "circle_parabolic").differs_at == F(3, 4)
 
     def test_fresh_dyadic_past_a_full_grid(self):
@@ -303,3 +317,21 @@ class TestCircularCounterexample:
         assert len(full) == 15
         assert fresh_dyadic(full) == F(1, 32)
         assert fresh_dyadic(full | {F(1, 32), F(3, 32)}) == F(5, 32)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cset=st.lists(st.one_of(
+            st.sampled_from([F(1, 2), F(1, 4), F(3, 4), F(1, 8), F(5, 4), F(-1, 2), F(1), F(7, 3)]),
+            st.fractions(min_value=-2, max_value=2, max_denominator=24)), max_size=12),
+        a=st.sampled_from([F(0), F(1, 2), F(1, 4), F(3, 4), F(1, 8), F(1, 3), F(-3, 4), F(5, 2)]),
+        with_target=st.booleans(),
+    )
+    def test_integer_witness_matches_fraction_search(self, cset, a, with_target):
+        # the reference: reduce every point as a Fraction and walk the dyadics
+        cset = cset + [a] if with_target else cset
+        points = {c % 1 for c in cset}
+        expected = next(F(num, 2**level) for level in count(1) for num in range(1, 2**level, 2)
+                        if F(num, 2**level) not in points | {a % 1})
+        out = circular_counterexample(*_numerators(cset), a)
+        assert out.b == expected and out.a == a % 1 and out.sound
+        assert out.agrees_on == tuple(sorted(points))
