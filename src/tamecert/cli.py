@@ -14,10 +14,10 @@ import contextlib
 import functools
 import hashlib
 import json
+import random
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -307,12 +307,12 @@ def run_rank(params, seed):
 
 def run_fibers(params, seed):
     sys_ = resolve_system(params.get("system", "semicocycle"))
-    rng = np.random.RandomState(seed)
+    rng = random.Random(seed)
     if isinstance(sys_, systems.SemicocycleCascade):
         k_max = int(params.get("k_max", 6))
         depth = int(params.get("depth", 20))
         cards = sys_.fiber_cardinalities(k_max, depth)
-        unmarked = [int(rng.randint(-(10**6), 10**6)) for _ in range(int(params.get("unmarked", 10)))]
+        unmarked = [rng.randrange(-(10**6), 10**6) for _ in range(int(params.get("unmarked", 10)))]
         um = {j: sys_.unmarked_fiber_cardinality(j) for j in unmarked}
         return {"marked": {str(k): v for k, v in cards.items()},
                 "unmarked_all_one": all(v == 1 for v in um.values()),
@@ -323,7 +323,7 @@ def run_fibers(params, seed):
                  for n in range(-orbit_range, orbit_range + 1)}
         off = []
         for _ in range(int(params.get("off_orbit", 50))):
-            b = Fraction(int(rng.randint(1, 10**6)), 10**6 + 1)
+            b = Fraction(rng.randrange(1, 10**6), 10**6 + 1)
             off.append(len(sys_.split_fiber(CirclePoint(sys_.alpha, 0, b))))
         return {"orbit_all_two": all(v == 2 for v in sizes.values()),
                 "off_orbit_all_one": all(v == 1 for v in off),
@@ -383,10 +383,8 @@ def run_isolation(params, seed):
 
 
 def run_counterexample(params, seed):
-    import random as _random
-
     scenario = params.get("scenario", "circle_parabolic")
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     count = int(params.get("count", 100))
     size = int(params.get("size", 50))
     sound = 0
@@ -539,44 +537,13 @@ def _param_errors(exp_id):
 
 
 def run_config(config: dict, jobs: int = 1, seed: int | None = None) -> tuple[dict, int]:
+    """Run the experiments of ``config`` in order, in the calling thread.
+
+    ``jobs`` is ignored; it stays only for callers that still pass it."""
     experiments = _experiments(config)
     seed = config.get("seed", 0) if seed is None else seed
-
-    exit_code = 0
-    results: list[dict | None] = [None] * len(experiments)
-
-    def _one(i_exp):
-        i, exp = i_exp
-        kind = exp["kind"]
-        params = exp.get("params", {})
-        entry = {"id": _exp_id(i, exp), "kind": kind}
-        try:
-            with _param_errors(entry["id"]):
-                result, certs = DISPATCH[kind](params, seed)
-            entry["result"] = result
-            entry["certificates"] = certs
-            entry["status"] = "ok"
-        except _Partial as partial:
-            entry["result"] = partial.result
-            entry["certificates"] = partial.certs
-            entry["status"] = "not_stabilized"
-        except (NotStabilized, NotStabilizedAcrossResolutions, BudgetExceeded) as exc:
-            entry["result"] = {"error": str(exc)}
-            entry["certificates"] = []
-            entry["status"] = "not_stabilized"
-        return i, entry
-
     started = time.time()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for i, entry in pool.map(_one, enumerate(experiments)):
-                results[i] = entry
-    else:
-        for i, entry in map(_one, enumerate(experiments)):
-            results[i] = entry
-    if any(r["status"] != "ok" for r in results):
-        exit_code = 3
-
+    results = [_run_one(_exp_id(i, exp), exp, seed) for i, exp in enumerate(experiments)]
     report = {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,
@@ -585,7 +552,21 @@ def run_config(config: dict, jobs: int = 1, seed: int | None = None) -> tuple[di
         "results": results,
         "wall_time_s": round(time.time() - started, 3),
     }
-    return report, exit_code
+    return report, 0 if all(r["status"] == "ok" for r in results) else 3
+
+
+def _run_one(exp_id, exp: dict, seed: int) -> dict:
+    """The report entry of one experiment."""
+    entry = {"id": exp_id, "kind": exp["kind"]}
+    try:
+        with _param_errors(exp_id):
+            result, certs = DISPATCH[exp["kind"]](exp.get("params", {}), seed)
+        entry.update(result=result, certificates=certs, status="ok")
+    except _Partial as partial:
+        entry.update(result=partial.result, certificates=partial.certs, status="not_stabilized")
+    except (NotStabilized, NotStabilizedAcrossResolutions, BudgetExceeded) as exc:
+        entry.update(result={"error": str(exc)}, certificates=[], status="not_stabilized")
+    return entry
 
 
 def report_payload(report: dict) -> dict:
@@ -632,6 +613,11 @@ def emit_plot_data(report: dict, series: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _count(x) -> bool:
+    """Whether ``x`` is a non-negative int (a JSON ``true`` is not)."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def verify_certificate(cert: dict) -> bool:
     """Re-check one certificate: False when it fails or a payload field is
     missing or malformed; ConfigError when no check exists for its kind."""
@@ -656,11 +642,14 @@ def verify_certificate(cert: dict) -> bool:
         if kind == "counterexample":
             return int(cert["sound"]) == int(cert["count"])
         if kind == "rank":
-            sizes = cert.get("stage_sizes", [])
-            ok = all(b <= a for a, b in zip(sizes, sizes[1:]))
-            if cert.get("beta") is not None:
-                ok = ok and len(sizes) >= cert["beta"] + 1 and sizes[cert["beta"]] == 0
-            return ok
+            # stage 0 is the whole sample, the sizes never grow, and a rank
+            # beta >= 1 names an empty stage
+            sizes, beta = cert["stage_sizes"], cert["beta"]
+            return (isinstance(sizes, list) and len(sizes) > 0 and all(map(_count, sizes))
+                    and sizes[0] == cert["sample_size"]
+                    and all(b <= a for a, b in zip(sizes, sizes[1:]))
+                    and (beta is None
+                         or (_count(beta) and 1 <= beta < len(sizes) and sizes[beta] == 0)))
         if kind == "limit":
             sys_ = _circle_system(cert["system"], "limit")
             gen = cert["generator"]
@@ -700,7 +689,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config", type=Path)
     p_run.add_argument("--out", type=Path, default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--jobs", type=int, default=1)
 
     p_plot = sub.add_parser("plot", help="emit CSV plot data from a report")
     p_plot.add_argument("report", type=Path)
@@ -726,7 +714,7 @@ def main(argv=None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         try:
-            report, code = run_config(config, jobs=args.jobs, seed=args.seed)
+            report, code = run_config(config, seed=args.seed)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
@@ -738,7 +726,11 @@ def main(argv=None) -> int:
     if args.verb == "plot":
         from .errors import UnknownSeries
 
-        report = json.loads(args.report.read_text())
+        try:
+            report = json.loads(args.report.read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"report error: {exc}", file=sys.stderr)
+            return 2
         try:
             csv = emit_plot_data(report, args.series)
         except UnknownSeries as exc:

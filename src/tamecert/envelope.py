@@ -247,7 +247,7 @@ def cos_sample(
 
 @dataclass(frozen=True)
 class ElementClass:
-    tag: str  # translation | parabolic | loxodromic | one_sided | unresolved
+    tag: str  # translation | rotation | parabolic | loxodromic | one_sided | unresolved
     params: dict = field(default_factory=dict)
 
     def __repr__(self):
@@ -485,14 +485,17 @@ def classify(p: ApproxElement) -> ElementClass:
 
     if isinstance(p.system, (SplitCircleSystem, RotationSystem)):
         # every image is its point shifted by one gamma: a translation when gamma
-        # is an orbit point and every side is kept, a one-sided limit when the
-        # images carry one side tag (rotation points are all plain)
+        # is an orbit point and every side is kept, a rotation by an off-orbit
+        # gamma on a rotation system, a one-sided limit when the images carry
+        # one side tag (rotation points are all plain)
         base, side = zip(*map(_base_side, pts))
         moved, moved_side = zip(*map(_base_side, imgs))
         gamma = moved[0] - base[0]
         if all(c - b == gamma for b, c in zip(base, moved)):
             if gamma.on_orbit and side == moved_side:
                 return ElementClass("translation", {"n": gamma.orbit_index})
+            if isinstance(p.system, RotationSystem):
+                return ElementClass("rotation", {"gamma": gamma})
             tags = set(moved_side) - {PLAIN}
             if len(tags) == 1:
                 tag = "minus" if tags.pop() == MINUS else "plus"

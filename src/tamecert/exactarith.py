@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import re
-import threading
 from bisect import bisect_left
 from collections import abc
 from dataclasses import dataclass
@@ -60,12 +59,10 @@ class RotationNumber:
         # p_k/q_k with p_0/q_0 = 0/1 and the usual recurrence; p_{-1}/q_{-1} = 1/0.
         # _qq[k] = q_k*q_{k+1}, the reciprocal width of the level-k enclosure;
         # q_k and _qq[k] strictly increase from k = 1, so levels are found by
-        # bisection.  The caches only grow, under a lock, and _qq is appended
-        # last, so instances are safe to share across concurrent workers.
+        # bisection.
         self._p = [0]
         self._q = [1]
         self._qq: list[int] = []
-        self._lock = threading.Lock()
 
     # -- partial quotients -------------------------------------------------
 
@@ -87,17 +84,14 @@ class RotationNumber:
     # -- convergents --------------------------------------------------------
 
     def _extend(self, k: int) -> None:
-        if len(self._qq) >= k:
-            return
-        with self._lock:
-            while len(self._qq) < k:
-                i = len(self._p)
-                a = self.quotient(i)
-                pm2 = self._p[i - 2] if i >= 2 else 1
-                qm2 = self._q[i - 2] if i >= 2 else 0
-                self._p.append(a * self._p[i - 1] + pm2)
-                self._q.append(a * self._q[i - 1] + qm2)
-                self._qq.append(self._q[i - 1] * self._q[i])
+        while len(self._qq) < k:
+            i = len(self._p)
+            a = self.quotient(i)
+            pm2 = self._p[i - 2] if i >= 2 else 1
+            qm2 = self._q[i - 2] if i >= 2 else 0
+            self._p.append(a * self._p[i - 1] + pm2)
+            self._q.append(a * self._q[i - 1] + qm2)
+            self._qq.append(self._q[i - 1] * self._q[i])
 
     def _first_level(self, seq: list[int], least: int) -> int:
         """Smallest k >= 1 with seq[k] >= least; seq is _q or _qq."""

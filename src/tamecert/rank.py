@@ -287,10 +287,13 @@ def _witness_rows(values, radius, segments, cols, bits, bit_weights, osc, hit):
         return top, bottom
     lo, hi = K.ball_bounds(values, radius, segments, hit)
     if bits is not None:
-        for k in np.nonzero(np.isin(bit_weights, osc))[0]:
+        spreads = set(osc.tolist())
+        for k, weight in enumerate(bit_weights.tolist()):
+            if weight not in spreads:
+                continue
             bit = ((bits[:, k // 63] >> (k % 63)) & 1).astype(bool)
             set_at, clear_at = _next_row(bit, lo), _next_row(~bit, lo)
-            take = (top < 0) & (osc == bit_weights[k]) & (set_at < hi) & (clear_at < hi)
+            take = (top < 0) & (osc == weight) & (set_at < hi) & (clear_at < hi)
             top[take], bottom[take] = set_at[take], clear_at[take]
     for c in range(cols.shape[1]):
         todo = np.nonzero(top < 0)[0]

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,6 @@ from tamecert.cli import (
     _source_word,
     emit_plot_data,
     main,
-    report_payload,
     run_config,
     verify_certificate,
 )
@@ -55,13 +58,6 @@ class TestRunConfig:
         assert report["seed"] == 3
         assert len(report["results"]) == 5
         assert all(r["status"] == "ok" for r in report["results"])
-
-    def test_jobs_determinism(self):
-        r1, _ = run_config(SMALL_BATCH, jobs=1)
-        r8, _ = run_config(SMALL_BATCH, jobs=8)
-        assert json.dumps(report_payload(r1), sort_keys=True) == json.dumps(
-            report_payload(r8), sort_keys=True
-        )
 
     def test_independence_searches_each_window_once(self, monkeypatch):
         calls = []
@@ -318,6 +314,45 @@ class TestCliMain:
         report = json.loads(out.read_text())
         assert report["seed"] == 9
 
+    def test_jobs_flag_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_BATCH)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(cfg), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    def test_plot_input_errors_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        for path in (tmp_path / "missing.json", bad):
+            capsys.readouterr()
+            assert main(["plot", str(path), "independence"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("report error: ") and "Traceback" not in err
+
+    def test_run_imports_no_thread_pool_rng_or_masked_arrays(self):
+        # a fresh interpreter, so modules loaded by other tests do not count
+        from tests.test_acceptance import ACCEPTANCE_BATCH
+
+        config = dict(ACCEPTANCE_BATCH, experiments=ACCEPTANCE_BATCH["experiments"] + [
+            {"kind": "rank", "params": {"system": "rotation", "plain_count": 500,
+                                        "epsilons": [0.1]}}])
+        script = (
+            "import json, sys\n"
+            "from tamecert.cli import run_config\n"
+            "report, code = run_config(json.load(sys.stdin))\n"
+            "assert code == 0, code\n"
+            "print(json.dumps(sorted({'concurrent.futures', 'numpy.random', 'numpy.ma'}"
+            " & set(sys.modules))))\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run([sys.executable, "-c", script], input=json.dumps(config),
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == []
+
 
 class TestPlotSeries:
     def test_rank_series_and_beta(self):
@@ -478,6 +513,35 @@ class TestVerify:
         # a limit certificate on a system no limit experiment handles fails
         for name in ("cos", "semicocycle", "cantor6"):
             assert not verify_certificate(dict(cert, system=NAMED_SYSTEMS[name]))
+
+    def test_off_orbit_rotation_limit_is_tagged_rotation(self):
+        report, code = run_config({"experiments": [
+            {"kind": "limit", "params": {"system": "rotation", "target": {"a": -2, "b": "2/7"},
+                                         "side": "below", "depth": 12, "plain_count": 40}}]})
+        assert code == 0
+        cert = report["results"][0]["certificates"][0]
+        # -2*alpha + 2/7 reduced mod 1: every image is its point shifted by the target
+        assert cert["result"] == {"tag": "rotation", "params": {"gamma": "-2*alpha+9/7"}}
+        assert verify_certificate(cert)
+        assert not verify_certificate(dict(cert, result={"tag": "unresolved", "params": {}}))
+
+    def test_rank_tampers_fail_verify(self):
+        report, code = run_config({"experiments": [
+            {"kind": "rank", "params": {"system": "sturmian", "plain_count": 1500,
+                                        "epsilons": [0.1]}}]})
+        assert code == 0
+        cert = report["results"][0]["certificates"][0]
+        size = cert["sample_size"]
+        assert cert["beta"] >= 1 and cert["stage_sizes"][0] == size
+        assert verify_certificate(cert)
+        assert verify_certificate(dict(cert, beta=None))
+        bad = [dict(cert, beta=-1), dict(cert, beta=0), dict(cert, beta=True),
+               dict(cert, beta=1.0), dict(cert, beta="2"),
+               dict(cert, stage_sizes=[], beta=None), dict(cert, stage_sizes=None, beta=None),
+               dict(cert, stage_sizes=[size, -1]), dict(cert, stage_sizes=[size, True]),
+               dict(cert, stage_sizes=[size, 0.0]),
+               dict(cert, sample_size=size + 1), dict(cert, stage_sizes=[size + 1, 0])]
+        assert not any(verify_certificate(c) for c in bad)
 
     def test_isolation_checks_the_payload_gammas(self):
         report, code = run_config({"experiments": [

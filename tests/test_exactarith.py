@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
@@ -254,44 +253,6 @@ def test_group_laws(a1, n1, d1, a2, n2, d2, a3, n3, d3, k):
     # canonical values stay in [0, 1)
     lo, hi = (x + y).bounds(Fraction(1, 10**12))
     assert 0 <= lo and hi < 1 + Fraction(1, 10**10)
-
-
-def test_concurrent_convergent_extension_consistent():
-    # instances are shared across worker threads; the cache must never tear
-    from concurrent.futures import ThreadPoolExecutor
-
-    cf = ((1, 2), (3, 1, 4))
-    widths = [Fraction(1, 10**e) for e in range(0, 200, 7)]
-
-    def hammer(alpha):
-        def work(i):
-            if i % 2:
-                return [alpha.level_for(w) for w in widths]
-            return [alpha.denominator(k) for k in range(1, 251)]
-
-        with ThreadPoolExecutor(12) as ex:
-            futures = [ex.submit(work, i) for i in range(12)]
-            return [f.result(timeout=60) for f in futures]
-
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runs = []
-        for _ in range(5):
-            alpha = RotationNumber(*cf)
-            runs.append((alpha, hammer(alpha)))
-    finally:
-        sys.setswitchinterval(switch)
-    reference = RotationNumber(*cf)
-    want_levels = [_level_linear(reference, w) for w in widths]
-    want_q = [reference.denominator(k) for k in range(1, 251)]
-    for alpha, results in runs:
-        for k in range(2, 250):
-            a = alpha.quotient(k)
-            assert alpha.denominator(k) == a * alpha.denominator(k - 1) + alpha.denominator(k - 2)
-            assert alpha.numerator(k) == a * alpha.numerator(k - 1) + alpha.numerator(k - 2)
-        for i, got in enumerate(results):
-            assert got == (want_levels if i % 2 else want_q)
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,8 @@ DIGESTS = {
     ("rank-sweep", 5): "2e571f3810203de86349541e926cf6e681e34433c906358d6351aacbd00bf436",
     ("acceptance-batch", 3): "4bf661f97e02a85ae521b458298ea3b6d3d6fb4187d3eb68e680c0e4be39bee8",
     ("acceptance-batch", 5): "d4a6ace76a98ce6869cce673256ce06d8a29f0b7c127bddd02a7f8508bfcad6d",
-    ("circle-witnesses", 3): "2a4a98cd987762c191651f72252b28f14f506754c0f13beefa9b39d90776f9ac",
-    ("circle-witnesses", 5): "bb4e21a4aa74b212c27f8f96b569f438da99dfae015d3c468db915f24c506111",
+    ("circle-witnesses", 3): "78179be4eaea54a0fbd476745c668fa6522fb0c64de91a6408ca971ec71e2a2d",
+    ("circle-witnesses", 5): "b63f8bbc9d29055a7fd8c329a85b76f44811a19dc46eadd4ae07124a0d3471c7",
 }
 
 
