@@ -36,17 +36,25 @@ def project_masks(factors, positions) -> np.ndarray:
 
     Bit j of a projection is bit ``positions[j]`` of its factor.  A run of r
     consecutive positions p, p+1, ..., p+r-1 starting at output bit j moves as
-    one field, ``((f >> p) & (2^r - 1)) << j``, so the cost is one pass per run.
+    one field: one shift by p - j (a left shift when p < j), then one mask
+    with ``(2^r - 1) << j``.  The first run's field is the output.
     """
     f = np.asarray(factors, dtype=np.int64)
-    out = np.zeros_like(f)
     pos = np.asarray(positions, dtype=np.int64).tolist()
+    if not pos:
+        return np.zeros_like(f)
+    out = None
     j = 0
     while j < len(pos):
-        r = 1
-        while j + r < len(pos) and pos[j + r] == pos[j] + r:
+        p, r = pos[j], 1
+        while j + r < len(pos) and pos[j + r] == p + r:
             r += 1
-        out |= ((f >> pos[j]) & ((1 << r) - 1)) << j
+        field = f >> (p - j) if p >= j else f << (j - p)
+        field &= ((1 << r) - 1) << j
+        if out is None:
+            out = field
+        else:
+            out |= field
         j += r
     return out
 

@@ -736,6 +736,10 @@ def main(argv=None) -> int:
         except UnknownSeries as exc:
             print(f"unknown series: {exc}", file=sys.stderr)
             return 2
+        except (AttributeError, KeyError, TypeError) as exc:
+            # emit_plot_data only reads the report, so these are a report of the wrong shape
+            print(f"report error: malformed report ({type(exc).__name__}: {exc})", file=sys.stderr)
+            return 2
         if args.out:
             args.out.write_text(csv)
             print(f"csv written to {args.out}")

@@ -402,9 +402,13 @@ def _image_dist(inst: RankInstance, i: int, j: int) -> float:
 
 def default_schedule(inst: RankInstance, epsilon: float) -> tuple[float, ...]:
     """Stage one at a detection scale tied to epsilon, later stages below the
-    sample separation gap (the finite image of shrinking neighborhoods)."""
+    sample separation gap (the finite image of shrinking neighborhoods).
+
+    A sparse sample's half gap can reach epsilon / 8; the later stages then
+    start at epsilon / 16, so the schedule still decreases."""
     g = inst.separation_gap()
-    return (epsilon / 8.0, g / 2.0, g / 8.0)
+    s = g / 2.0 if g / 2.0 < epsilon / 8.0 else epsilon / 16.0
+    return (epsilon / 8.0, s, s / 4.0)
 
 
 def beta_rank(

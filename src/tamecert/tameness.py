@@ -149,8 +149,13 @@ def max_independence(
 
     The counting bound 2^|I| <= p(window) prunes globally; subtree pruning
     uses the remaining-position bound.  Include-first depth-first order makes
-    the first maximum found the lexicographically smallest one.  On budget
-    exhaustion raises BudgetExceeded with the best certificate attached.
+    the first maximum found the lexicographically smallest one.  Each node
+    carries ``codes``: the factor masks with the node's pattern on its k
+    positions in bits window..window+k-1, so a child p is tested on the two
+    runs (p, window..window+k-1) whatever the gaps in the node's positions.
+    The full shift shatters every position set and needs no search; its
+    witnesses are the factors themselves.  On budget exhaustion raises
+    BudgetExceeded with the best certificate attached.
     """
     check_window(window)
     w = np.asarray(word, dtype=np.int64)
@@ -161,31 +166,36 @@ def max_independence(
     nodes = 0
     out_of_budget = False
 
-    def dfs(start: int, current: tuple[int, ...]) -> None:
+    def dfs(start: int, current: tuple[int, ...], codes: np.ndarray) -> None:
         nonlocal best, nodes, out_of_budget
+        k = len(current)
+        pattern = tuple(range(window, window + k))
         for p in range(start, window):
             if out_of_budget or len(best) >= cap:
                 return
-            if len(current) + (window - p) <= len(best):
+            if k + (window - p) <= len(best):
                 return
             nodes += 1
             if nodes > node_budget:
                 out_of_budget = True
                 return
-            cand = current + (p,)
-            if _covers(factors, cand):
+            if K.distinct_projection_count(codes, (p,) + pattern) == 2 << k:
+                cand = current + (p,)
                 if len(cand) > len(best):
                     best = cand
-                dfs(p + 1, cand)
+                dfs(p + 1, cand, codes | (((codes >> p) & 1) << (window + k)))
 
-    if len(factors) >= 2 and cap >= 1:
-        dfs(0, ())
-    elif len(factors) == 1:
-        best = ()
+    if len(factors) == 1 << window:
+        best = tuple(range(window))
+        witnesses = factors  # projecting onto every position is the identity
+    else:
+        if cap >= 1:  # at least two factors
+            dfs(0, (), factors)
+        witnesses = _witnesses(factors, best)
     cert = IndependenceCertificate(
         window=window,
         positions=best,
-        witnesses=_witnesses(factors, best),
+        witnesses=witnesses,
         horizon=int(w.shape[0]),
         exhausted=not out_of_budget,
         complexity=len(factors),

@@ -215,8 +215,8 @@ class TestRunConfig:
     def test_budget_path_partial_report(self):
         config = {"experiments": [{
             "kind": "independence",
-            "params": {"coding": {"kind": "full_shift", "window": 12},
-                       "windows": [12], "node_budget": 4},
+            # a full shift needs no search, so the budget is spent on a word that searches
+            "params": {"coding": {"system": "cantor6"}, "windows": [12], "node_budget": 4},
         }]}
         report, code = run_config(config)
         assert code == 3
@@ -324,7 +324,13 @@ class TestCliMain:
     def test_plot_input_errors_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        for path in (tmp_path / "missing.json", bad):
+        malformed = []
+        for i, report in enumerate(([], {"results": [{"result": {"table": []}}]},
+                                    {"results": [{"kind": "independence"}]},
+                                    {"results": {"kind": "independence"}})):
+            malformed.append(tmp_path / f"malformed{i}.json")
+            malformed[-1].write_text(json.dumps(report))
+        for path in (tmp_path / "missing.json", bad, *malformed):
             capsys.readouterr()
             assert main(["plot", str(path), "independence"]) == 2
             err = capsys.readouterr().err

@@ -27,6 +27,7 @@ from tamecert.rank import (
     _unwrap_circular,
     beta_rank,
     build_instance,
+    default_schedule,
     naive_beta_rank,
     oscillation,
     prefix_instance,
@@ -191,6 +192,22 @@ class TestBetaRank:
     def test_schedule_must_decrease(self, p_minus):
         with pytest.raises(ValueError):
             beta_rank(p_minus, 0.1, r_schedule=(0.1, 0.2))
+
+    @pytest.mark.parametrize("plain_count", [100, 200, 300, 400])
+    def test_sparse_rotation_sample_gets_a_decreasing_schedule(self, plain_count):
+        # at eps 0.01 the half gap of fewer than ~400 points reaches eps / 8
+        params = {"system": "rotation", "plain_count": plain_count, "epsilons": [0.1, 0.01]}
+        report, code = run_config({"experiments": [{"kind": "rank", "params": params}]})
+        assert code == 0
+        assert [row["beta"] for row in report["results"][0]["result"]["table"]] == [1, 1]
+
+    def test_default_schedule_keeps_the_gap_stages_below_eps(self, p_minus):
+        inst = build_instance(p_minus)
+        g = inst.separation_gap()
+        assert g / 2 < 0.01 / 8
+        assert default_schedule(inst, 0.01) == (0.01 / 8, g / 2, g / 8)
+        assert default_schedule(inst, 8 * g) == (g, g / 2, g / 8)
+        assert default_schedule(inst, 4 * g) == (g / 2, g / 4, g / 16)
 
     @pytest.mark.parametrize("epsilon", [0.0, -0.1, float("nan"), float("inf")])
     def test_epsilon_must_be_positive_and_finite(self, p_minus, epsilon):

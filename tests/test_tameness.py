@@ -94,12 +94,41 @@ class TestIndependence:
             prev = size
 
     def test_budget_exceeded_carries_best(self):
+        # a full shift needs no search, so the budget is spent on a word that searches
+        cantor = CutProjectCoding(GOLDEN, cantor_generation=6).word(10_000)
         with pytest.raises(BudgetExceeded) as exc:
-            max_independence(full_shift_word(16), 16, node_budget=5)
+            max_independence(cantor, 12, node_budget=5)
         best = exc.value.best
         assert isinstance(best, IndependenceCertificate)
         assert not best.exhausted
-        assert best.verify(full_shift_word(16))
+        assert best.verify(cantor)
+
+    def test_full_shift_runs_no_search(self, monkeypatch):
+        original, calls = K.distinct_projection_count, []
+        monkeypatch.setattr(K, "distinct_projection_count",
+                            lambda *args: calls.append(args) or original(*args))
+        for L in (6, 9, 12):  # from 6 up, a full-shift word meets the horizon rule
+            word = full_shift_word(L)
+            cert = max_independence(word, L, node_budget=0)
+            assert cert.positions == tuple(range(L)) and cert.exhausted
+            assert cert.witnesses.tolist() == list(range(2**L))
+            assert cert.verify(word)
+        assert calls == []
+        # the patched kernel is the one the search calls
+        max_independence(np.tile([1, 0, 0], 400), 6)
+        assert calls
+
+    def test_power_of_two_factor_count_keeps_pattern_order(self):
+        # the order-3 de Bruijn cycle shows 8 factors of length 6, a power of two
+        # below 2^6, and its witnesses in pattern order are not the sorted factors
+        word = np.tile([0, 0, 0, 1, 0, 1, 1, 1], 60)
+        factors = factor_masks(word, 6)
+        cert = max_independence(word, 6)
+        assert len(factors) == 8 and cert.positions == (0, 1, 2)
+        assert cert.witnesses.tolist() == _witness_oracle(factors, cert.positions)
+        assert cert.witnesses.tolist() == [40, 17, 58, 35, 52, 29, 14, 7]
+        assert cert.witnesses.tolist() != factors.tolist()
+        assert cert.verify(word)
 
     def test_certificate_tamper_detected(self, sturmian_word):
         cert = max_independence(sturmian_word, 8)
@@ -177,6 +206,32 @@ class TestIndependence:
         assert IndependenceCertificate.from_payload(cert.payload()).verify(word)
 
 
+def _witness_oracle(factors, positions):
+    """For each pattern on the positions, in increasing order, its smallest factor."""
+    smallest = {}
+    for f in sorted(int(f) for f in factors):
+        smallest.setdefault(sum(((f >> p) & 1) << j for j, p in enumerate(positions)), f)
+    return [smallest[i] for i in range(1 << len(positions))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_search_matches_exhaustive_and_witness_oracle(data):
+    L = data.draw(st.integers(3, 10))
+    if data.draw(st.booleans()):
+        word = data.draw(st.lists(st.integers(0, 1), min_size=10 * L, max_size=400))
+    else:  # long enough that p(L) is at or near 2^L
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        size = data.draw(st.integers(max(1 << L, 10 * L), 8 << L))
+        word = np.random.default_rng(seed).integers(0, 2, size=size)
+    word = np.asarray(word, dtype=np.int64)
+    cert = max_independence(word, L)
+    assert cert.exhausted
+    assert cert.positions == exhaustive_max_independence(word, L)
+    assert cert.witnesses.tolist() == _witness_oracle(factor_masks(word, L), cert.positions)
+    assert cert.verify(word)
+
+
 class TestGrowth:
     def test_sturmian_bounded_log(self, sturmian_word):
         rep = growth_report(_rows(sturmian_word, [6, 10, 14]))
@@ -234,6 +289,7 @@ def test_extract_factors_rejects_length(length):
 @example(factors=[0b1011_0110_1101, (1 << 62) - 1, 0, 1 << 61],
          positions=[0, 1, 2, 5, 7, 8, 9, 61])  # runs and gaps
 @example(factors=[0b1011_0110_1101, (1 << 62) - 1, 0], positions=[3, 4, 5, 6])  # one run
+@example(factors=[0b1011_0110_1101, (1 << 62) - 1, 0], positions=[9, 0, 1, 2])  # left shift
 @example(factors=[0b1011_0110_1101, 5], positions=[])
 def test_project_masks_matches_bruteforce(factors, positions):
     want = [sum(((f >> p) & 1) << j for j, p in enumerate(positions)) for f in factors]
