@@ -86,6 +86,13 @@ def _circle_system(spec, verb: str):
     return sys_
 
 
+def _classification(cls) -> dict:
+    """The JSON form of an ``envelope.classify`` result, points as ``a*alpha+b``."""
+    return {"tag": cls.tag,
+            "params": {k: (_point_str(v) if isinstance(v, CirclePoint) else str(v))
+                       for k, v in cls.params.items()}}
+
+
 def run_limit(params, seed):
     sys_ = _circle_system(params.get("system", "sturmian"), "limit")
     alpha = sys_.alpha
@@ -110,13 +117,7 @@ def run_limit(params, seed):
     out = {
         "backend": element.backend,
         "stabilized": element.stabilized,
-        "classification": {
-            "tag": cls.tag,
-            "params": {
-                k: (_point_str(v) if isinstance(v, CirclePoint) else str(v))
-                for k, v in cls.params.items()
-            },
-        },
+        "classification": _classification(cls),
         "times": [int(t) for t in approach.times],
         "error_bounds": [str(b) for b in approach.error_bounds],
     }
@@ -656,8 +657,7 @@ def verify_certificate(cert: dict) -> bool:
             target = _parse_point(sys_.alpha, gen["target"])
             sample = envelope.limit_sample(sys_, target, plain_count=60, split_range=4)
             element = envelope.limit_map(sys_, one_sided_approach(target, gen["side"], 6), sample)
-            cls = envelope.classify(element)
-            return cls.tag == cert["result"]["tag"]
+            return _classification(envelope.classify(element)) == cert["result"]
         if kind == "helly_determining":
             # the witness is the pin set itself: re-run the exact check on it
             f = order.parse_step_map(cert["map"])

@@ -147,12 +147,16 @@ def max_independence(
 ) -> IndependenceCertificate:
     """Maximum-size independent position set, by lexicographic branch and bound.
 
-    The counting bound 2^|I| <= p(window) prunes globally; subtree pruning
-    uses the remaining-position bound.  Include-first depth-first order makes
-    the first maximum found the lexicographically smallest one.  Each node
-    carries ``codes``: the factor masks with the node's pattern on its k
-    positions in bits window..window+k-1, so a child p is tested on the two
-    runs (p, window..window+k-1) whatever the gaps in the node's positions.
+    Include-first depth-first order makes the first maximum found the
+    lexicographically smallest one.  Each node carries ``codes``: the factor
+    masks with the node's pattern on its k positions in bits
+    window..window+k-1, so a child p is tested on the two runs
+    (p, window..window+k-1) whatever the gaps in the node's positions.
+    ``codes >> window`` is also the node's pattern class.  A shattered
+    superset must show every pattern of its new positions inside each of the
+    2^k classes, so the counting bound, 2^|I| <= p(window) at the root, cuts
+    each subtree at k + floor(log2(smallest class)) positions, together with
+    the remaining-position bound.  ``node_budget`` counts candidate tests.
     The full shift shatters every position set and needs no search; its
     witnesses are the factors themselves.  On budget exhaustion raises
     BudgetExceeded with the best certificate attached.
@@ -161,7 +165,6 @@ def max_independence(
     w = np.asarray(word, dtype=np.int64)
     check_horizon(window, w.shape[0])
     factors = factor_masks(w, window)
-    cap = min(window, int(math.log2(len(factors))) if len(factors) else 0)
     best: tuple[int, ...] = ()
     nodes = 0
     out_of_budget = False
@@ -170,10 +173,10 @@ def max_independence(
         nonlocal best, nodes, out_of_budget
         k = len(current)
         pattern = tuple(range(window, window + k))
+        # a shattered superset shows every pattern of its new positions in each class
+        room = int(np.bincount(codes >> window, minlength=1 << k).min()).bit_length() - 1
         for p in range(start, window):
-            if out_of_budget or len(best) >= cap:
-                return
-            if k + (window - p) <= len(best):
+            if out_of_budget or k + min(room, window - p) <= len(best):
                 return
             nodes += 1
             if nodes > node_budget:
@@ -189,8 +192,7 @@ def max_independence(
         best = tuple(range(window))
         witnesses = factors  # projecting onto every position is the identity
     else:
-        if cap >= 1:  # at least two factors
-            dfs(0, (), factors)
+        dfs(0, (), factors)
         witnesses = _witnesses(factors, best)
     cert = IndependenceCertificate(
         window=window,

@@ -243,6 +243,19 @@ class TestCliMain:
         assert main(["plot", str(out), "nope"]) == 2
         assert main(["verify", str(out)]) == 0
 
+    def test_smoke_config_runs_and_verifies(self, tmp_path, capsys):
+        # the config CI also runs through the installed console script
+        smoke = Path(__file__).with_name("smoke.json")
+        out = tmp_path / "smoke.report.json"
+        assert main(["run", str(smoke), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert all(entry["status"] == "ok" for entry in report["results"])
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == sum(len(e["certificates"]) for e in report["results"])
+        assert all(line.endswith(": ok") for line in lines)
+
     def test_exit_2_on_bad_config(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -430,6 +443,16 @@ class TestVerify:
         for name, bad in tampered.items():
             assert not verify_certificate(bad), name
 
+    def test_swapped_full_shift_witnesses_fail(self):
+        report, _ = run_config({"experiments": [
+            {"kind": "independence",
+             "params": {"coding": {"kind": "full_shift", "window": 10}, "windows": [10]}}]})
+        cert = report["results"][0]["certificates"][0]
+        assert verify_certificate(cert)
+        masks = unpack_masks(cert["witnesses"])
+        masks[[0, 1]] = masks[[1, 0]]
+        assert not verify_certificate(dict(cert, witnesses=pack_masks(masks)))
+
     def test_horizon_above_bound_fails_before_any_word(self, monkeypatch):
         report, _ = run_config({"experiments": [
             {"kind": "independence",
@@ -516,9 +539,31 @@ class TestVerify:
         assert cert["result"] == {"tag": "translation", "params": {"n": "3"}}
         assert verify_certificate(cert)
         assert not verify_certificate(dict(cert, result={"tag": "one_sided", "params": {}}))
+        moved = {"tag": "translation", "params": {"n": "2"}}
+        assert not verify_certificate(dict(cert, result=moved))
+        # T^3 is the limit from either side, so a flipped side still verifies
+        assert verify_certificate(dict(cert, generator=dict(cert["generator"], side="below")))
         # a limit certificate on a system no limit experiment handles fails
         for name in ("cos", "semicocycle", "cantor6"):
             assert not verify_certificate(dict(cert, system=NAMED_SYSTEMS[name]))
+
+    def test_limit_result_and_side_are_checked(self, tmp_path, capsys):
+        report, code = run_config({"experiments": [
+            {"kind": "limit", "params": {"system": "sturmian", "target": {"a": 1, "b": "1/5"},
+                                         "side": "above", "depth": 12, "plain_count": 40}}]})
+        assert code == 0
+        cert = report["results"][0]["certificates"][0]
+        assert cert["result"] == {"tag": "one_sided",
+                                  "params": {"gamma": "1*alpha+1/5", "side": "plus"}}
+        assert verify_certificate(cert)
+        moved = dict(cert["result"], params=dict(cert["result"]["params"], gamma="1*alpha+1/6"))
+        flipped = dict(cert["generator"], side="below")
+        bad = [dict(cert, result=moved), dict(cert, generator=flipped)]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == ["limit: FAILED", "limit: FAILED"]
 
     def test_off_orbit_rotation_limit_is_tagged_rotation(self):
         report, code = run_config({"experiments": [

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tamecert._kernels as K
+from tamecert import tameness
 from tamecert.errors import BudgetExceeded
 from tamecert.exactarith import GOLDEN
 from tamecert.systems import CutProjectCoding, SplitCircleSystem, full_shift_word
@@ -84,6 +85,32 @@ class TestIndependence:
                 bb = max_independence(word, L)
                 ex = exhaustive_max_independence(word, L)
                 assert bb.positions == ex
+        cantor6 = CutProjectCoding(GOLDEN, cantor_generation=6).word(100_000)
+        for L in (8, 12):
+            bb = max_independence(cantor6, L)
+            assert bb.positions == exhaustive_max_independence(cantor6, L)
+
+    def test_smallest_class_cuts_a_subtree(self, monkeypatch):
+        # bits 4..7 take all 16 patterns and bits 0 and 1 are each set in one
+        # more factor: {0} and {1} are shattered, but each has a class of one
+        # factor, so no superset of either can be, while the remaining
+        # positions (7 and 6) and the root bound 2^4 <= 18 factors would not cut
+        hand = np.array(sorted([m << 4 for m in range(16)] + [0b01, 0b10]), dtype=np.int64)
+        monkeypatch.setattr(tameness, "factor_masks", lambda word, window: hand)
+        original, class_sizes = K.distinct_projection_count, []
+
+        def spy(codes, positions):
+            if len(positions) == 2:  # a child of a one-position node: its classes
+                class_sizes.append(np.bincount(codes >> 8, minlength=2).min())
+            return original(codes, positions)
+
+        monkeypatch.setattr(K, "distinct_projection_count", spy)
+        word = np.zeros(80, dtype=np.int64)  # only its length is read
+        cert = max_independence(word, 8)
+        assert cert.positions == (4, 5, 6, 7)
+        assert class_sizes and min(class_sizes) >= 2  # {0} and {1} were cut untested
+        assert exhaustive_max_independence(word, 8) == cert.positions
+        assert all(tameness._covers(hand, (p,)) for p in (0, 1, 4))
 
     def test_monotone_in_window(self, sturmian_word):
         cantor = CutProjectCoding(GOLDEN, cantor_generation=6).word(100_000)
@@ -95,12 +122,12 @@ class TestIndependence:
 
     def test_budget_exceeded_carries_best(self):
         # a full shift needs no search, so the budget is spent on a word that searches
-        cantor = CutProjectCoding(GOLDEN, cantor_generation=6).word(10_000)
+        cantor = CutProjectCoding(GOLDEN, cantor_generation=6).word(100_000)
         with pytest.raises(BudgetExceeded) as exc:
             max_independence(cantor, 12, node_budget=5)
         best = exc.value.best
         assert isinstance(best, IndependenceCertificate)
-        assert not best.exhausted
+        assert best.size > 0 and not best.exhausted
         assert best.verify(cantor)
 
     def test_full_shift_runs_no_search(self, monkeypatch):
