@@ -94,8 +94,9 @@ def ball_bounds(values, radius: float, segments=None, rows=None) -> tuple[np.nda
 
 
 def window_oscillation(values, radius: float, images, weights, segments=None, bits=None,
-                       bit_weights=None) -> np.ndarray:
-    """Per-point oscillation over value-metric balls.
+                       bit_weights=None, rows=None) -> np.ndarray:
+    """Per-point oscillation over value-metric balls, at every row or at each
+    of ``rows``.
 
     The ball of a row is its ``ball_bounds`` range: ``values`` are sorted
     ascending within each of the ``segments`` (rows ordered by segment), and
@@ -108,19 +109,19 @@ def window_oscillation(values, radius: float, images, weights, segments=None, bi
     weight of the lowest such bit.
 
     Range max/min (OR/AND for bits) come from a sparse table built up to the
-    longest ball: level k holds the reduction of every run of 2^k rows, and a
+    longest ball measured: level k holds the reduction of every run of 2^k rows, and a
     ball of length L is covered by two overlapping level-floor(log2 L) runs.
     The reductions are exact, so the result equals a direct scan of each ball.
     """
     v = np.asarray(values, dtype=np.float64)
     img = np.asarray(images, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    n = v.shape[0]
+    n = v.shape[0] if rows is None else len(rows)
     if n == 0:
         return np.empty(0, dtype=np.float64)
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    lo, hi = ball_bounds(v, radius, segments)
+    lo, hi = ball_bounds(v, radius, segments, rows)
     level = np.frexp(hi - lo)[1] - 1  # floor(log2(ball length)), exact
     osc = np.empty(n, dtype=np.float64)
     top, bottom = img, img  # level-k run max/min, one row per run start

@@ -133,9 +133,16 @@ def periodic_point(prefix: ReducedWord, period: ReducedWord, depth: int) -> Boun
     """Truncation of the infinite word prefix . period . period ..."""
     if len(period) == 0:
         raise ValueError("period must be nontrivial")
+    p, n = period.letters, len(period)
+    # once the word ends in a copy of a cyclically reduced period, each later
+    # copy goes on whole: its first letter cannot cancel the last one before
+    whole = p[0] != inverse_letter(p[-1])
     letters = list(prefix.letters)
-    while len(letters) < depth + len(period):
-        _push_letters(letters, period.letters)
+    while len(letters) < depth + n:
+        _push_letters(letters, p)
+        if whole and tuple(letters[-n:]) == p:
+            letters.extend(p * max(0, -(-(depth + n - len(letters)) // n)))
+            break
     return BoundaryPoint(tuple(letters[:depth]))
 
 

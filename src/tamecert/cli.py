@@ -14,6 +14,8 @@ import contextlib
 import functools
 import hashlib
 import json
+import math
+import operator
 import random
 import re
 import sys
@@ -614,11 +616,6 @@ def emit_plot_data(report: dict, series: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _count(x) -> bool:
-    """Whether ``x`` is a non-negative int (a JSON ``true`` is not)."""
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-
-
 def verify_certificate(cert: dict) -> bool:
     """Re-check one certificate: False when it fails or a payload field is
     missing or malformed; ConfigError when no check exists for its kind."""
@@ -643,14 +640,23 @@ def verify_certificate(cert: dict) -> bool:
         if kind == "counterexample":
             return int(cert["sound"]) == int(cert["count"])
         if kind == "rank":
-            # stage 0 is the whole sample, the sizes never grow, and a rank
-            # beta >= 1 names an empty stage
-            sizes, beta = cert["stage_sizes"], cert["beta"]
-            return (isinstance(sizes, list) and len(sizes) > 0 and all(map(_count, sizes))
+            # stage 0 is the whole sample and the sizes never grow; they stay
+            # positive up to a last, empty stage beta >= 1, or through the
+            # whole budget when beta is null; the schedule decreases.  Exact
+            # types (a JSON true is no count) and C-level passes keep this
+            # a few microseconds
+            sizes, beta, schedule, eps = (cert["stage_sizes"], cert["beta"], cert["schedule"],
+                                          cert["epsilon"])
+            return (type(sizes) is list and set(map(type, sizes)) == {int}
                     and sizes[0] == cert["sample_size"]
-                    and all(b <= a for a, b in zip(sizes, sizes[1:]))
-                    and (beta is None
-                         or (_count(beta) and 1 <= beta < len(sizes) and sizes[beta] == 0)))
+                    and all(map(operator.ge, sizes, sizes[1:]))
+                    and (sizes[-1] > 0 and len(sizes) == rank.STAGE_BUDGET + 1 if beta is None
+                         else type(beta) is int and beta == len(sizes) - 1 >= 1
+                         and sizes[-1] == 0 < sizes[-2])
+                    and type(schedule) is list and set(map(type, schedule)) == {float}
+                    and 0 < schedule[-1] and schedule[0] < math.inf
+                    and all(map(operator.gt, schedule, schedule[1:]))
+                    and type(eps) is float and 0 < eps < math.inf)
         if kind == "limit":
             sys_ = _circle_system(cert["system"], "limit")
             gen = cert["generator"]

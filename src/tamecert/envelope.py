@@ -22,7 +22,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import NotInIdeal, NotStabilized, SampleMismatch
-from .exactarith import ApproachSequence, CirclePoint, PointArray, one_sided_approach, orbit_point
+from .exactarith import (ApproachSequence, CirclePoint, PointArray, PointSequence,
+                         one_sided_approach, orbit_point)
 from .order import circular_counterexample
 from .systems import (
     MINUS,
@@ -149,24 +150,33 @@ class SampleSet:
         by every element sampled on this set."""
         return {p: i for i, p in enumerate(self.points)}
 
-    def check_metric_axioms(self, trials: int = 40, seed: int = 0) -> bool:
-        """Spot-check symmetry, identity and the triangle inequality."""
-        import random
+    @cached_property
+    def point_words(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """The coding words of ``points`` (``CodingMetric.words``) and their
+        ``word_order``, built on first use and shared by every element
+        sampled on this set."""
+        words = self.metric.words(self.points, positions(self.points))
+        return words, word_order(words)
 
-        rng = random.Random(seed)
-        pts = self.points
-        for _ in range(trials):
-            x, y, z = (rng.choice(pts) for _ in range(3))
-            dxy, dyx = self.metric(x, y), self.metric(y, x)
-            if abs(dxy - dyx) > 1e-12:
-                return False
-            if x == y and dxy != 0:
-                return False
-            if x != y and dxy == 0 and type(x) == type(y):
-                return False
-            if self.metric(x, z) > dxy + self.metric(y, z) + 1e-12:
-                return False
-        return True
+
+def positions(points) -> np.ndarray:
+    """Circle positions (split points: of their bases), read off a point
+    array or, for a list, computed point by point."""
+    if isinstance(points, PointSequence):
+        return points.positions
+    return np.array([getattr(x, "base", x).as_float() for x in points])
+
+
+def word_order(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``words`` in lexicographic order (stable), and for each
+    sorted row after the first the first column where it differs from the
+    row before (the word width where it equals it), in the narrowest integer
+    types: the result is cached as long as its words."""
+    order = np.lexsort(words.T[::-1])
+    diff = words[order[1:]] != words[order[:-1]]
+    first_diff = np.where(diff.any(axis=1), diff.argmax(axis=1), words.shape[1])
+    return (order.astype(np.min_scalar_type(words.shape[0])),
+            first_diff.astype(np.min_scalar_type(words.shape[1])))
 
 
 def split_sample(

@@ -16,7 +16,7 @@ the budget flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -24,8 +24,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import NotStabilizedAcrossResolutions
-from .envelope import ApproxElement, CircleMetric, CodingMetric
-from .exactarith import PointSequence
+from .envelope import ApproxElement, CircleMetric, CodingMetric, positions, word_order
 from .systems import RotationSystem, SplitCircleSystem
 
 
@@ -48,8 +47,9 @@ class RankInstance:
     kinds); the split stage adds them, unwrapped, as one more image column.
 
     The arrays the stages share are computed once per instance: the word
-    order behind ``cylinder_ids`` (one lexsort, for every key width) and the
-    split kind's packed image words (``image_bits``).
+    order behind ``cylinder_ids`` (``envelope.word_order``, for every key
+    width; split instances take it, with their words, from the sample) and
+    the split kind's packed image words (``image_bits``).
     """
 
     kind: str
@@ -59,6 +59,9 @@ class RankInstance:
     weights: np.ndarray  # (W,)
     positions: np.ndarray | None = None  # (n,) base or value positions
     img_positions: np.ndarray | None = None  # (n,) image circle positions (split/circle)
+    # word_order(words), built on first use or set from the sample; not an
+    # init field, so dataclasses.replace with other words builds its own
+    word_order: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def separation_gap(self) -> float:
         """A positive scale below which distinct sample points separate."""
@@ -75,25 +78,14 @@ class RankInstance:
             raise ValueError("degenerate instance: no separating scale")
         return min(gaps)
 
-    @cached_property
-    def _word_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows in lexicographic word order (stable), and for each sorted
-        row after the first the first column where it differs from the row
-        before (the word width where it equals it)."""
-        w = self.words
-        order = np.lexsort(w.T[::-1])
-        diff = w[order[1:]] != w[order[:-1]]
-        first_diff = np.where(diff.any(axis=1), diff.argmax(axis=1), w.shape[1])
-        # the narrowest integer types: the cache lives as long as the instance
-        return (order.astype(np.min_scalar_type(w.shape[0])),
-                first_diff.astype(np.min_scalar_type(w.shape[1])))
-
     def cylinder_ids(self, width: int) -> np.ndarray:
         """Cylinder id of every point: equal ids for equal first ``width`` word
         columns, ascending in the lexicographic order of those columns."""
         ids = np.zeros(len(self.points), dtype=np.int64)
         if self.words is not None and width > 0:
-            order, first_diff = self._word_order
+            if self.word_order is None:
+                self.word_order = word_order(self.words)
+            order, first_diff = self.word_order
             ids[order[1:]] = np.cumsum(first_diff < width)
         return ids
 
@@ -114,28 +106,22 @@ class RankInstance:
         return packed, self.weights[heaviest]
 
 
-def _positions(points) -> np.ndarray:
-    """Circle positions (split points: of their bases), read off a point
-    array or, for a list, computed point by point."""
-    if isinstance(points, PointSequence):
-        return points.positions
-    return np.array([getattr(x, "base", x).as_float() for x in points])
-
-
 def split_instance(p: ApproxElement) -> RankInstance:
     metric: CodingMetric = p.sample.metric
     pts, imgs = p.sample.points, p.images
     h = metric.horizon
-    pos, img_pos = _positions(pts), _positions(imgs)
-    words = metric.words(pts, pos)
+    words, order = p.sample.point_words
+    img_pos = positions(imgs)
     img_words = metric.words(imgs, img_pos)
     weights = 2.0 ** -np.abs(np.arange(-h, h + 1, dtype=np.float64))
-    return RankInstance("split", pts, words, img_words, weights, pos, img_pos)
+    inst = RankInstance("split", pts, words, img_words, weights, positions(pts), img_pos)
+    inst.word_order = order
+    return inst
 
 
 def circle_instance(p: ApproxElement) -> RankInstance:
     pts = p.sample.points
-    pos, img = _positions(pts), _positions(p.images)
+    pos, img = positions(pts), positions(p.images)
     cols = np.stack(
         [np.sin(2 * np.pi * img) / (2 * np.pi), np.cos(2 * np.pi * img) / (2 * np.pi)], axis=1
     )
@@ -200,22 +186,29 @@ def _unwrap_circular(vals: np.ndarray, cylinder: np.ndarray) -> np.ndarray:
     return unwrapped
 
 
-def _stage(inst: RankInstance, active: np.ndarray, radius: float, eps: float):
+def _stage(inst: RankInstance, active: np.ndarray, radius: float, eps: float,
+           among: np.ndarray | None = None, witnesses: bool = True):
     """Indices of the active points surviving one epsilon-derivative at the
-    given resolution, plus their witness pairs.
+    given resolution, plus their witness pairs (None without ``witnesses``).
+    Only the points flagged in the per-point mask ``among`` are measured.
 
     One pass over every cylinder at once: ``_stage_arrays`` orders the
     active points and their copies by (cylinder, position) into one array, a
     ball is a window of positions inside its cylinder's segment of that
-    array, and one window-oscillation call measures every ball.
+    array, and one window-oscillation call measures the ball of each
+    member's own row (only a point's own copy can survive).
     """
     values, segments, points, own, cols, bits, bit_weights = _stage_arrays(inst, active, radius)
+    rows = np.nonzero(own if among is None else own & among[points])[0]
+    # positional: kernel wrappers may take no keywords
     osc = K.window_oscillation(values, radius, cols, np.ones(cols.shape[1]), segments, bits,
-                               bit_weights)
-    # only a point's own copy can survive
-    hit = np.nonzero(own & (osc >= eps))[0]
-    top, bottom = _witness_rows(values, radius, segments, cols, bits, bit_weights, osc[hit], hit)
+                               bit_weights, rows)
+    keep = osc >= eps
+    hit = rows[keep]
     survivors = points[hit]
+    if not witnesses:
+        return np.sort(survivors), None
+    top, bottom = _witness_rows(values, radius, segments, cols, bits, bit_weights, osc[keep], hit)
     witness = dict(zip(survivors.tolist(), zip(points[top].tolist(), points[bottom].tolist())))
     return np.sort(survivors), witness
 
@@ -421,7 +414,11 @@ def beta_rank(
 
     Runs the derivative iteration, at most ``STAGE_BUDGET`` stages, once per
     rerun scale in ``RERUN_SCALES`` (the schedule scaled down); the result is
-    stabilized when all runs agree on the terminal index.
+    stabilized when all runs agree on the terminal index.  Only the main run
+    (scale 1) keeps its stages and witnesses.  A rerun finds its rank alone,
+    and measures its stage one only at the main run's stage-one survivors,
+    the only points that can survive it (``_rerun_beta``); when there are
+    none, every rerun has rank 1 and calls no kernel.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
@@ -430,27 +427,22 @@ def beta_rank(
     if any(b >= a for a, b in zip(base_schedule, base_schedule[1:])):
         raise ValueError("resolution schedule must be strictly decreasing")
 
-    traces = []
-    for scale in RERUN_SCALES:
-        schedule = tuple(r * scale for r in base_schedule)
-        active = np.arange(len(inst.points), dtype=np.int64)
-        stages = [active]
-        wits = []
-        beta = None
-        for depth in range(STAGE_BUDGET):
-            r = schedule[min(depth, len(schedule) - 1)]
-            active, wit = _stage(inst, active, r, epsilon)
-            stages.append(active)
-            wits.append(wit)
-            if active.size == 0:
-                beta = depth + 1
-                break
-        traces.append(RankTrace(epsilon, schedule, stages, wits, beta))
-    estimates = [t.beta for t in traces]
-    stable = len(set(estimates)) == 1
-    main = traces[0]
-    main.stabilized = stable
-    if not stable and raise_on_unstable:
+    active = np.arange(len(inst.points), dtype=np.int64)
+    main = RankTrace(epsilon, base_schedule, [active], [], None)
+    for depth in range(STAGE_BUDGET):
+        r = base_schedule[min(depth, len(base_schedule) - 1)]
+        active, wit = _stage(inst, active, r, epsilon)
+        main.stages.append(active)
+        main.witnesses.append(wit)
+        if active.size == 0:
+            main.beta = depth + 1
+            break
+    first = np.zeros(len(inst.points), dtype=bool)
+    first[main.stages[1]] = True
+    estimates = [main.beta] + [_rerun_beta(inst, tuple(r * scale for r in base_schedule),
+                                           epsilon, first) for scale in RERUN_SCALES[1:]]
+    main.stabilized = len(set(estimates)) == 1
+    if not main.stabilized and raise_on_unstable:
         raise NotStabilizedAcrossResolutions(
             f"rank estimates {estimates} across rerun scales {RERUN_SCALES}",
             estimates=estimates,
@@ -458,42 +450,25 @@ def beta_rank(
     return main
 
 
-def oscillation(p: ApproxElement, x, pool: Sequence, radius: float) -> float:
-    """Direct finite-scale oscillation of p at x over the pool (brute force)."""
-    metric = p.sample.metric
-    ball = [y for y in pool if metric(x, y) <= radius]
-    best = 0.0
-    for i, y in enumerate(ball):
-        for z in ball[i + 1 :]:
-            d = metric(p.image_of(y), p.image_of(z))
-            if d > best:
-                best = d
-    return best
+def _rerun_beta(inst: RankInstance, schedule: tuple[float, ...], epsilon: float,
+                first: np.ndarray) -> int | None:
+    """The rank of a rerun at a scaled-down schedule, with no witnesses.
 
-
-def naive_beta_rank(inst: RankInstance, epsilon: float, schedule: Sequence[float]):
-    """Brute-force oracle: direct pairwise recomputation of every stage."""
-    n = len(inst.points)
-    active = list(range(n))
-    stages = [list(active)]
-    beta = None
+    Stage one measures only the points of ``first``, the main run's stage
+    one.  Both stages start from the whole sample, so they share cylinders
+    and unwrapped image columns, and each ball of the smaller radius lies in
+    that of the larger (fl(v - r s) >= fl(v - r), fewer copies near the cut,
+    finer prefix cylinders), where no spread is wider and no varying bit
+    lower.  Later stages start from other active sets and run in full."""
+    if not first.any():
+        return 1
+    active = np.arange(len(inst.points), dtype=np.int64)
     for depth in range(STAGE_BUDGET):
         r = schedule[min(depth, len(schedule) - 1)]
-        nxt = []
-        for x in active:
-            ball = [y for y in active if _point_dist(inst, x, y) <= r]
-            osc = 0.0
-            for a in range(len(ball)):
-                for b in range(a + 1, len(ball)):
-                    osc = max(osc, _image_dist(inst, ball[a], ball[b]))
-            if osc >= epsilon:
-                nxt.append(x)
-        active = nxt
-        stages.append(list(active))
-        if not active:
-            beta = depth + 1
-            break
-    return beta, stages
+        active = _stage(inst, active, r, epsilon, first if depth == 0 else None, False)[0]
+        if active.size == 0:
+            return depth + 1
+    return None
 
 
 @dataclass

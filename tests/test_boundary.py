@@ -12,6 +12,7 @@ from tamecert.boundary import (
     boundary_metric,
     boundary_sample,
     common_prefix,
+    inverse_letter,
     periodic_point,
     power_limit,
     reduce_letters,
@@ -63,19 +64,32 @@ class TestReduce:
             reduce_letters("abx")
 
 
-@pytest.mark.parametrize("depth", [1, 5, 16, 40])
+@pytest.mark.parametrize("depth", [0, 1, 3, 5, 16, 40])
 def test_periodic_point_matches_rereduced_word(depth):
-    # the reference re-reduces the whole word for every period it appends
+    # one reference re-reduces the whole word for every period it appends,
+    # the other pushes every copy one letter at a time; periodic_point appends
+    # whole copies once the word ends in a cyclically reduced period
     def reference(prefix, period):
         letters = prefix.letters
         while len(letters) < depth + len(period):
             letters = reduce_letters(letters + period.letters)
         return letters[:depth]
 
+    def letter_by_letter(prefix, period):
+        letters = list(prefix.letters)
+        while len(letters) < depth + len(period):
+            for c in period.letters:
+                if letters and letters[-1] == inverse_letter(c):
+                    letters.pop()
+                else:
+                    letters.append(c)
+        return tuple(letters[:depth])
+
     words = [w for n in range(4) for w in all_reduced_words(n)]
     for prefix in words:
         for period in words[1:]:
-            assert periodic_point(prefix, period, depth).prefix == reference(prefix, period)
+            got = periodic_point(prefix, period, depth).prefix
+            assert got == reference(prefix, period) == letter_by_letter(prefix, period)
 
 
 class TestBoundaryAction:

@@ -256,6 +256,30 @@ class TestCliMain:
         assert len(lines) == sum(len(e["certificates"]) for e in report["results"])
         assert all(line.endswith(": ok") for line in lines)
 
+    def test_smoke_kernels_take_positional_arguments(self, monkeypatch):
+        # a benchmark tracer wraps each kernel as ``def wrapper(*args)``: a
+        # keyword kernel call must fail here, not only in a traced run
+        calls = {}
+
+        def positional(name, fn):
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            return wrapper
+
+        kernels = {"ball_bounds", "distinct_projection_count", "extract_factors",
+                   "project_masks", "window_oscillation"}
+        for name in kernels:
+            monkeypatch.setattr(K, name, positional(name, getattr(K, name)))
+        smoke = json.loads(Path(__file__).with_name("smoke.json").read_text())
+        smoke["experiments"] = [e for e in smoke["experiments"]
+                                if e["kind"] in ("rank", "independence")]
+        assert len(smoke["experiments"]) == 4
+        report, code = run_config(smoke)
+        assert code == 0 and all(e["status"] == "ok" for e in report["results"])
+        assert all(verify_certificate(c) for e in report["results"] for c in e["certificates"])
+        assert set(calls) == kernels
+
     def test_exit_2_on_bad_config(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -583,16 +607,39 @@ class TestVerify:
         assert code == 0
         cert = report["results"][0]["certificates"][0]
         size = cert["sample_size"]
-        assert cert["beta"] >= 1 and cert["stage_sizes"][0] == size
+        assert cert["beta"] == 2 and cert["stage_sizes"][0] == size
         assert verify_certificate(cert)
-        assert verify_certificate(dict(cert, beta=None))
+        # a null beta needs the whole stage budget, every stage nonempty
+        full = [size] * (rank.STAGE_BUDGET + 1)
+        assert verify_certificate(dict(cert, beta=None, stage_sizes=full))
+        # still verifies: only a witness tree or a rerun can tell [size, 0] from
+        # the true stages
+        assert verify_certificate(dict(cert, beta=1, stage_sizes=[size, 0]))
         bad = [dict(cert, beta=-1), dict(cert, beta=0), dict(cert, beta=True),
                dict(cert, beta=1.0), dict(cert, beta="2"),
                dict(cert, stage_sizes=[], beta=None), dict(cert, stage_sizes=None, beta=None),
                dict(cert, stage_sizes=[size, -1]), dict(cert, stage_sizes=[size, True]),
                dict(cert, stage_sizes=[size, 0.0]),
-               dict(cert, sample_size=size + 1), dict(cert, stage_sizes=[size + 1, 0])]
+               dict(cert, sample_size=size + 1), dict(cert, stage_sizes=[size + 1, 0]),
+               # the stage sizes end at their first 0, at beta
+               dict(cert, beta=1, stage_sizes=[size, 0, 0]),
+               dict(cert, beta=2, stage_sizes=[size, 0, 0]), dict(cert, beta=1),
+               dict(cert, beta=3), dict(cert, stage_sizes=cert["stage_sizes"] + [0]),
+               dict(cert, beta=None), dict(cert, beta=None, stage_sizes=full[:-1]),
+               dict(cert, beta=None, stage_sizes=full + [size]),
+               dict(cert, beta=None, stage_sizes=full[:-1] + [0]),
+               dict(cert, beta=len(full) - 1, stage_sizes=full[:-1] + [0, 0])]
+        # run writes floats: an integer literal is no epsilon or radius
+        bad += [dict(cert, epsilon=e) for e in (0.0, -0.1, float("inf"), float("nan"), "0.1",
+                                                True, None, 1)]
+        schedule = cert["schedule"]
+        bad += [dict(cert, schedule=s) for s in (
+            [], None, "0.1", schedule[::-1], schedule[:1] * 2, [-r for r in schedule],
+            schedule[:-1] + [0.0], schedule[:-1] + [float("nan")], [float("inf")] + schedule,
+            [True], [str(r) for r in schedule], [1, 0.5], schedule[:1] + [float("nan")] * 2,
+            schedule[:1] + [float("nan")] + schedule[-1:])]
         assert not any(verify_certificate(c) for c in bad)
+        assert all(verify_certificate(dict(cert, schedule=s)) for s in (schedule[:1], [1.0, 0.5]))
 
     def test_isolation_checks_the_payload_gammas(self):
         report, code = run_config({"experiments": [

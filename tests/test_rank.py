@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tamecert import _kernels as K
 from tamecert import exactarith
 from tamecert.boundary import ReducedWord, boundary_sample, loxodromic_rank_arrays, power_limit
 from tamecert.cli import run_config
@@ -20,7 +21,10 @@ from tamecert.envelope import (
 from tamecert.errors import NotStabilizedAcrossResolutions
 from tamecert.exactarith import GOLDEN, PointArray, one_sided_approach, orbit_point, point, zero
 from tamecert.rank import (
+    RERUN_SCALES,
+    STAGE_BUDGET,
     RankInstance,
+    RankTrace,
     _image_dist,
     _point_dist,
     _stage,
@@ -28,8 +32,6 @@ from tamecert.rank import (
     beta_rank,
     build_instance,
     default_schedule,
-    naive_beta_rank,
-    oscillation,
     prefix_instance,
     system_rank,
     value_instance,
@@ -37,6 +39,58 @@ from tamecert.rank import (
 from tamecert.systems import MINUS, PLAIN, PLUS, RotationSystem, SplitArray, SplitCircleSystem, SplitPoint
 
 F = Fraction
+
+
+def oscillation(p, x, pool, radius: float) -> float:
+    """Direct finite-scale oscillation of p at x over the pool (brute force)."""
+    metric = p.sample.metric
+    ball = [y for y in pool if metric(x, y) <= radius]
+    best = 0.0
+    for i, y in enumerate(ball):
+        for z in ball[i + 1 :]:
+            best = max(best, metric(p.image_of(y), p.image_of(z)))
+    return best
+
+
+def naive_beta_rank(inst: RankInstance, epsilon: float, schedule):
+    """Brute-force oracle: direct pairwise recomputation of every stage."""
+    active = list(range(len(inst.points)))
+    stages = [list(active)]
+    for depth in range(STAGE_BUDGET):
+        r = schedule[min(depth, len(schedule) - 1)]
+        nxt = []
+        for x in active:
+            ball = [y for y in active if _point_dist(inst, x, y) <= r]
+            osc = 0.0
+            for a in range(len(ball)):
+                for b in range(a + 1, len(ball)):
+                    osc = max(osc, _image_dist(inst, ball[a], ball[b]))
+            if osc >= epsilon:
+                nxt.append(x)
+        active = nxt
+        stages.append(list(active))
+        if not active:
+            return depth + 1, stages
+    return None, stages
+
+
+def full_reruns(inst: RankInstance, epsilon: float, schedule) -> list[RankTrace]:
+    """Reference rank loop: every stage of every rerun scale in full, with
+    its witnesses, the main run (scale 1) first."""
+    traces = []
+    for scale in RERUN_SCALES:
+        scaled = tuple(r * scale for r in schedule)
+        active = np.arange(len(inst.points), dtype=np.int64)
+        stages, wits, beta = [active], [], None
+        for depth in range(STAGE_BUDGET):
+            active, wit = _stage(inst, active, scaled[min(depth, len(scaled) - 1)], epsilon)
+            stages.append(active)
+            wits.append(wit)
+            if active.size == 0:
+                beta = depth + 1
+                break
+        traces.append(RankTrace(epsilon, scaled, stages, wits, beta))
+    return traces
 
 
 @pytest.fixture(scope="module")
@@ -179,15 +233,10 @@ class TestBetaRank:
         assert t.verify_witnesses(inst)
 
     def test_unstable_raises(self):
-        # a constant-image instance never oscillates: stable rank 1; force
-        # instability with a schedule whose coarse stage is above the diameter
-        pool = [F(k, 50) for k in range(50)]
-        imgs = [[float(x)] for x in pool]
-        inst = value_instance(pool, [float(x) for x in pool], imgs)
         with pytest.raises(NotStabilizedAcrossResolutions):
             # stage-one radius so large that the identity map's window spread
             # exceeds eps at scale 1.0 but not at scale 0.25
-            beta_rank(inst, 0.5, r_schedule=(0.35, 1e-4, 1e-5))
+            beta_rank(_unstable_instance(), 0.5, r_schedule=(0.35, 1e-4, 1e-5))
 
     def test_schedule_must_decrease(self, p_minus):
         with pytest.raises(ValueError):
@@ -352,6 +401,131 @@ def _unwrap_oracle(vals):
     if gaps.size and float(gaps.max()) > 1.0 - (sp[-1] - sp[0]):
         return (vals - sp[int(gaps.argmax()) + 1]) % 1.0
     return (vals - sp[0]) % 1.0
+
+
+# ---------------------------------------------------------------------------
+# reruns: stage one only at the main run's survivors, no witnesses
+# ---------------------------------------------------------------------------
+
+
+def _unstable_instance():
+    """The identity map on 50 points: a stage-one radius above the diameter
+    makes it unstable (test_unstable_raises)."""
+    pool = [F(k, 50) for k in range(50)]
+    return value_instance(pool, [float(x) for x in pool], [[float(x)] for x in pool])
+
+
+@st.composite
+def _rank_cases(draw):
+    kind = draw(st.sampled_from(["split", "circle", "value", "prefix"]))
+    n = draw(st.integers(1, 24))
+
+    def grid(top, size):  # small integers: values repeat and ties are common
+        return np.asarray(draw(st.lists(st.integers(0, top), min_size=size, max_size=size)))
+
+    # positions on a 1/64 grid, on the 0/1 cut too
+    pos = grid(63, n) / 64
+    if kind == "split":
+        h = draw(st.integers(0, 2))
+        w = 2 * h + 1
+        # image arcs of a quarter turn, or of any width (the half-circle error)
+        arc = draw(st.sampled_from([16, 63]))
+        inst = _split_instance(grid(1, n * w).reshape(n, w), grid(1, n * w).reshape(n, w), pos,
+                               (grid(arc, n) / 64 + draw(st.sampled_from([0.0, 0.9]))) % 1.0, h)
+    elif kind == "circle":
+        img = grid(63, n) / 64
+        turn = 2 * np.pi * img
+        cols = np.stack([np.sin(turn), np.cos(turn)], axis=1) / (2 * np.pi)
+        inst = RankInstance("circle", range(n), None, cols, np.ones(2), pos, img)
+    elif kind == "value":
+        inst = value_instance(range(n), pos, grid(8, 2 * n).reshape(n, 2) / 8)
+    else:
+        depth = draw(st.integers(1, 4))
+        inst = prefix_instance(range(n), grid(3, n * depth).reshape(n, depth),
+                               grid(3, n * depth).reshape(n, depth))
+    first = draw(st.sampled_from([0.5, 0.3, 0.1, 1 / 32, 0.01]))
+    schedule = (first,)
+    for _ in range(draw(st.integers(0, 2))):
+        schedule += (schedule[-1] * draw(st.sampled_from([0.5, 0.25, 0.1])),)
+    epsilon = draw(st.sampled_from([0.01, 0.05, 0.1, 0.25, 0.5, 1.0]))
+    return inst, epsilon, schedule
+
+
+def _assert_equals_full_reruns(inst, epsilon, schedule):
+    """beta_rank's trace against the reference loop: the main run's stages,
+    witnesses and rank, stabilized iff the three ranks agree, and the same
+    error when an image arc is too wide."""
+    try:
+        want = full_reruns(inst, epsilon, schedule)
+    except ValueError:
+        with pytest.raises(ValueError, match="half circle"):
+            beta_rank(inst, epsilon, r_schedule=schedule, raise_on_unstable=False)
+        return
+    got = beta_rank(inst, epsilon, r_schedule=schedule, raise_on_unstable=False)
+    betas = [t.beta for t in want]
+    assert (got.beta, got.stabilized, got.schedule) == (betas[0], len(set(betas)) == 1,
+                                                         want[0].schedule)
+    assert [s.tolist() for s in got.stages] == [s.tolist() for s in want[0].stages]
+    assert got.witnesses == want[0].witnesses
+    if not got.stabilized:
+        with pytest.raises(NotStabilizedAcrossResolutions) as err:
+            beta_rank(inst, epsilon, r_schedule=schedule)
+        assert err.value.estimates == betas
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_rank_cases())
+@example(case=(_unstable_instance(), 0.5, (0.35, 1e-4, 1e-5)))
+def test_beta_rank_equals_full_reruns(case):
+    _assert_equals_full_reruns(*case)
+
+
+def test_workload_instances_equal_full_reruns(sturmian, st_sample, p_minus):
+    rot = RotationSystem(GOLDEN)
+    lox = power_limit(ReducedWord.parse("ab"), depth=12)
+    pts = boundary_sample(12, base_length=4, lox=lox)
+    instances = [
+        build_instance(p_minus),
+        build_instance(limit_map(sturmian, [3], st_sample)),
+        build_instance(limit_map(rot, one_sided_approach(point(GOLDEN, 0, F(1, 3)), "above", 8),
+                                 rotation_sample(rot, 500))),
+        prefix_instance(pts, *loxodromic_rank_arrays(lox, pts)),
+    ]
+    for inst in instances:
+        for eps in (0.1, 0.01):
+            _assert_equals_full_reruns(inst, eps, default_schedule(inst, eps))
+
+
+def test_rank_one_makes_one_kernel_call(monkeypatch, sturmian, st_sample, p_minus):
+    calls = []
+    kernel = K.window_oscillation
+
+    def counted(*args):  # positional, as a tracing wrapper takes them
+        calls.append(len(args))
+        return kernel(*args)
+
+    monkeypatch.setattr(K, "window_oscillation", counted)
+    translation = build_instance(limit_map(sturmian, [1], st_sample))
+    for eps in (0.1, 0.01):
+        calls.clear()
+        t = beta_rank(translation, eps)
+        assert (t.beta, t.stabilized, len(calls)) == (1, True, 1)
+    # rank 2: two stages in each run
+    calls.clear()
+    assert beta_rank(build_instance(p_minus), 0.01).beta == 2
+    assert len(calls) == 2 * len(RERUN_SCALES)
+
+
+def test_split_instances_share_the_sample_words(sturmian, st_sample):
+    a = build_instance(limit_map(sturmian, [1], st_sample))
+    b = build_instance(limit_map(sturmian, [3], st_sample))
+    assert a.words is b.words and a.word_order is b.word_order
+    assert a.words is st_sample.point_words[0]
+    # an instance with other words sorts its own
+    flipped = dataclasses.replace(a, words=a.words[::-1])
+    assert flipped.word_order is None
+    want = np.unique(flipped.words, axis=0, return_inverse=True)[1].ravel()
+    assert flipped.cylinder_ids(a.words.shape[1]).tolist() == want.tolist()
 
 
 class TestOtherRotationNumber:

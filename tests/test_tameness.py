@@ -417,9 +417,18 @@ def test_window_oscillation_matches_bruteforce(case):
     want = _oscillation_oracle(*case)
     got = K.window_oscillation(*case)
     assert got.dtype == np.float64 and np.array_equal(got, want)
+    # ``rows`` (passed positionally, after the optional arguments) picks rows
+    # of the full result, in any order and with repeats
+    n = want.size
+    padded = case + (None,) * (7 - len(case))
+    for rows in (np.arange(n), np.arange(n)[1::2], np.arange(n)[::-3], np.arange(n) // 2,
+                 np.empty(0, dtype=np.int64)):
+        got = K.window_oscillation(*padded, rows)
+        assert got.dtype == np.float64 and np.array_equal(got, want[rows])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(K.fallback, "_QUERY_BLOCK", 3)  # several blocks of balls per level
         assert np.array_equal(K.window_oscillation(*case), want)
+        assert np.array_equal(K.window_oscillation(*padded, np.arange(n)[::-1]), want[::-1])
 
 
 def _ball_oracle(values, radius, segments):
