@@ -1,7 +1,7 @@
 """tamecert: finite-horizon certificates for enveloping-semigroup structure.
 
 Constructs split-circle (Sturmian), semicocycle, cos(1/x), cut-and-project,
-projective and free-group boundary systems with exact arithmetic, approximates
+partial-linear and free-group boundary systems with exact arithmetic, approximates
 enveloping-semigroup elements along certified approach sequences, and emits
 machine-checkable certificates: determining sets, Sorgenfrey isolation,
 independence-set growth and oscillation rank.

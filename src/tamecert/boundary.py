@@ -46,21 +46,22 @@ def _push_letters(stack: list[str], letters: Iterable[str]) -> None:
 
 @dataclass(frozen=True)
 class ReducedWord:
+    """A free-group element; construction cancels its letters to the reduced word."""
+
     letters: tuple[str, ...]
 
     @classmethod
     def parse(cls, text: str) -> "ReducedWord":
-        return cls(reduce_letters(text.strip()))
+        return cls(tuple(text.strip()))
 
     def __post_init__(self):
-        if self.letters != reduce_letters(self.letters):
-            raise ValueError("word is not reduced")
+        object.__setattr__(self, "letters", reduce_letters(self.letters))
 
     def __len__(self):
         return len(self.letters)
 
     def __mul__(self, other: "ReducedWord") -> "ReducedWord":
-        return ReducedWord(reduce_letters(self.letters + other.letters))
+        return ReducedWord(self.letters + other.letters)
 
     def inverse(self) -> "ReducedWord":
         return ReducedWord(tuple(inverse_letter(c) for c in reversed(self.letters)))
@@ -112,21 +113,6 @@ class BoundaryPoint:
 
     def __str__(self):
         return "".join(self.prefix)
-
-
-def common_prefix(u: Sequence[str], v: Sequence[str]) -> int:
-    n = 0
-    for a, b in zip(u, v):
-        if a != b:
-            break
-        n += 1
-    return n
-
-
-def boundary_metric(x: BoundaryPoint, y: BoundaryPoint) -> float:
-    if x.prefix == y.prefix:
-        return 0.0
-    return 2.0 ** -common_prefix(x.prefix, y.prefix)
 
 
 def periodic_point(prefix: ReducedWord, period: ReducedWord, depth: int) -> BoundaryPoint:
@@ -248,16 +234,16 @@ def loxodromic_rank_arrays(lox: LoxodromicLimit, points: Sequence[BoundaryPoint]
     return word_codes(points, lox.depth), word_codes(imgs, lox.depth)
 
 
-def boundary_sample(depth: int = 16, base_length: int = 6, lox: LoxodromicLimit | None = None,
-                    tail: int = 6) -> list[BoundaryPoint]:
+def boundary_sample(depth: int = 16, base_length: int = 6,
+                    lox: LoxodromicLimit | None = None) -> list[BoundaryPoint]:
     """Probe points: all reduced words of the base length extended
-    periodically, plus (optionally) the power-orbit tails accumulating at the
-    limit pair."""
+    periodically, plus (optionally) the power-orbit tails under gamma^j,
+    0 < |j| <= 6, accumulating at the limit pair."""
     pts = {periodic_point(w, w, depth).prefix for w in all_reduced_words(base_length)}
     if lox is not None:
         pts.add(lox.attracting.prefix)
         pts.add(lox.repulsing.prefix)
-        for j in range(1, tail + 1):
+        for j in range(1, 7):
             for g in (lox.gamma.power(j), lox.gamma.power(-j)):
                 for w in all_reduced_words(1):
                     base = periodic_point(w, w, depth + 4 * j * len(lox.gamma) + 4)

@@ -108,13 +108,8 @@ def run_limit(params, seed):
         split_range=int(params.get("split_range", 8)),
         horizon=int(params.get("horizon", 8)),
     )
-    numeric = bool(params.get("numeric", False))
-    generator = list(approach.times) if numeric else approach
-    element = envelope.limit_map(
-        sys_, generator, sample,
-        tolerance=float(params.get("tolerance", 1e-9)),
-        max_stages=int(params.get("max_stages", 64)),
-    )
+    # a circle system has a closed-form rule for every approach: the element is exact
+    element = envelope.limit_map(sys_, approach, sample)
     cls = envelope.classify(element)
     out = {
         "backend": element.backend,
@@ -133,7 +128,7 @@ def run_limit(params, seed):
         "generator": {"target": _point_str(target), "side": side,
                       "times": [int(t) for t in approach.times]},
         "sample_size": len(sample),
-        "tolerance": None if element.backend == "exact" else element.tolerance,
+        "tolerance": None,
         "result": out["classification"],
         "witness": out.get("decomposition"),
     }

@@ -13,10 +13,6 @@ class QuotientsExhausted(TamecertError):
     """A finite-prefix rotation number ran out of partial quotients."""
 
 
-class BoundaryUndecidable(TamecertError):
-    """A plain point sits exactly on a coding-arc endpoint with no side convention."""
-
-
 class DepthInsufficient(TamecertError):
     """Odometer cylinders are not separated at the requested truncation depth."""
 

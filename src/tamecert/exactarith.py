@@ -186,7 +186,7 @@ def parse_rotation_number(text: str) -> RotationNumber:
     A trailing ``...`` repeats the last listed quotient forever; a
     parenthesized group is an explicit period.
     """
-    m = _CF_RE.match(text.strip())
+    m = _CF_RE.match(text.strip()) if isinstance(text, str) else None
     if not m:
         raise ValueError(f"not a continued-fraction literal: {text!r}")
     body = m.group("body").strip()

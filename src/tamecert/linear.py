@@ -157,13 +157,6 @@ class PartialLinearMap:
     def domain_dim(self) -> int:
         return len(self.basis)
 
-    def orthonormal_domain(self) -> np.ndarray:
-        """Float orthonormal basis of the domain (QR), for reporting."""
-        if not self.basis:
-            return np.zeros((0, self.dim))
-        q, _ = np.linalg.qr(np.array(self.basis, dtype=float).T)
-        return q.T[: self.domain_dim]
-
     def apply(self, v):
         if v == INF:
             return INF
@@ -218,18 +211,6 @@ class MatrixSequenceSpec:
     kind: str
     dim: int
     entries: object = None
-
-    def stage(self, s: int) -> np.ndarray:
-        if self.kind == "scalar":
-            return float(s) * np.eye(self.dim)
-        if self.kind == "diagonal":
-            return np.diag([float(f(s)) for f in self.entries])
-        if self.kind == "powers":
-            g = np.array(self.entries, dtype=float)
-            return np.linalg.matrix_power(g, s)
-        if self.kind == "explicit":
-            return np.array(self.entries[min(s, len(self.entries) - 1)], dtype=float)
-        raise ValueError(f"unknown kind {self.kind!r}")
 
 
 SIGMA_BOUNDED = 1e-6
@@ -355,91 +336,6 @@ def _svd_limit(mats: list[np.ndarray], dim: int, tolerance: float) -> PartialLin
             raise NotStabilized("restriction to the candidate subspace is not Cauchy")
         pairs.append((tuple(Fraction(x) for x in v), tuple(Fraction(x) for x in iv_last)))
     return PartialLinearMap.from_pairs(dim, pairs)
-
-
-# ---------------------------------------------------------------------------
-# the projective line under matrix powers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A point of the projective line: nonzero (x, y) up to scale, stored in
-    the canonical form with the first nonzero coordinate equal to 1."""
-
-    x: Fraction
-    y: Fraction
-
-    @classmethod
-    def make(cls, x, y) -> "Direction":
-        x, y = Fraction(x), Fraction(y)
-        if x != 0:
-            return cls(Fraction(1), y / x)
-        if y == 0:
-            raise ValueError("the zero vector spans no direction")
-        return cls(Fraction(0), Fraction(1))
-
-    def vector(self) -> tuple[Fraction, Fraction]:
-        return (self.x, self.y)
-
-
-def projective_action(g, d: Direction) -> Direction:
-    gx = g[0][0] * d.x + g[0][1] * d.y
-    gy = g[1][0] * d.x + g[1][1] * d.y
-    return Direction.make(gx, gy)
-
-
-def projective_power_element(g, directions: Sequence[Direction], stages: int = 40, tol: float = 1e-9):
-    """Images of sampled directions under the limit of the projective action
-    of g^n: everything falls onto the top eigendirection except the bottom
-    one, which stays fixed.
-
-    The pair comes from the exact eigen analysis (rational eigenvalues with
-    distinct moduli required); every sampled image is then cross-checked by
-    float power iteration.
-    """
-    g = [[Fraction(x) for x in row] for row in g]
-    a, b, c, d = g[0][0], g[0][1], g[1][0], g[1][1]
-    disc = (a + d) ** 2 - 4 * (a * d - b * c)
-    root = _rational_sqrt(disc)
-    if root is None:
-        raise NotStabilized("matrix has no rational eigenstructure; no exact route")
-    lams = sorted({((a + d) + root) / 2, ((a + d) - root) / 2}, key=abs)
-    if len(lams) != 2 or abs(lams[0]) == abs(lams[1]):
-        raise NotStabilized("eigenvalue moduli coincide; powers do not converge projectively")
-
-    def eigvec(lam):
-        if b != 0:
-            return Direction.make(b, lam - a)
-        if c != 0:
-            return Direction.make(lam - d, c)
-        return Direction.make(1, 0) if lam == a else Direction.make(0, 1)
-
-    repulsing = eigvec(lams[0])  # bottom modulus
-    attracting = eigvec(lams[1])  # top modulus
-    images = [repulsing if v == repulsing else attracting for v in directions]
-
-    # the repulsing direction repels forward iteration (float noise along the
-    # top eigendirection doubles each step), so its fixedness is checked
-    # exactly; everything else is cross-checked by float power iteration
-    if projective_action(g, repulsing) != repulsing:
-        raise NotStabilized("bottom eigendirection is not projectively fixed")
-    gm = np.array([[float(x) for x in row] for row in g])
-    for v, im in zip(directions, images):
-        if v == repulsing:
-            continue
-        w = np.array([float(v.x), float(v.y)])
-        for _ in range(stages):
-            w = gm @ w
-            n = np.linalg.norm(w)
-            if n == 0:
-                raise NotStabilized("direction collapsed numerically")
-            w /= n
-        expect = np.array([float(im.x), float(im.y)])
-        expect /= np.linalg.norm(expect)
-        if min(np.linalg.norm(w - expect), np.linalg.norm(w + expect)) > tol:
-            raise NotStabilized(f"power iteration disagrees with the eigen route at {v}")
-    return images, attracting, repulsing
 
 
 def line_missing(points: Sequence[tuple]) -> Vec:

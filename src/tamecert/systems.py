@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BoundaryUndecidable, DepthInsufficient
+from .errors import DepthInsufficient
 from .exactarith import (
     GOLDEN,
     CirclePoint,
@@ -94,11 +94,6 @@ class SplitArray(PointSequence):
     @cached_property
     def objects(self) -> list[SplitPoint]:
         return [SplitPoint(b, s) for b, s in zip(self.base.objects, self.side.tolist())]
-
-
-def split_order_key(x: SplitPoint, ref: CirclePoint):
-    """Sort key for the split order on an arc cut at ``ref``."""
-    return ((x.base - ref).as_float(), x.side)
 
 
 # ---------------------------------------------------------------------------
@@ -193,64 +188,32 @@ class _CircleWalk:
 class SplitCircleSystem:
     """Rotation by alpha on the circle with the points of ``split`` doubled.
 
-    ``split`` is ``"orbit"`` (the alpha-orbit of 0; the Sturmian case),
-    ``"rationals"`` (the circled rationals) or an explicit tuple of points.
-    The coding arc carries symbol 1 and defaults to [0+, alpha-], which
-    reproduces the classical coding with complexity L+1.
+    ``split`` is ``"orbit"`` (the alpha-orbit of 0; the Sturmian case) or
+    ``"rationals"`` (the circled rationals).  The coding arc carries symbol 1:
+    it is [0+, alpha-] on the orbit, which reproduces the classical coding with
+    complexity L+1, and [0+, alpha) on the rationals, where alpha is plain.
     """
 
     kind = "split_circle"
 
-    def __init__(
-        self,
-        alpha: RotationNumber = GOLDEN,
-        split: str | Sequence[CirclePoint] = "orbit",
-        arc: tuple[SplitPoint, SplitPoint] | None = None,
-        boundary_convention: str | None = "half_open",
-    ):
+    def __init__(self, alpha: RotationNumber = GOLDEN, split: str = "orbit"):
+        if split not in ("orbit", "rationals"):
+            raise ValueError(f"split must be 'orbit' or 'rationals', not {split!r}")
         self.alpha = alpha
-        self.boundary_convention = boundary_convention
-        if isinstance(split, str):
-            if split not in ("orbit", "rationals"):
-                raise ValueError("split must be 'orbit', 'rationals' or explicit points")
-            self.split = split
-            self._explicit: tuple[CirclePoint, ...] = ()
-        else:
-            self.split = "explicit"
-            self._explicit = tuple(split)
-        default_arc = (
-            SplitPoint(zero(alpha), PLUS if self.splits(zero(alpha)) else PLAIN),
-            SplitPoint(point(alpha, 1), MINUS if self.splits(point(alpha, 1)) else PLAIN),
-        )
-        self.arc = arc = default_arc if arc is None else arc
-        self._arc_is_default = arc == default_arc
-        for end in arc:
-            want_split = self.splits(end.base)
-            if want_split and end.side == PLAIN:
-                raise ValueError("arc endpoint at a split point needs a side tag")
-            if not want_split and end.side != PLAIN:
-                raise ValueError("arc endpoint side tag on a non-split point")
-        self._arc_width = arc[1].base - arc[0].base
+        self.split = split
+        end = point(alpha, 1)
+        self.arc = (SplitPoint(zero(alpha), PLUS),
+                    SplitPoint(end, MINUS if self.splits(end) else PLAIN))
+        self._arc_width = end  # the arc starts at 0
 
     # -- membership of the split set --------------------------------------
 
     def splits(self, y: CirclePoint) -> bool:
-        if self.split == "orbit":
-            return y.on_orbit
-        if self.split == "rationals":
-            return y.is_rational
-        return any(y.compare(e) == 0 for e in self._explicit)
+        return y.on_orbit if self.split == "orbit" else y.is_rational
 
     def split_mask(self, points: PointArray) -> np.ndarray:
         """``splits`` of every point of the array, as a boolean mask."""
-        if self.split == "orbit":
-            return points.den == 1
-        if self.split == "rationals":
-            return points.a == 0
-        mask = np.zeros(len(points), dtype=bool)
-        for e in self._explicit:
-            mask |= points.matches(e)
-        return mask
+        return points.den == 1 if self.split == "orbit" else points.a == 0
 
     def split_fiber(self, y: CirclePoint) -> list[SplitPoint]:
         """The preimage of y under the projection back to the circle."""
@@ -280,23 +243,16 @@ class SplitCircleSystem:
     def in_arc(self, x: SplitPoint) -> bool:
         """Side-aware exact membership in the coding arc.
 
-        Side tags always break boundary ties.  A plain point can only sit on
-        an arc endpoint when the endpoint is itself unsplit; the default
-        convention includes it at the start and excludes it at the end
-        (half-open), and ``boundary_convention=None`` makes such hits raise
-        BoundaryUndecidable instead.
+        Side tags break boundary ties.  A plain point sits on an endpoint only
+        at the plain end alpha of the ``rationals`` arc, which is half-open:
+        the point is outside.
         """
         lo, hi = self.arc
         u = x.base - lo.base
-        w = self._arc_width
         if u.is_zero:
-            if x.side == PLAIN and lo.side == PLAIN and self.boundary_convention is None:
-                raise BoundaryUndecidable(f"{x!r} lies exactly on the arc start")
             return x.side >= lo.side
-        cw = u.compare(w)
+        cw = u.compare(self._arc_width)
         if cw == 0:
-            if x.side == PLAIN and hi.side == PLAIN and self.boundary_convention is None:
-                raise BoundaryUndecidable(f"{x!r} lies exactly on the arc end")
             return x.side < hi.side or (x.side == hi.side and hi.side != PLAIN)
         return cw < 0
 
@@ -320,12 +276,7 @@ class SplitCircleSystem:
         return self.coding_word(x, 0, horizon - 1)
 
     def describe(self) -> dict:
-        """The spec ``load_system`` rebuilds this system from; ValueError when no
-        spec carries its explicit split set, arc or boundary convention."""
-        if self.split == "explicit" or not self._arc_is_default or (
-            self.boundary_convention != "half_open"
-        ):
-            raise ValueError("an explicit split set, arc or boundary convention has no spec")
+        """The spec ``load_system`` rebuilds this system from."""
         return {
             "kind": self.kind,
             "alpha": self.alpha.describe(),
@@ -779,10 +730,13 @@ def asymptotic_defect(system, x, y, window: tuple[int, int]) -> set[int]:
 
 
 def load_system(spec: dict):
-    """Build a system from a spec mapping (documented keys: kind, alpha,
-    split_set, partition, window, base_point, depth, horizon, scale, generation)."""
+    """Build a system from a spec mapping (keys: kind, alpha, split_set,
+    horizon, window, base_point, n_max, depth); ValueError when the spec is not
+    a mapping."""
     from .exactarith import parse_rotation_number
 
+    if not isinstance(spec, dict):
+        raise ValueError(f"a system spec must be an object, not {spec!r}")
     kind = spec.get("kind")
     alpha = parse_rotation_number(spec["alpha"]) if "alpha" in spec else GOLDEN
     if kind == "split_circle":

@@ -61,7 +61,6 @@ class ComplexityProfile:
 
     counts: dict[int, int]
     horizon: int
-    lower_bounds: bool = True
 
     def __getitem__(self, ell: int) -> int:
         return self.counts[ell]

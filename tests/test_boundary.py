@@ -9,9 +9,7 @@ from tamecert.boundary import (
     ReducedWord,
     all_reduced_words,
     boundary_action,
-    boundary_metric,
     boundary_sample,
-    common_prefix,
     inverse_letter,
     periodic_point,
     power_limit,
@@ -62,6 +60,20 @@ class TestReduce:
     def test_bad_letter_rejected(self):
         with pytest.raises(ValueError, match="not in"):
             reduce_letters("abx")
+        for bad in ("abx", ("a", "c")):
+            with pytest.raises(ValueError, match="not in"):
+                ReducedWord(tuple(bad))
+        with pytest.raises(ValueError, match="not in"):
+            W("ab A")
+
+    def test_construction_reduces(self):
+        assert ReducedWord(("a", "A")) == IDENTITY
+        assert ReducedWord(tuple("abBA")) == IDENTITY
+        assert ReducedWord(tuple("aabBb")).letters == ("a", "a", "b")
+        assert W("abBA") == IDENTITY
+        # a boundary prefix is a truncation, not a group element: it is never re-reduced
+        with pytest.raises(ValueError, match="reduced"):
+            BoundaryPoint.parse("abBa")
 
 
 @pytest.mark.parametrize("depth", [0, 1, 3, 5, 16, 40])
@@ -164,20 +176,9 @@ class TestPowerLimit:
 
 
 class TestSample:
-    def test_metric_ultrametric(self):
-        pts = boundary_sample(10, base_length=3)
-        rng = random.Random(2)
-        for _ in range(200):
-            x, y, z = (rng.choice(pts) for _ in range(3))
-            assert boundary_metric(x, z) <= max(boundary_metric(x, y), boundary_metric(y, z)) + 1e-15
-
     def test_sample_contains_limit_pair(self):
         lox = power_limit(W("ab"), depth=12)
         pts = boundary_sample(12, base_length=4, lox=lox)
         prefixes = {p.prefix for p in pts}
         assert lox.attracting.prefix in prefixes
         assert lox.repulsing.prefix in prefixes
-
-    def test_common_prefix(self):
-        assert common_prefix("abab", "abba") == 2
-        assert common_prefix("", "ab") == 0

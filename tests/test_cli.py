@@ -787,3 +787,46 @@ class TestVerify:
         # an honest unsound certificate for the under-pinned set verifies
         assert verify_certificate(dict(cert, witness=dropped, sample_size=len(dropped),
                                        result={"sound": False, "adversaries": 0}))
+
+
+# system specs that are neither a name nor an object, alphas that are not
+# continued-fraction strings, and a split set that is not a name
+BAD_SYSTEMS = [
+    5, ["sturmian"],
+    {"kind": "split_circle", "alpha": 5},
+    {"kind": "split_circle", "alpha": None},
+    {"kind": "rotation", "alpha": ["cf:[0;1,...]"]},
+    {"kind": "split_circle", "alpha": "cf:[0;1,...]", "split_set": ["0*alpha+1/2"]},
+]
+
+
+class TestMalformedSystems:
+    @pytest.mark.parametrize("system", BAD_SYSTEMS)
+    @pytest.mark.parametrize("kind", ["limit", "independence"])
+    def test_run_exits_2(self, tmp_path, capsys, kind, system):
+        params = {"system": system} if kind == "limit" else {
+            "coding": {"system": system}, "horizon": 2000, "windows": [6]}
+        config = {"experiments": [{"kind": kind, "id": "bad", "params": params}]}
+        with pytest.raises(ConfigError, match="experiment bad: ValueError"):
+            run_config(config)
+        out = tmp_path / "never.json"
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: experiment bad: ValueError") and not out.exists()
+
+    def test_verify_fails(self, tmp_path, capsys):
+        report, code = run_config({"experiments": [
+            {"kind": "limit", "params": {"system": "sturmian", "depth": 8, "plain_count": 40}},
+            {"kind": "independence",
+             "params": {"coding": {"system": "sturmian"}, "horizon": 2000, "windows": [6]}}]})
+        lim, ind = (entry["certificates"][0] for entry in report["results"])
+        assert code == 0 and verify_certificate(lim) and verify_certificate(ind)
+        bad = ([dict(lim, system=s) for s in BAD_SYSTEMS]
+               + [dict(ind, source=s) for s in BAD_SYSTEMS])
+        assert not any(verify_certificate(cert) for cert in bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [f"{c['kind']}: FAILED" for c in bad] and "Traceback" not in err

@@ -43,11 +43,6 @@ class TestPartialLinearMap:
             expect = tuple(c1 * a + c2 * b for a, b in zip((2, 1, 0), (0, 0, 3)))
             assert img == expect
 
-    def test_orthonormal_domain(self):
-        p = PartialLinearMap.from_pairs(3, [((1, 1, 0), (1, 0, 0)), ((0, 2, 2), (0, 1, 0))])
-        q = p.orthonormal_domain()
-        assert np.allclose(q @ q.T, np.eye(2), atol=1e-12)
-
 
 class TestMatrixLimit:
     def test_scalar_family_collapses_to_origin(self):

@@ -11,16 +11,11 @@ from tamecert.order import (
     MINUS,
     PLAIN,
     PLUS,
-    BumpMap,
-    MonotoneStepMap,
     OrderedDomain,
-    Piece,
     circular_counterexample,
     discrete_family,
     helly_determining_set,
-    identity_map,
     parse_step_map,
-    singular_points,
     staircase,
     zero_map,
 )
@@ -39,11 +34,6 @@ def random_staircase(rng, jumps=3):
 
 
 class TestMonotoneStepMap:
-    def test_identity_limits(self):
-        f = identity_map()
-        assert f.one_sided_limits(F(1, 2)) == (F(1, 2), F(1, 2))
-        assert f.discontinuities() == ()
-
     def test_heaviside_limits(self):
         f = staircase([(F(1, 2), F(0), F(1, 2), F(1))])
         assert f.one_sided_limits(F(1, 2)) == (F(0), F(1))
@@ -67,22 +57,6 @@ class TestMonotoneStepMap:
         f = staircase([(F(1, 3), F(0), F(0), F(1, 4)), (F(2, 3), F(1, 4), F(1, 2), F(1, 2))])
         assert f.discontinuities() == (F(1, 3), F(2, 3))
 
-    def test_split_domain_discontinuities_within_splits(self):
-        # a map jumping only at the declared split point: its discontinuity
-        # set sits inside the domain's singular points
-        dom = OrderedDomain.interval(splits=[F(1, 2)], sample_level=4)
-        f = staircase([(F(1, 2), F(0), F(1, 2), F(1))])
-        split_bases = {x for x, _ in singular_points(dom)}
-        assert set(f.discontinuities()) <= split_bases
-
-    def test_decreasing_direction(self):
-        f = MonotoneStepMap(
-            [F(1, 2)], [(F(3, 4), F(1, 2), F(1, 4))],
-            pieces=[Piece("const", value=F(3, 4)), Piece("const", value=F(1, 4))],
-            direction="decreasing",
-        )
-        assert f(F(1, 4)) == F(3, 4) and f(F(3, 4)) == F(1, 4)
-
     def test_parse_literals(self):
         f = parse_step_map("(1/3; 0,1/4,1/4) (2/3; 1/4,1/2,3/4)")
         assert f.breakpoints == (F(1, 3), F(2, 3))
@@ -91,24 +65,12 @@ class TestMonotoneStepMap:
             parse_step_map("nothing here")
 
 
-class TestSingularPoints:
-    def test_plain_interval_empty(self):
-        assert singular_points(OrderedDomain.interval()) == []
-
-    def test_split_gives_both_sides(self):
-        dom = OrderedDomain.interval(splits=[F(1, 2)])
-        assert singular_points(dom) == [(F(1, 2), MINUS), (F(1, 2), PLUS)]
-
-    def test_finite_chain_all_singular(self):
-        dom = OrderedDomain.finite([F(k, 5) for k in range(5)])
-        assert len(singular_points(dom)) == 5
-
-
 class TestHellyDeterminingSet:
-    def test_identity_c_equals_sample(self):
+    def test_continuous_map_c_equals_sample(self):
         dom = OrderedDomain.interval(sample_level=5)
-        res = helly_determining_set(identity_map(), dom, adversaries=10)
-        assert {x for x, _ in res.points} == set(dom.sample)
+        f = staircase([(F(1, 3), F(1, 4), F(1, 4), F(1, 4))])  # constant 1/4
+        res = helly_determining_set(f, dom, adversaries=10)
+        assert res.sound and res.points == tuple((x, PLAIN) for x in dom.sample)
 
     def test_staircase_contains_jumps_and_defeats_adversaries(self):
         dom = OrderedDomain.interval(sample_level=5)
@@ -125,12 +87,6 @@ class TestHellyDeterminingSet:
             f = random_staircase(rng)
             res = helly_determining_set(f, dom, adversaries=50)
             assert res.sound
-
-    def test_split_domain_includes_both_sides(self):
-        dom = OrderedDomain.interval(splits=[F(1, 2)], sample_level=4)
-        f = staircase([(F(1, 2), F(0), F(1, 2), F(1))])
-        res = helly_determining_set(f, dom, adversaries=20)
-        assert (F(1, 2), MINUS) in res.points and (F(1, 2), PLUS) in res.points
 
     def test_dropping_a_jump_breaks_determination(self):
         # adversarial check must notice when the set misses a discontinuity
@@ -161,32 +117,6 @@ class TestHellyDeterminingSet:
         assert not _defeat_adversaries(f, cset)
         assert _defeat_adversaries(PointValues({}), cset)
 
-    def test_extremal_interpolants_follow_a_decreasing_direction(self):
-        # pins k/8 read 1/2 below 1/2 and 0 from 1/2 on; every decreasing
-        # interpolant is 1/2 between the pins 0 and 1/8, so a stub dipping to
-        # 0 at the probe 1/257 is caught (the increasing bounds there, max 1/2
-        # and min 0, leave a corridor and would let it pass)
-        from tamecert.order import _defeat_adversaries
-
-        cset = [(F(k, 8), PLAIN) for k in range(9)]
-        high = {F(k, 257): F(1, 2) for k in range(129)} | {F(k, 8): F(1, 2) for k in range(4)}
-        assert _defeat_adversaries(PointValues(high, "decreasing"), cset)
-        dip = PointValues(high | {F(1, 257): F(0)}, "decreasing")
-        assert not _defeat_adversaries(dip, cset)
-
-    def test_decreasing_step_map_is_determined(self):
-        from tamecert.order import _defeat_adversaries
-
-        f = MonotoneStepMap(
-            [F(1, 3)], [(F(3, 4), F(1, 2), F(1, 4))],
-            pieces=[Piece("const", value=F(3, 4)), Piece("const", value=F(1, 4))],
-            direction="decreasing",
-        )
-        dom = OrderedDomain.interval(sample_level=4)
-        assert helly_determining_set(f, dom, adversaries=20).sound
-        cset = [(F(k, 8), PLAIN) for k in range(9)]
-        assert not _defeat_adversaries(f, cset)  # the jump at 1/3 is unpinned
-
     def test_extremal_check_matches_corridor_scan(self):
         from tamecert.order import _defeat_adversaries
 
@@ -208,9 +138,8 @@ class PointValues:
 
     breakpoints = ()
 
-    def __init__(self, values, direction="increasing"):
+    def __init__(self, values):
         self.values = values
-        self.direction = direction
 
     def __call__(self, x):
         return self.values.get(x, F(0))

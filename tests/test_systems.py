@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import tamecert._kernels as K
 from tamecert.cli import NAMED_SYSTEMS
-from tamecert.errors import BoundaryUndecidable, DepthInsufficient
+from tamecert.errors import DepthInsufficient
 from tamecert.exactarith import (
     GOLDEN,
     SQRT2_MINUS_1,
@@ -68,9 +68,10 @@ class TestSplitFiber:
         assert len(sys_.split_fiber(point(GOLDEN, 2, Fraction(1, 3)))) == 1
 
     def test_explicit_split_set(self):
-        sys_ = SplitCircleSystem(GOLDEN, split=(point(GOLDEN, 0, Fraction(1, 2)),))
-        assert len(sys_.split_fiber(point(GOLDEN, 0, Fraction(1, 2)))) == 2
-        assert len(sys_.split_fiber(zero(GOLDEN))) == 1
+        # a split set is named: explicit points, in a tuple or a list, are refused
+        for split in ((point(GOLDEN, 0, Fraction(1, 2)),), ["0*alpha+1/2"], ["orbit"], "explicit"):
+            with pytest.raises(ValueError, match="'orbit' or 'rationals'"):
+                SplitCircleSystem(GOLDEN, split=split)
 
 
 class TestSplitOrder:
@@ -82,9 +83,8 @@ class TestSplitOrder:
             pts += sturmian.split_fiber(orbit_point(GOLDEN, n))
         for _ in range(30):
             pts.append(sturmian.pt(point(GOLDEN, rng.randint(-20, 20), Fraction(rng.randint(1, 9), 11))))
-        from tamecert.systems import split_order_key
-
-        pts.sort(key=lambda p: split_order_key(p, ref))
+        # the split order on the arc cut at ref: by position, then by side tag
+        pts.sort(key=lambda p: ((p.base - ref).as_float(), p.side))
         by_pos = {i: p for i, p in enumerate(pts)}
         for i, p in by_pos.items():
             if p.side == MINUS:
@@ -138,17 +138,14 @@ class TestCodingWord:
         assert len(K.extract_factors(w, 10)) == 11  # Sturmian: p(L) = L+1
 
     def test_plain_point_on_plain_endpoint(self):
-        from tamecert.errors import BoundaryUndecidable
-
-        # explicit split set not containing the arc end at alpha: the point
-        # alpha itself is plain and sits exactly on the endpoint
-        split = (zero(GOLDEN),)
-        sys_default = SplitCircleSystem(GOLDEN, split=split)
-        x = sys_default.pt(point(GOLDEN, 1))  # plain point at the arc end
-        assert sys_default.symbol(x) == 0  # half-open convention excludes it
-        strict = SplitCircleSystem(GOLDEN, split=split, boundary_convention=None)
-        with pytest.raises(BoundaryUndecidable):
-            strict.symbol(strict.pt(point(GOLDEN, 1)))
+        # on the rationals the arc is [0+, alpha): alpha is irrational, so the
+        # point alpha itself is plain and sits exactly on the half-open end
+        sys_ = SplitCircleSystem(GOLDEN, split="rationals")
+        assert sys_.arc == (SplitPoint(zero(GOLDEN), PLUS), SplitPoint(point(GOLDEN, 1), PLAIN))
+        x = sys_.pt(point(GOLDEN, 1))
+        assert x.side == PLAIN and not sys_.in_arc(x)
+        assert sys_.in_arc(sys_.pt(zero(GOLDEN), PLUS))
+        assert not sys_.in_arc(sys_.pt(zero(GOLDEN), MINUS))
 
 
 class TestCutProject:
@@ -279,16 +276,25 @@ def test_cut_project_word_matches_symbol_at(case):
 
 
 @pytest.mark.parametrize("end", [0, 1])
-def test_grid_leaves_a_plain_endpoint_hit_undecided(end):
-    # no split points: both arc ends 0 and alpha are plain; T^5 x sits on the
-    # end ``end`` and the orbit meets the other end one step before or after
-    strict = SplitCircleSystem(GOLDEN, split=(), boundary_convention=None)
-    x = strict.pt(point(GOLDEN, end - 5))
-    with pytest.raises(BoundaryUndecidable):
-        strict.coding_word(x, 5, 5)
-    with pytest.raises(BoundaryUndecidable):
-        strict.coding_word(x, -30, 30)
-    assert strict.coding_word(x, 7, 60).tolist() == [strict.symbol(x.translate(n)) for n in range(7, 61)]
+def test_grid_leaves_a_plain_endpoint_hit_undecided(end, monkeypatch):
+    # on the rationals the arc is [0+, alpha); the plain point x = (end - 5)*alpha
+    # has T^5 x on the end ``end`` with no tag of its own, and the orbit meets
+    # the other end one step before or after: only the exact comparison decides them
+    system = SplitCircleSystem(GOLDEN, split="rationals")
+    x = system.pt(point(GOLDEN, end - 5))
+    symbol, decided = SplitCircleSystem.symbol, []
+    monkeypatch.setattr(SplitCircleSystem, "symbol",
+                        lambda self, y: decided.append(y) or symbol(self, y))
+    assert system.coding_word(x, 5, 5).tolist() == [0]  # outside [0+, alpha) at either end
+    assert decided == [x.translate(5)]
+    decided.clear()
+    word = system.coding_word(x, -30, 30)
+    assert word.tolist() == [symbol(system, x.translate(n)) for n in range(-30, 31)]
+    assert decided == [x.translate(n) for n in sorted({5, 6 - 2 * end})]
+    decided.clear()
+    assert system.coding_word(x, 7, 60).tolist() == [symbol(system, x.translate(n))
+                                                    for n in range(7, 61)]
+    assert decided == []
 
 
 def test_walks_decide_exactly_only_at_boundary_hits(monkeypatch):
@@ -436,18 +442,6 @@ def test_describe_keeps_base_point():
     assert load_system(arcs.describe()).base_point == arcs.base_point
     # a spec without the key keeps the default base point 0*alpha + 1/7
     assert load_system(NAMED_SYSTEMS["cantor6"]).base_point == point(GOLDEN, 0, Fraction(1, 7))
-
-
-def test_split_circle_describe_refuses_what_no_spec_carries():
-    sturmian = SplitCircleSystem(GOLDEN)
-    assert load_system(sturmian.describe()).describe() == sturmian.describe()
-    arc = (SplitPoint(zero(GOLDEN), PLUS), SplitPoint(orbit_point(GOLDEN, 2), MINUS))
-    for sys_ in (SplitCircleSystem(GOLDEN, arc=arc),
-                 SplitCircleSystem(GOLDEN, boundary_convention=None),
-                 SplitCircleSystem(GOLDEN, split=(point(GOLDEN, 0, Fraction(1, 2)),))):
-        with pytest.raises(ValueError):
-            sys_.describe()
-    assert SplitCircleSystem(GOLDEN, arc=sturmian.arc).describe() == sturmian.describe()
 
 
 def test_load_system_round_trip():
