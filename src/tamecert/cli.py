@@ -56,7 +56,9 @@ def resolve_system(spec):
 
 
 def _point(system_alpha, desc) -> CirclePoint:
-    """Point literal {a: int, b: 'num/den'}."""
+    """Point literal {a: int, b: 'num/den'}; TypeError unless it is an object."""
+    if not isinstance(desc, dict):
+        raise TypeError(f"a point literal must be an object, not {desc!r}")
     return CirclePoint(system_alpha, int(desc.get("a", 0)), Fraction(desc.get("b", 0)))
 
 
@@ -146,6 +148,8 @@ def _coding_source(params) -> tuple[dict, int]:
     ValueError unless there are windows, each passes ``tameness.check_window`` and
     the horizon passes ``tameness.check_horizon`` for the longest; builds no word."""
     coding = params.get("coding", {"system": "sturmian"})
+    if not isinstance(coding, dict):
+        raise TypeError(f"coding must be an object, not {coding!r}")
     if coding.get("kind") == "full_shift":
         window = int(coding["window"])
         tameness.check_window(window)
@@ -417,9 +421,9 @@ def run_rigidity(params, seed):
             split_range=4, horizon=int(params.get("horizon", 6)))
         times = list(range(1, int(params.get("max_time", 10_000)) + 1))
     rep = envelope.rigidity_probe(sys_, sample, times)
-    series = [[int(n), rep.distances[n]] for n in sorted(rep.distances)]
+    series = [list(row) for row in zip(rep.times[:200].tolist(), rep.distances[:200].tolist())]
     return {"minimum": {"n": rep.minimum[0], "distance": rep.minimum[1]},
-            "series_length": len(series), "series": series[:200]}, []
+            "series_length": len(rep.times), "series": series}, []
 
 
 def run_catalog(params, seed):

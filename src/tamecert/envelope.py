@@ -785,37 +785,40 @@ def flipped_diagonal(gammas: Sequence[CirclePoint]) -> list[tuple]:
 
 @dataclass(frozen=True)
 class RigidityReport:
-    distances: dict[int, float]  # n -> sup distance over the sample
-    minimum: tuple[int, float]
+    times: np.ndarray  # the sorted, distinct nonzero probe times
+    distances: np.ndarray  # sup distance over the sample at each time
+    minimum: tuple[int, float]  # the least distance, at its smallest time
 
 
 def rigidity_probe(system, sample: SampleSet, times: Sequence[int]) -> RigidityReport:
     """sup-distance(T^n, Id) over the sample for each probe time."""
-    times = [int(n) for n in times if n != 0]
-    if not times:
+    times = np.array(sorted({int(n) for n in times if n != 0}))
+    if not times.size:
         raise ValueError("need at least one nonzero probe time")
     split = isinstance(system, SplitCircleSystem) and isinstance(sample.metric, CodingMetric)
-    if split and min(times) > 0:
+    if split and times[0] > 0:
         dists = _split_rigidity(system, sample, times, sample.metric.horizon)
     else:
-        dists = {}
-        for n in times:
-            dists[n] = max(sample.metric(system.step(x, n), x) for x in sample.points)
-    n_star = min(dists, key=lambda n: (dists[n], n))
-    return RigidityReport(dists, (n_star, dists[n_star]))
+        dists = np.array([max(sample.metric(system.step(x, n), x) for x in sample.points)
+                          for n in times.tolist()])
+    k = int(np.argmin(dists))  # the first minimum: the smallest time among ties
+    return RigidityReport(times, dists, (int(times[k]), float(dists[k])))
 
 
-def _split_rigidity(system, sample, times, horizon):
-    """Vectorized path: the word of T^n x over [-H, H] is a slice of the word
-    of x over [n-H, n+H]; the base part of the metric is the common arc shift.
-    Each window offset m folds its weight 2^-|m-H| into the sup over all times."""
-    n_max = max(times)
+def _split_rigidity(system, sample, times: np.ndarray, horizon: int) -> np.ndarray:
+    """Vectorized path over sorted positive times: the word of T^n x over
+    [-H, H] is a slice of the word of x over [n-H, n+H]; the base part of the
+    metric is the common arc shift.  Up to 64 points share one uint64 code per
+    column, bit r for the r-th, so each window offset m folds its weight
+    2^-|m-H| into the sup over all times in one pass per block of points."""
     alpha_f = float(system.alpha.approx(Fraction(1, 10**30)))
-    shifts = [(n * alpha_f) % 1.0 for n in times]
-    sup = np.array([min(s, 1.0 - s) for s in shifts])
-    at = np.asarray(times)
-    for x in sample.points:
-        long = system.coding_word(x, -horizon, n_max + horizon)
+    shifts = (times * alpha_f) % 1.0
+    sup = np.minimum(shifts, 1.0 - shifts)
+    points, end = list(sample.points), int(times[-1]) + horizon
+    for start in range(0, len(points), 64):
+        codes = np.zeros(end + horizon + 1, dtype=np.uint64)
+        for r, x in enumerate(points[start:start + 64]):
+            codes |= system.coding_word(x, -horizon, end).astype(np.uint64) << np.uint64(r)
         for m in range(2 * horizon + 1):
-            np.maximum(sup, (long[at + m] != long[m]) * 2.0 ** -abs(m - horizon), out=sup)
-    return {n: float(d) for n, d in zip(times, sup)}
+            np.maximum(sup, (codes[times + m] != codes[m]) * 2.0 ** -abs(m - horizon), out=sup)
+    return sup

@@ -591,23 +591,15 @@ class SemicocycleCascade:
         self.n_max = n_max
         self.depth = depth
         self.y0 = Fraction(-3, 7)
-        for n in range(1, n_max + 1):
-            d = self.marked(n) - self.y0
-            if d.denominator == 1:
+        self.marked = tuple(Fraction(-(2**n), 2 ** (n + 1) - 1) for n in range(1, n_max + 1))
+        for i, y in enumerate(self.marked):
+            if (y - self.y0).denominator == 1:
                 raise ValueError("base point shares an orbit with a marked point")
-            for m in range(n + 1, n_max + 1):
-                if (self.marked(n) - self.marked(m)).denominator == 1:
-                    raise ValueError("marked points share an orbit")
-
-    @staticmethod
-    def marked(n: int) -> Fraction:
-        return Fraction(-(2**n), 2 ** (n + 1) - 1)
+            if any((y - z).denominator == 1 for z in self.marked[i + 1:]):
+                raise ValueError("marked points share an orbit")
 
     def value(self, t: Fraction) -> Fraction:
         """The sampling value at a 2-adic rational point of the odometer."""
-        for n in range(1, self.n_max + 1):
-            if t == self.marked(n):
-                return Fraction(0)
         bits = self.depth
         while True:
             x = _dyadic_bits(t, bits)
@@ -617,8 +609,8 @@ class SemicocycleCascade:
                 bits *= 2
                 continue
             n = (x & -x).bit_length() - 1  # position of the lowest 1 = first 1 digit
-            if n < 1 or n > self.n_max:
-                return Fraction(0)  # outside every marked cylinder family
+            if n < 1 or n > self.n_max or t == self.marked[n - 1]:
+                return Fraction(0)  # outside every marked cylinder family, or y_n itself
             agree = self._agreement(t, n, bits)
             if agree is None:
                 bits *= 2
@@ -629,10 +621,8 @@ class SemicocycleCascade:
             return Fraction(k % n, n * n)
 
     def _agreement(self, t: Fraction, n: int, bits: int) -> int | None:
-        """Length of the common digit prefix of t and y_n (None: unresolved)."""
-        diff = t - self.marked(n)
-        if diff == 0:
-            return None
+        """Length of the common digit prefix of t and y_n != t (None: unresolved)."""
+        diff = t - self.marked[n - 1]
         num, den = diff.numerator, diff.denominator
         if den % 2 == 0:
             raise ValueError("not a 2-adic integer")
@@ -649,7 +639,7 @@ class SemicocycleCascade:
     def shell_representative(self, n: int, k: int) -> int:
         """An integer j with S^j y0 in exactly the k-th shell around y_n."""
         bits = n + k + 1
-        t = _dyadic_bits(self.marked(n) - self.y0, bits)
+        t = _dyadic_bits(self.marked[n - 1] - self.y0, bits)
         return (t % (1 << (n + k))) ^ (1 << (n + k))  # flip the next digit
 
     def fiber_traces(self, n: int, depth: int | None = None, window: int = 6):
@@ -660,9 +650,11 @@ class SemicocycleCascade:
         0-values enumerate the n limit values once depth >= 2n.
         """
         depth = self.depth if depth is None else depth
+        if not 1 <= n <= self.n_max:
+            raise ValueError(f"y_{n} is not a marked point: n_max is {self.n_max}")
         if depth < n + 2:
             raise DepthInsufficient(f"depth {depth} cannot separate cylinders around y_{n}")
-        limit_tail = {m: self.value(self.marked(n) + m) for m in range(-window, window + 1) if m != 0}
+        limit_tail = {m: self.value(self.marked[n - 1] + m) for m in range(-window, window + 1) if m != 0}
         traces = set()
         for k in range(1, depth - n + 1):
             j = self.shell_representative(n, k)

@@ -315,13 +315,25 @@ class TestCliMain:
          "experiment lim: ZeroDivisionError"),
         ({"experiments": [{"kind": "determine", "params": {"family": "staircase"}}]},
          "experiment determine-0: KeyError: 'map'"),
+        # entries read as objects that are not objects
+        ({"experiments": [{"kind": "limit", "id": "lim", "params": {"target": 5}}]},
+         "experiment lim: TypeError: a point literal must be an object, not 5"),
+        ({"experiments": [{"kind": "independence", "id": "ind", "params": {"coding": 5}}]},
+         "experiment ind: TypeError: coding must be an object, not 5"),
+        ({"experiments": [{"kind": "rank", "id": "rk", "params": {"one_sided": [5]}}]},
+         "experiment rk: TypeError: a point literal must be an object, not 5"),
+        ({"experiments": [{"kind": "rank", "id": "rk",
+                           "params": {"system": "rotation", "rotations": ["1/3"]}}]},
+         "experiment rk: TypeError: a point literal must be an object, not '1/3'"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, config, message):
         out = tmp_path / "never.json"
         assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err, err
-        assert not out.exists()
+        assert "Traceback" not in err and not out.exists()
+        with pytest.raises(ConfigError):
+            run_config(config)
 
     @pytest.mark.parametrize("seed", [3, 5])
     @pytest.mark.parametrize("scenario", ["circle_parabolic", "circular_order",
@@ -679,7 +691,7 @@ class TestVerify:
     def test_malformed_point_fails_verify(self, tmp_path, capsys):
         points = [CirclePoint(GOLDEN, a, b) for a, b in [(0, 0), (3, "1/29"), (-7, "-2/5")]]
         assert [_parse_point(GOLDEN, _point_str(p)) for p in points] == points
-        for bad in ["", "alpha", "1*alpha+", "1*alpha+1/0", "1*alpha+1/2x", "2*beta+1", None]:
+        for bad in ["", "alpha", "1*alpha+", "1*alpha+1/0", "1*alpha+1/2x", "2*beta+1", None, 5]:
             with pytest.raises(ValueError):
                 _parse_point(GOLDEN, bad)
         report, _ = run_config({"experiments": [
@@ -691,6 +703,7 @@ class TestVerify:
         bad_lim = dict(lim, generator=dict(lim["generator"], target="3*alpha"))
         bad_iso = dict(iso, gammas=iso["gammas"][:-1] + ["4*alpha+1/"])
         assert not verify_certificate(bad_lim)
+        assert not verify_certificate(dict(lim, generator=dict(lim["generator"], target=5)))
         assert not verify_certificate(bad_iso)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([bad_lim, bad_iso]))

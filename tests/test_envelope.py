@@ -646,18 +646,43 @@ class TestRigidity:
     def test_split_path_matches_generic_metric(self, sturmian):
         # point by point, so no offset's weight hides behind another point's
         s = split_sample(sturmian, plain_count=12, split_range=2, horizon=5)
-        times = list(range(1, 301))
+        times = np.arange(1, 301)
         for x in s.points:
             fast = _split_rigidity(sturmian, SampleSet([x], s.metric), times, 5)
-            assert list(fast) == times
-            for n in times:
-                assert abs(fast[n] - s.metric(sturmian.step(x, n), x)) <= 1e-12
+            assert fast.shape == times.shape
+            for n, d in zip(times.tolist(), fast.tolist()):
+                assert abs(d - s.metric(sturmian.step(x, n), x)) <= 1e-12
+
+    def test_split_blocks_match_generic_metric(self, sturmian):
+        # 70 points fill one 64-point code block and part of a second
+        s = split_sample(sturmian, plain_count=60, split_range=2, horizon=4)
+        assert len(s) > 64
+        times = list(range(1, 121)) + [7, 90, 1, 33]
+        random.Random(4).shuffle(times)
+        rep = rigidity_probe(sturmian, s, times)
+        assert rep.times.tolist() == list(range(1, 121))
+        assert rep.distances.shape == rep.times.shape
+        for n, d in zip(rep.times.tolist(), rep.distances.tolist()):
+            assert abs(d - max(s.metric(sturmian.step(x, n), x) for x in s.points)) <= 1e-12
+        k = int(np.argmin(rep.distances))
+        assert rep.minimum == (k + 1, rep.distances[k])
+
+    def test_ties_go_to_the_smallest_time(self, sturmian):
+        # the split pair over 0 keeps every distance at the floor 1
+        s = SampleSet([sturmian.orbit_pt(0, MINUS), sturmian.orbit_pt(0, PLUS)],
+                      envelope.CodingMetric(sturmian, 4))
+        split = rigidity_probe(sturmian, s, [9, 4, 7, 4, 12])
+        assert split.distances.tolist() == [1.0] * 4 and split.minimum == (4, 1.0)
+        generic = rigidity_probe(sturmian, s, [9, -3, 4, -8, 4])
+        assert generic.times.tolist() == [-8, -3, 4, 9]
+        assert generic.distances.tolist() == [1.0] * 4 and generic.minimum == (-8, 1.0)
 
     def test_negative_times_take_the_generic_path(self, sturmian):
         s = split_sample(sturmian, plain_count=6, split_range=1, horizon=3)
         rep = rigidity_probe(sturmian, s, [-7, 5])
-        for n in (-7, 5):
-            assert rep.distances[n] == max(s.metric(sturmian.step(x, n), x) for x in s.points)
+        assert rep.times.tolist() == [-7, 5]
+        for n, d in zip((-7, 5), rep.distances.tolist()):
+            assert d == max(s.metric(sturmian.step(x, n), x) for x in s.points)
 
     def test_rotation_ladder_decreases(self):
         rot = RotationSystem(SQRT2_MINUS_1)
@@ -665,7 +690,8 @@ class TestRigidity:
         times = [SQRT2_MINUS_1.denominator(k) for k in range(1, 26)]
         rep = rigidity_probe(rot, rs, times)
         assert rep.minimum[1] < 1e-6
-        floats = [rep.distances[n] for n in times]
+        assert rep.times.tolist() == times
+        floats = rep.distances.tolist()
         assert all(b < a for a, b in zip(floats, floats[1:]))
 
     def test_rotation_convergent_bound(self):
@@ -674,7 +700,7 @@ class TestRigidity:
         for k in (5, 10, 15):
             q = GOLDEN.denominator(k)
             rep = rigidity_probe(rot, rs, [q])
-            assert rep.distances[q] <= 1.0 / GOLDEN.denominator(k + 1) + 1e-12
+            assert rep.distances[0] <= 1.0 / GOLDEN.denominator(k + 1) + 1e-12
 
     def test_sturmian_floor(self, sturmian):
         s = SampleSet(
@@ -691,7 +717,7 @@ class TestRigidity:
         with pytest.raises(ValueError):
             rigidity_probe(rot, rs, [0])
         rep = rigidity_probe(rot, rs, [0, 1])  # zero filtered, one kept
-        assert set(rep.distances) == {1}
+        assert rep.times.tolist() == [1]
 
 
 class TestCosSampleMetric:

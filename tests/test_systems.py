@@ -426,6 +426,33 @@ class TestSemicocycle:
         assert len({t[1:] for t in traces}) == 1
         assert len({t[0] for t in traces}) == 4
 
+    @pytest.mark.parametrize("n_max", range(1, 9))
+    def test_value_matches_fresh_marked_points(self, n_max):
+        sc = SemicocycleCascade(n_max=n_max, depth=24)
+        marked = [Fraction(-(2**n), 2 ** (n + 1) - 1) for n in range(1, n_max + 1)]
+
+        def reference(t):
+            # (k mod n)/n^2 when t agrees with y_n to depth exactly n + k, k >= 1
+            for n, y in enumerate(marked, 1):
+                if t == y:
+                    return Fraction(0)
+                num, agree = (t - y).numerator, 0
+                while num % 2 == 0:
+                    num, agree = num // 2, agree + 1
+                if agree > n:
+                    return Fraction((agree - n) % n, n * n)
+            return Fraction(0)
+
+        points = [sc.y0 + j for j in range(-300, 301)]
+        points += [sc.y0 + sc.shell_representative(n, k) for n in range(1, n_max + 1)
+                   for k in range(1, 12)]
+        points += [y + m for y in marked for m in range(-6, 7)]
+        assert sc.marked == tuple(marked)
+        assert [sc.value(t) for t in points] == [reference(t) for t in points]
+        assert {reference(t) for t in points} >= {Fraction(k, n_max**2) for k in range(n_max)}
+        with pytest.raises(ValueError, match="not a marked point"):
+            sc.fiber_traces(n_max + 1)
+
 
 @pytest.mark.parametrize("spec", [*NAMED_SYSTEMS.values(), ARC_SPEC], ids=[*NAMED_SYSTEMS, "arcs"])
 def test_describe_loads_back(spec):
