@@ -5,6 +5,12 @@ partial-linear and free-group boundary systems with exact arithmetic, approximat
 enveloping-semigroup elements along certified approach sequences, and emits
 machine-checkable certificates: determining sets, Sorgenfrey isolation,
 independence-set growth and oscillation rank.
+
+Points, maps and results are plain record classes.  Apart from the working
+records SampleSet, ApproxElement, RankInstance, RankTrace and SystemRank, a
+record's fields are set once, in ``__init__``, and never assigned afterwards.
+Records that are compared or used as keys define equality, and a hash, over
+the tuple of their fields; the others compare by identity.
 """
 
 __version__ = "0.1.0"

@@ -9,7 +9,6 @@ extracted and classified from honest iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,18 +43,25 @@ def _push_letters(stack: list[str], letters: Iterable[str]) -> None:
             stack.append(c)
 
 
-@dataclass(frozen=True)
 class ReducedWord:
     """A free-group element; construction cancels its letters to the reduced word."""
 
-    letters: tuple[str, ...]
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[str, ...]):
+        self.letters = reduce_letters(letters)
 
     @classmethod
     def parse(cls, text: str) -> "ReducedWord":
         return cls(tuple(text.strip()))
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", reduce_letters(self.letters))
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.letters,) == (other.letters,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.letters,))
 
     def __len__(self):
         return len(self.letters)
@@ -94,11 +100,21 @@ class ReducedWord:
 IDENTITY = ReducedWord(())
 
 
-@dataclass(frozen=True)
 class BoundaryPoint:
     """Depth-len(prefix) truncation of a one-sided infinite reduced word."""
 
-    prefix: tuple[str, ...]
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix: tuple[str, ...]):
+        self.prefix = prefix
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.prefix,) == (other.prefix,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.prefix,))
 
     @classmethod
     def parse(cls, text: str) -> "BoundaryPoint":
@@ -162,15 +178,18 @@ def all_reduced_words(length: int) -> list[ReducedWord]:
     return [ReducedWord(w) for w in words]
 
 
-@dataclass(frozen=True)
 class LoxodromicLimit:
     """Limit of the powers of a nontrivial element: everything except the
     repulsing word converges to the attracting word."""
 
-    gamma: ReducedWord
-    attracting: BoundaryPoint
-    repulsing: BoundaryPoint
-    depth: int
+    __slots__ = ("gamma", "attracting", "repulsing", "depth")
+
+    def __init__(self, gamma: ReducedWord, attracting: BoundaryPoint, repulsing: BoundaryPoint,
+                 depth: int):
+        self.gamma = gamma
+        self.attracting = attracting
+        self.repulsing = repulsing
+        self.depth = depth
 
     def image_of(self, w: BoundaryPoint) -> BoundaryPoint:
         if w.prefix[: self.depth] == self.repulsing.prefix:

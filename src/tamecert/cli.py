@@ -419,7 +419,7 @@ def run_rigidity(params, seed):
         sample = envelope.split_sample(
             sys_, plain_count=int(params.get("plain_count", 24)),
             split_range=4, horizon=int(params.get("horizon", 6)))
-        times = list(range(1, int(params.get("max_time", 10_000)) + 1))
+        times = np.arange(1, int(params.get("max_time", 10_000)) + 1)
     rep = envelope.rigidity_probe(sys_, sample, times)
     series = [list(row) for row in zip(rep.times[:200].tolist(), rep.distances[:200].tolist())]
     return {"minimum": {"n": rep.minimum[0], "distance": rep.minimum[1]},

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Sequence
@@ -127,19 +126,17 @@ class CircleMetric:
         return min(d, 1.0 - d)
 
 
-@dataclass
 class SampleSet:
     """A finite stand-in for the phase space: points plus a metric.
 
     ``points`` is a list, or a point array (PointArray, SplitArray) whose
     objects are built only when read."""
 
-    points: Sequence
-    metric: Callable[[Any, Any], float]
-
-    def __post_init__(self):
-        if not self.points:
+    def __init__(self, points: Sequence, metric: Callable[[Any, Any], float]):
+        if not points:
             raise ValueError("sample must be nonempty")
+        self.points = points
+        self.metric = metric
 
     def __len__(self):
         return len(self.points)
@@ -255,22 +252,26 @@ def cos_sample(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ElementClass:
-    tag: str  # translation | rotation | parabolic | loxodromic | one_sided | unresolved
-    params: dict = field(default_factory=dict)
+    __slots__ = ("tag", "params")
+
+    def __init__(self, tag: str, params: dict):
+        self.tag = tag  # translation | rotation | parabolic | loxodromic | one_sided | unresolved
+        self.params = params
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
         return f"{self.tag}({inner})"
 
 
-@dataclass(frozen=True)
 class CosElement:
     """Exact image rule v_eps g_gamma of the cos-system minimal ideal."""
 
-    eps: float
-    gamma: CirclePoint
+    __slots__ = ("eps", "gamma")
+
+    def __init__(self, eps: float, gamma: CirclePoint):
+        self.eps = eps
+        self.gamma = gamma
 
     def apply(self, system: CosSystem, x: CosPointT) -> CosPointT:
         nb = system.base(x) + self.gamma
@@ -279,7 +280,6 @@ class CosElement:
         return CosRegular(nb)
 
 
-@dataclass
 class ApproxElement:
     """A sampled enveloping-semigroup element with provenance.
 
@@ -289,14 +289,20 @@ class ApproxElement:
     usable off-sample.
     """
 
-    system: Any
-    sample: SampleSet
-    images: Sequence
-    generator: Any  # ApproachSequence | tuple of times
-    backend: str  # 'exact' | 'numeric'
-    tolerance: float | None
-    stabilized: bool
-    rule: Callable[[Any], Any] | None = None
+    __slots__ = ("system", "sample", "images", "generator", "backend", "tolerance",
+                 "stabilized", "rule")
+
+    def __init__(self, system: Any, sample: SampleSet, images: Sequence, generator: Any,
+                 backend: str, tolerance: float | None, stabilized: bool,
+                 rule: Callable[[Any], Any] | None = None):
+        self.system = system
+        self.sample = sample
+        self.images = images
+        self.generator = generator  # ApproachSequence | tuple of times
+        self.backend = backend  # 'exact' | 'numeric'
+        self.tolerance = tolerance
+        self.stabilized = stabilized
+        self.rule = rule
 
     def image_of(self, x):
         i = self.sample.index.get(x)
@@ -312,16 +318,18 @@ class ApproxElement:
         return tuple(self.generator)
 
 
-@dataclass(frozen=True)
 class _Shift:
     """The closed-form image x -> x + gamma of a circle element.  On a split
     circle the image keeps the side of x (``tag`` None: the translation by an
     orbit point) or carries ``tag`` wherever its base splits (a one-sided
     limit)."""
 
-    system: Any
-    gamma: CirclePoint
-    tag: int | None = None
+    __slots__ = ("system", "gamma", "tag")
+
+    def __init__(self, system: Any, gamma: CirclePoint, tag: int | None = None):
+        self.system = system
+        self.gamma = gamma
+        self.tag = tag
 
     def __call__(self, x):
         if not isinstance(x, SplitPoint):
@@ -541,12 +549,14 @@ def compose(p: ApproxElement, q: ApproxElement) -> ApproxElement:
     )
 
 
-@dataclass(frozen=True)
 class IdealDecomposition:
     """p = (idempotent coordinate) * (group coordinate) in the minimal ideal."""
 
-    epsilon: Any  # 'minus' | 'plus' for split systems; 2.0 or t in [-1,1] for cos
-    gamma: CirclePoint
+    __slots__ = ("epsilon", "gamma")
+
+    def __init__(self, epsilon: Any, gamma: CirclePoint):
+        self.epsilon = epsilon  # 'minus' | 'plus' for split systems; 2.0 or t in [-1,1] for cos
+        self.gamma = gamma
 
     def recompose(self, system, sample: SampleSet) -> Sequence:
         """The images of the sample under epsilon * gamma."""
@@ -596,11 +606,13 @@ def _image(element, x):
     return element(x)
 
 
-@dataclass(frozen=True)
 class DeterminingSet:
-    points: tuple
-    optimal: bool
-    gap: int  # greedy size minus packing lower bound (0 when optimal)
+    __slots__ = ("points", "optimal", "gap")
+
+    def __init__(self, points: tuple, optimal: bool, gap: int):
+        self.points = points
+        self.optimal = optimal
+        self.gap = gap  # greedy size minus packing lower bound (0 when optimal)
 
 
 def determining_set(
@@ -666,13 +678,15 @@ def determining_growth(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BasisWitness:
-    scenario: str
-    witness: Any  # the element q
-    agrees_on: tuple
-    differs_at: Any
-    sound: bool
+    __slots__ = ("scenario", "witness", "agrees_on", "differs_at", "sound")
+
+    def __init__(self, scenario: str, witness: Any, agrees_on: tuple, differs_at: Any, sound: bool):
+        self.scenario = scenario
+        self.witness = witness  # the element q
+        self.agrees_on = agrees_on
+        self.differs_at = differs_at
+        self.sound = sound
 
 
 def no_countable_basis_witness(excluded: Sequence, scenario: str) -> BasisWitness:
@@ -704,12 +718,25 @@ def no_countable_basis_witness(excluded: Sequence, scenario: str) -> BasisWitnes
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class IsolationReport:
-    eps: Fraction
-    isolated: tuple[bool, ...]
-    conflicts: tuple  # per member: None or the smallest other member index in its rectangle
-    all_isolated: bool
+    __slots__ = ("eps", "isolated", "conflicts", "all_isolated")
+
+    def __init__(self, eps: Fraction, isolated: tuple[bool, ...], conflicts: tuple,
+                 all_isolated: bool):
+        self.eps = eps
+        self.isolated = isolated
+        # per member: None or the smallest other member index in its rectangle
+        self.conflicts = conflicts
+        self.all_isolated = all_isolated
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.eps, self.isolated, self.conflicts, self.all_isolated)
+                    == (other.eps, other.isolated, other.conflicts, other.all_isolated))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.eps, self.isolated, self.conflicts, self.all_isolated))
 
 
 def sorgenfrey_isolation(members: Sequence, eps: Fraction = Fraction(1, 4)) -> IsolationReport:
@@ -783,18 +810,24 @@ def flipped_diagonal(gammas: Sequence[CirclePoint]) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RigidityReport:
-    times: np.ndarray  # the sorted, distinct nonzero probe times
-    distances: np.ndarray  # sup distance over the sample at each time
-    minimum: tuple[int, float]  # the least distance, at its smallest time
+    __slots__ = ("times", "distances", "minimum")
+
+    def __init__(self, times: np.ndarray, distances: np.ndarray, minimum: tuple[int, float]):
+        self.times = times  # the sorted, distinct nonzero probe times
+        self.distances = distances  # sup distance over the sample at each time
+        self.minimum = minimum  # the least distance, at its smallest time
 
 
 def rigidity_probe(system, sample: SampleSet, times: Sequence[int]) -> RigidityReport:
-    """sup-distance(T^n, Id) over the sample for each probe time."""
-    times = np.array(sorted({int(n) for n in times if n != 0}))
+    """sup-distance(T^n, Id) over the sample for each probe time.  Times past
+    the int64 range (deep convergent denominators) stay Python ints, in an
+    object array."""
+    times = np.sort(np.asarray(times))
+    times = times[times != 0]
     if not times.size:
         raise ValueError("need at least one nonzero probe time")
+    times = times[np.concatenate(([True], times[1:] != times[:-1]))]
     split = isinstance(system, SplitCircleSystem) and isinstance(sample.metric, CodingMetric)
     if split and times[0] > 0:
         dists = _split_rigidity(system, sample, times, sample.metric.horizon)

@@ -14,7 +14,6 @@ import math
 import re
 from bisect import bisect_left
 from collections import abc
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -240,7 +239,6 @@ def _floor_linear(alpha: RotationNumber, a: int, n: int, d: int) -> int:
     raise RefinementLimit(f"floor({a}*alpha + {n}/{d}) did not resolve")
 
 
-@dataclass(frozen=True)
 class CirclePoint:
     """a*alpha + b reduced so the represented value lies in [0,1).
 
@@ -248,23 +246,30 @@ class CirclePoint:
     rational only when a == 0.
     """
 
-    alpha: RotationNumber
-    a: int
-    b: Fraction
+    __slots__ = ("alpha", "a", "b")
 
-    def __post_init__(self):
-        b = self.b if isinstance(self.b, Fraction) else Fraction(self.b)
-        n = _floor_linear(self.alpha, self.a, b.numerator, b.denominator)
-        object.__setattr__(self, "b", b - n)
+    def __init__(self, alpha: RotationNumber, a: int, b: Fraction):
+        b = b if isinstance(b, Fraction) else Fraction(b)
+        self.alpha = alpha
+        self.a = a
+        self.b = b - _floor_linear(alpha, a, b.numerator, b.denominator)
 
     @classmethod
     def _reduced(cls, alpha: RotationNumber, a: int, b: Fraction) -> "CirclePoint":
         """The point whose ``b`` is already reduced: no floor is taken."""
         p = object.__new__(cls)
-        object.__setattr__(p, "alpha", alpha)
-        object.__setattr__(p, "a", a)
-        object.__setattr__(p, "b", b)
+        p.alpha = alpha
+        p.a = a
+        p.b = b
         return p
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.alpha, self.a, self.b) == (other.alpha, other.a, other.b)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.alpha, self.a, self.b))
 
     # -- group structure ----------------------------------------------------
 
@@ -580,7 +585,6 @@ class PointArray(PointSequence):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ApproachSequence:
     """Times n_i with n_i*alpha mod 1 -> target strictly from one side.
 
@@ -588,14 +592,16 @@ class ApproachSequence:
     distance |n_i*alpha - target|; the bounds strictly decrease to 0.
     """
 
-    target: CirclePoint
-    side: str  # 'below' | 'above'
-    times: tuple[int, ...]
-    error_bounds: tuple[Fraction, ...]
+    __slots__ = ("target", "side", "times", "error_bounds")
 
-    def __post_init__(self):
-        if self.side not in ("below", "above"):
+    def __init__(self, target: CirclePoint, side: str, times: tuple[int, ...],
+                 error_bounds: tuple[Fraction, ...]):
+        if side not in ("below", "above"):
             raise ValueError("side must be 'below' or 'above'")
+        self.target = target
+        self.side = side
+        self.times = times
+        self.error_bounds = error_bounds
 
     def gap_point(self, n: int) -> CirclePoint:
         """Signed gap as a point: (target - n*alpha) for 'below', reversed for 'above'."""

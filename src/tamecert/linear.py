@@ -11,7 +11,6 @@ floats enter only in the numeric limit detection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -109,20 +108,28 @@ def annihilator(basis: Sequence[Vec], dim: int) -> list[Vec]:
     return _kernel(rows, dim)
 
 
-@dataclass(frozen=True)
 class PartialLinearMap:
     """Finite exactly on span(basis); basis[i] maps to images[i], rest to inf."""
 
-    dim: int
-    basis: tuple[Vec, ...]
-    images: tuple[Vec, ...]
+    __slots__ = ("dim", "basis", "images")
 
-    def __post_init__(self):
-        if len(self.basis) != len(self.images):
+    def __init__(self, dim: int, basis: tuple[Vec, ...], images: tuple[Vec, ...]):
+        if len(basis) != len(images):
             raise ValueError("basis/images length mismatch")
-        for b in self.basis + self.images:
-            if len(b) != self.dim:
+        for b in basis + images:
+            if len(b) != dim:
                 raise ValueError("vector dimension mismatch")
+        self.dim = dim
+        self.basis = basis
+        self.images = images
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dim, self.basis, self.images) == (other.dim, other.basis, other.images)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.dim, self.basis, self.images))
 
     @classmethod
     def from_pairs(cls, dim, pairs):
@@ -203,14 +210,16 @@ def partial_compose(p: PartialLinearMap, q: PartialLinearMap) -> PartialLinearMa
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MatrixSequenceSpec:
     """kind: 'scalar' (s*I), 'diagonal' (per-axis callables of the stage),
     'powers' (g**s), or 'explicit' (a list of matrices)."""
 
-    kind: str
-    dim: int
-    entries: object = None
+    __slots__ = ("kind", "dim", "entries")
+
+    def __init__(self, kind: str, dim: int, entries: object = None):
+        self.kind = kind
+        self.dim = dim
+        self.entries = entries
 
 
 SIGMA_BOUNDED = 1e-6
@@ -358,7 +367,6 @@ PLUS_INF = "+inf"
 MINUS_INF = "-inf"
 
 
-@dataclass(frozen=True)
 class LineLimitMap:
     """Limit of order-preserving affine maps on the two-point compactified line.
 
@@ -366,10 +374,23 @@ class LineLimitMap:
     (a finite value, '+inf', or '-inf').  kind 'constant': the constant map.
     """
 
-    kind: str
-    jump: float | None = None
-    at_jump: object = None
-    const: object = None
+    __slots__ = ("kind", "jump", "at_jump", "const")
+
+    def __init__(self, kind: str, jump: float | None = None, at_jump: object = None,
+                 const: object = None):
+        self.kind = kind
+        self.jump = jump
+        self.at_jump = at_jump
+        self.const = const
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.kind, self.jump, self.at_jump, self.const)
+                    == (other.kind, other.jump, other.at_jump, other.const))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.jump, self.at_jump, self.const))
 
     def evaluate(self, t):
         if self.kind == "constant":

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count
 from typing import Sequence
@@ -120,11 +119,13 @@ def parse_step_map(text: str) -> MonotoneStepMap:
     return staircase(sorted(rows))
 
 
-@dataclass(frozen=True)
 class OrderedDomain:
     """The dyadic sample k/2^level, k = 0..2^level, of [0, 1]."""
 
-    sample: tuple[Fraction, ...]
+    __slots__ = ("sample",)
+
+    def __init__(self, sample: tuple[Fraction, ...]):
+        self.sample = sample
 
     @classmethod
     def interval(cls, sample_level: int = 6) -> "OrderedDomain":
@@ -136,11 +137,14 @@ class OrderedDomain:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class HellyDeterminingSet:
-    points: tuple[tuple[Fraction, int], ...]
-    adversaries_defeated: int  # the requested count when sound, else 0
-    sound: bool
+    __slots__ = ("points", "adversaries_defeated", "sound")
+
+    def __init__(self, points: tuple[tuple[Fraction, int], ...], adversaries_defeated: int,
+                 sound: bool):
+        self.points = points
+        self.adversaries_defeated = adversaries_defeated  # the requested count when sound, else 0
+        self.sound = sound
 
 
 def helly_determining_set(
@@ -204,11 +208,21 @@ def _defeat_adversaries(f, cset) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BumpMap:
     """Value bump at a single point: 0 everywhere except 1/2 at z."""
 
-    z: Fraction
+    __slots__ = ("z",)
+
+    def __init__(self, z: Fraction):
+        self.z = z
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.z,) == (other.z,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.z,))
 
     def __call__(self, x) -> Fraction:
         return Fraction(1, 2) if Fraction(x) == self.z else Fraction(0)
@@ -229,15 +243,17 @@ def zero_map(x) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CircularCounterexample:
     """The map sending b to itself and every other point of [0, 1) to a,
     against the excluded set {n/denominator : n in numerators}."""
 
-    a: Fraction
-    b: Fraction
-    numerators: frozenset[int]  # reduced mod the denominator
-    denominator: int
+    __slots__ = ("a", "b", "numerators", "denominator")
+
+    def __init__(self, a: Fraction, b: Fraction, numerators: frozenset[int], denominator: int):
+        self.a = a
+        self.b = b
+        self.numerators = numerators  # reduced mod the denominator
+        self.denominator = denominator
 
     def image_of(self, x) -> Fraction:
         """The image of a point x of [0, 1)."""

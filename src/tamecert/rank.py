@@ -16,7 +16,6 @@ the budget flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -28,7 +27,6 @@ from .envelope import ApproxElement, CircleMetric, CodingMetric, positions, word
 from .systems import RotationSystem, SplitCircleSystem
 
 
-@dataclass
 class RankInstance:
     """Arrays backing the rank computation for one sampled element.
 
@@ -52,16 +50,19 @@ class RankInstance:
     the split kind's packed image words (``image_bits``).
     """
 
-    kind: str
-    points: Sequence
-    words: np.ndarray | None  # (n, W) point words (split/prefix kinds; uint8 for split)
-    img_words: np.ndarray  # (n, W) image descriptor columns, weighted by `weights`
-    weights: np.ndarray  # (W,)
-    positions: np.ndarray | None = None  # (n,) base or value positions
-    img_positions: np.ndarray | None = None  # (n,) image circle positions (split/circle)
-    # word_order(words), built on first use or set from the sample; not an
-    # init field, so dataclasses.replace with other words builds its own
-    word_order: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+    def __init__(self, kind: str, points: Sequence, words: np.ndarray | None,
+                 img_words: np.ndarray, weights: np.ndarray,
+                 positions: np.ndarray | None = None, img_positions: np.ndarray | None = None):
+        self.kind = kind
+        self.points = points
+        self.words = words  # (n, W) point words (split/prefix kinds; uint8 for split)
+        self.img_words = img_words  # (n, W) image descriptor columns, weighted by `weights`
+        self.weights = weights  # (W,)
+        self.positions = positions  # (n,) base or value positions
+        self.img_positions = img_positions  # (n,) image circle positions (split/circle)
+        # word_order(words), built on first use or set from the sample; not a
+        # parameter, so a new instance with other words builds its own
+        self.word_order = None
 
     def separation_gap(self) -> float:
         """A positive scale below which distinct sample points separate."""
@@ -336,14 +337,18 @@ STAGE_BUDGET = 8  # derivative stages before the budget flag (beta None)
 RERUN_SCALES = (1.0, 0.5, 0.25)  # schedule scales whose ranks must agree
 
 
-@dataclass
 class RankTrace:
-    epsilon: float
-    schedule: tuple[float, ...]
-    stages: list[np.ndarray]  # A^0 superset A^1 superset ...
-    witnesses: list[dict[int, tuple[int, int]]]
-    beta: int | None  # least stage index with empty set; None = budget flag
-    stabilized: bool = True
+    __slots__ = ("epsilon", "schedule", "stages", "witnesses", "beta", "stabilized")
+
+    def __init__(self, epsilon: float, schedule: tuple[float, ...], stages: list[np.ndarray],
+                 witnesses: list[dict[int, tuple[int, int]]], beta: int | None,
+                 stabilized: bool = True):
+        self.epsilon = epsilon
+        self.schedule = schedule
+        self.stages = stages  # A^0 superset A^1 superset ...
+        self.witnesses = witnesses
+        self.beta = beta  # least stage index with empty set; None = budget flag
+        self.stabilized = stabilized
 
     def stage_sizes(self) -> list[int]:
         return [len(s) for s in self.stages]
@@ -471,11 +476,13 @@ def _rerun_beta(inst: RankInstance, schedule: tuple[float, ...], epsilon: float,
     return None
 
 
-@dataclass
 class SystemRank:
-    beta: int | None
-    witness: str
-    traces: dict[str, RankTrace]
+    __slots__ = ("beta", "witness", "traces")
+
+    def __init__(self, beta: int | None, witness: str, traces: dict[str, RankTrace]):
+        self.beta = beta
+        self.witness = witness
+        self.traces = traces
 
 
 def system_rank(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
@@ -42,16 +41,24 @@ SIDE_NAMES = {MINUS: "minus", PLAIN: "plain", PLUS: "plus"}
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
 class SplitPoint:
     """A circle point with a side tag; the carrier of the split-circle order."""
 
-    base: CirclePoint
-    side: int
+    __slots__ = ("base", "side")
 
-    def __post_init__(self):
-        if self.side not in (MINUS, PLAIN, PLUS):
+    def __init__(self, base: CirclePoint, side: int):
+        if side not in (MINUS, PLAIN, PLUS):
             raise ValueError("side must be -1, 0 or +1")
+        self.base = base
+        self.side = side
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.side) == (other.base, other.side)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.side))
 
     def translate(self, n: int) -> "SplitPoint":
         return SplitPoint(self.base.translate(n), self.side)
@@ -304,16 +311,16 @@ class RotationSystem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Arc:
     """Half-open arc [start, start + length) on the circle."""
 
-    start: CirclePoint
-    length: Fraction
+    __slots__ = ("start", "length")
 
-    def __post_init__(self):
-        if not 0 < self.length <= 1:
+    def __init__(self, start: CirclePoint, length: Fraction):
+        if not 0 < length <= 1:
             raise ValueError("arc length must be in (0, 1]")
+        self.start = start
+        self.length = length
 
     @property
     def full(self) -> bool:
@@ -475,20 +482,46 @@ def sampling_function(theta: CirclePoint) -> float:
     return math.cos(TWO_PI * float(frac))
 
 
-@dataclass(frozen=True)
 class CosFiber:
     """Point over the orbit point k*alpha: coordinates follow the sampled
     sequence except at -k, which carries ``value``."""
 
-    k: int
-    value: float
+    __slots__ = ("k", "value")
+
+    def __init__(self, k: int, value: float):
+        self.k = k
+        self.value = value
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k, self.value) == (other.k, other.value)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.k, self.value))
+
+    def __repr__(self):
+        return f"CosFiber(k={self.k!r}, value={self.value!r})"
 
 
-@dataclass(frozen=True)
 class CosRegular:
     """The unique point over a base that is off the orbit of 0."""
 
-    theta: CirclePoint
+    __slots__ = ("theta",)
+
+    def __init__(self, theta: CirclePoint):
+        self.theta = theta
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.theta,) == (other.theta,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.theta,))
+
+    def __repr__(self):
+        return f"CosRegular(theta={self.theta!r})"
 
 
 CosPointT = CosFiber | CosRegular
@@ -583,6 +616,11 @@ class SemicocycleCascade:
     y0 = -3/7 = (110)^inf.  Around y_n the nested cylinders B(n,k) consist of
     the points agreeing with y_n to depth n+k; the function takes the value
     (k mod n)/n^2 on the shell B(n,k) without B(n,k+1) and 0 elsewhere.
+
+    The orbits need no check: y_n is in lowest terms over its own denominator
+    2^(n+1)-1, and reduced fractions with different denominators never differ
+    by an integer.  y0 shares its denominator 7 only with y_2 = -4/7, and
+    y_2 - y0 = -1/7.
     """
 
     kind = "semicocycle"
@@ -592,11 +630,6 @@ class SemicocycleCascade:
         self.depth = depth
         self.y0 = Fraction(-3, 7)
         self.marked = tuple(Fraction(-(2**n), 2 ** (n + 1) - 1) for n in range(1, n_max + 1))
-        for i, y in enumerate(self.marked):
-            if (y - self.y0).denominator == 1:
-                raise ValueError("base point shares an orbit with a marked point")
-            if any((y - z).denominator == 1 for z in self.marked[i + 1:]):
-                raise ValueError("marked points share an orbit")
 
     def value(self, t: Fraction) -> Fraction:
         """The sampling value at a 2-adic rational point of the odometer."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 import base64
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,12 +54,14 @@ def unpack_masks(text) -> np.ndarray:
     return np.frombuffer(raw, dtype="<u4").astype(np.int64)
 
 
-@dataclass(frozen=True)
 class ComplexityProfile:
     """Distinct-factor counts p(1..L); horizon-limited, hence lower bounds."""
 
-    counts: dict[int, int]
-    horizon: int
+    __slots__ = ("counts", "horizon")
+
+    def __init__(self, counts: dict[int, int], horizon: int):
+        self.counts = counts
+        self.horizon = horizon
 
     def __getitem__(self, ell: int) -> int:
         return self.counts[ell]
@@ -76,7 +77,6 @@ def complexity(word, length: int, horizon: int | None = None) -> ComplexityProfi
     return ComplexityProfile(counts, horizon)
 
 
-@dataclass(frozen=True, eq=False)
 class IndependenceCertificate:
     """Positions plus, for every 0/1 pattern on them, a witnessing factor.
 
@@ -84,12 +84,16 @@ class IndependenceCertificate:
     pattern i, so the 2^k patterns are implied by the order.
     """
 
-    window: int
-    positions: tuple[int, ...]
-    witnesses: np.ndarray  # factor masks in pattern order
-    horizon: int
-    exhausted: bool  # search ran to completion (vs. budget cut)
-    complexity: int | None = None  # p(window); None when rebuilt from a payload without it
+    __slots__ = ("window", "positions", "witnesses", "horizon", "exhausted", "complexity")
+
+    def __init__(self, window: int, positions: tuple[int, ...], witnesses: np.ndarray,
+                 horizon: int, exhausted: bool, complexity: int | None = None):
+        self.window = window
+        self.positions = positions
+        self.witnesses = witnesses  # factor masks in pattern order
+        self.horizon = horizon
+        self.exhausted = exhausted  # search ran to completion (vs. budget cut)
+        self.complexity = complexity  # p(window); None when rebuilt from a payload without it
 
     @property
     def size(self) -> int:
@@ -217,13 +221,15 @@ def exhaustive_max_independence(word, window: int) -> tuple[int, ...]:
     return ()
 
 
-@dataclass(frozen=True)
 class GrowthReport:
     """Heuristic label over finite data; the raw table is the real content."""
 
-    classification: str  # bounded_log | growing | inconclusive
-    table: dict[int, dict[str, int]]  # L -> {complexity, independence}
-    note: str
+    __slots__ = ("classification", "table", "note")
+
+    def __init__(self, classification: str, table: dict[int, dict[str, int]], note: str):
+        self.classification = classification  # bounded_log | growing | inconclusive
+        self.table = table  # L -> {complexity, independence}
+        self.note = note
 
 
 def growth_report(rows: dict[int, dict]) -> GrowthReport:

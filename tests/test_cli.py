@@ -386,7 +386,8 @@ class TestCliMain:
             assert err.startswith("report error: ") and "Traceback" not in err
 
     def test_run_imports_no_thread_pool_rng_or_masked_arrays(self):
-        # a fresh interpreter, so modules loaded by other tests do not count
+        # a fresh interpreter, so modules loaded by other tests do not count;
+        # dataclasses would mean record classes generated by exec at start-up
         from tests.test_acceptance import ACCEPTANCE_BATCH
 
         config = dict(ACCEPTANCE_BATCH, experiments=ACCEPTANCE_BATCH["experiments"] + [
@@ -397,8 +398,8 @@ class TestCliMain:
             "from tamecert.cli import run_config\n"
             "report, code = run_config(json.load(sys.stdin))\n"
             "assert code == 0, code\n"
-            "print(json.dumps(sorted({'concurrent.futures', 'numpy.random', 'numpy.ma'}"
-            " & set(sys.modules))))\n"
+            "print(json.dumps(sorted({'concurrent.futures', 'numpy.random', 'numpy.ma',"
+            " 'dataclasses'} & set(sys.modules))))\n"
         )
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -694,6 +694,19 @@ class TestRigidity:
         floats = rep.distances.tolist()
         assert all(b < a for a, b in zip(floats, floats[1:]))
 
+    def test_times_past_int64_stay_python_ints(self):
+        # deep convergent denominators overflow int64: they must sort and
+        # deduplicate exactly, as Python ints
+        rot = RotationSystem(SQRT2_MINUS_1)
+        rs = rotation_sample(rot, 6)
+        times = [SQRT2_MINUS_1.denominator(k) for k in range(40, 61)]
+        assert times[-1] > 2**63
+        shuffled = times + [0, times[3], times[-1]]
+        random.Random(5).shuffle(shuffled)
+        rep = rigidity_probe(rot, rs, shuffled)
+        assert rep.times.tolist() == times
+        assert type(rep.minimum[0]) is int and rep.minimum[0] in times
+
     def test_rotation_convergent_bound(self):
         rot = RotationSystem(GOLDEN)
         rs = rotation_sample(rot, 10)

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -170,7 +169,8 @@ class TestBetaRank:
         # constant image arc lets the coarse first radius reach round the cell
         coarse = split_sample(sturmian, plain_count=150, split_range=4, horizon=0)
         inst = build_instance(limit_map(sturmian, [1], coarse))
-        inst = dataclasses.replace(inst, img_positions=np.full(len(inst.points), 0.25))
+        inst = RankInstance(inst.kind, inst.points, inst.words, inst.img_words, inst.weights,
+                            inst.positions, np.full(len(inst.points), 0.25))
         cases.append((inst, 0.2, (0.45, 1e-3, 1e-4)))
         for inst, eps, schedule in cases:
             t = beta_rank(inst, eps, r_schedule=schedule)
@@ -211,9 +211,9 @@ class TestBetaRank:
         small = split_sample(sturmian, plain_count=60, split_range=3, horizon=6)
         inst = build_instance(limit_map(sturmian, one_sided_approach(zero(GOLDEN), "below", 10), small))
         assert inst.words.dtype == inst.img_words.dtype == np.uint8
-        wide = dataclasses.replace(
-            inst, words=inst.words.astype(np.float64), img_words=inst.img_words.astype(np.float64)
-        )
+        wide = RankInstance(inst.kind, inst.points, inst.words.astype(np.float64),
+                            inst.img_words.astype(np.float64), inst.weights, inst.positions,
+                            inst.img_positions)
         n = len(inst.points)
         for i in range(n):
             for j in range(n):
@@ -522,7 +522,8 @@ def test_split_instances_share_the_sample_words(sturmian, st_sample):
     assert a.words is b.words and a.word_order is b.word_order
     assert a.words is st_sample.point_words[0]
     # an instance with other words sorts its own
-    flipped = dataclasses.replace(a, words=a.words[::-1])
+    flipped = RankInstance(a.kind, a.points, a.words[::-1], a.img_words, a.weights, a.positions,
+                           a.img_positions)
     assert flipped.word_order is None
     want = np.unique(flipped.words, axis=0, return_inverse=True)[1].ravel()
     assert flipped.cylinder_ids(a.words.shape[1]).tolist() == want.tolist()

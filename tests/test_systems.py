@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tamecert._kernels as K
+from tamecert.boundary import BoundaryPoint, ReducedWord
 from tamecert.cli import NAMED_SYSTEMS
+from tamecert.envelope import IsolationReport
 from tamecert.errors import DepthInsufficient
 from tamecert.exactarith import (
     GOLDEN,
@@ -18,11 +20,15 @@ from tamecert.exactarith import (
     point,
     zero,
 )
+from tamecert.linear import LineLimitMap, PartialLinearMap
+from tamecert.order import BumpMap
 from tamecert.systems import (
     MINUS,
     PLAIN,
     PLUS,
     Arc,
+    CosFiber,
+    CosRegular,
     CosSystem,
     CutProjectCoding,
     RotationSystem,
@@ -420,6 +426,14 @@ class TestSemicocycle:
             prev = card
         assert prev == 4
 
+    def test_marked_points_and_base_point_lie_in_distinct_orbits(self):
+        # why __init__ checks no orbit: two of y0, y_1..y_n differing by an
+        # integer would share their residue mod 1
+        for n_max in range(1, 200):
+            sc = SemicocycleCascade(n_max=n_max)
+            points = (sc.y0, *sc.marked)
+            assert len({y % 1 for y in points}) == n_max + 1, n_max
+
     def test_traces_differ_only_at_zero(self):
         sc = SemicocycleCascade(n_max=5, depth=24)
         traces = sc.fiber_traces(4, 24, window=5)
@@ -484,3 +498,37 @@ def test_load_system_round_trip():
     assert isinstance(load_system({"kind": "semicocycle"}), SemicocycleCascade)
     with pytest.raises(ValueError):
         load_system({"kind": "nope"})
+
+
+F = Fraction
+# record class, field values, and another value for each field (None: no other
+# value passes the class's own validation)
+VALUE_RECORDS = [
+    (CirclePoint, (GOLDEN, 1, F(1, 3)), (SQRT2_MINUS_1, 0, F(1, 4))),
+    (SplitPoint, (point(GOLDEN, 1), PLUS), (point(GOLDEN, 2), MINUS)),
+    (CosFiber, (3, 0.5), (-3, 2.0)),
+    (CosRegular, (point(GOLDEN, 1),), (point(GOLDEN, 2),)),
+    (ReducedWord, (("a", "b"),), (("a", "B"),)),
+    (BoundaryPoint, (("a", "b"),), (("b", "a"),)),
+    (PartialLinearMap, (1, ((F(1),),), ((F(2),),)), (None, ((F(3),),), ((F(1),),))),
+    (LineLimitMap, ("three_region", 0.5, "+inf", None), ("constant", 0.25, "-inf", 1.0)),
+    (BumpMap, (F(1, 2),), (F(1, 3),)),
+    (IsolationReport, (F(1, 4), (True, False), (None, 0), False),
+     (F(1, 8), (True, True), (None, None), True)),
+]
+
+
+@pytest.mark.parametrize("cls, values, others", VALUE_RECORDS,
+                         ids=[c.__name__ for c, _, _ in VALUE_RECORDS])
+def test_value_records_compare_and_hash_by_field_tuple(cls, values, others):
+    x, y = cls(*values), cls(*values)
+    fields = tuple(getattr(x, name) for name in cls.__slots__)
+    assert fields == values  # the values are stored as given
+    assert x is not y and x == y and not x != y
+    assert hash(x) == hash(y) == hash(fields)
+    for i, other in enumerate(others):
+        if other is not None:
+            changed = cls(*values[:i], other, *values[i + 1:])
+            assert x != changed and changed != x, cls.__slots__[i]
+    twin = type("Twin", (cls,), {"__slots__": ()})(*values)
+    assert x != twin and twin != x
