@@ -286,14 +286,14 @@ class ApproxElement:
     ``images[i]`` is the image of ``sample.points[i]``; the images of a
     closed-form rule on a point-array sample form a point array too.
     Exact-backend elements also carry ``rule``, a closed-form image map
-    usable off-sample.
+    usable off-sample.  Every element has settled: ``limit_map`` raises
+    ``NotStabilized`` instead of returning one that has not.
     """
 
-    __slots__ = ("system", "sample", "images", "generator", "backend", "tolerance",
-                 "stabilized", "rule")
+    __slots__ = ("system", "sample", "images", "generator", "backend", "tolerance", "rule")
 
     def __init__(self, system: Any, sample: SampleSet, images: Sequence, generator: Any,
-                 backend: str, tolerance: float | None, stabilized: bool,
+                 backend: str, tolerance: float | None,
                  rule: Callable[[Any], Any] | None = None):
         self.system = system
         self.sample = sample
@@ -301,7 +301,6 @@ class ApproxElement:
         self.generator = generator  # ApproachSequence | tuple of times
         self.backend = backend  # 'exact' | 'numeric'
         self.tolerance = tolerance
-        self.stabilized = stabilized
         self.rule = rule
 
     def image_of(self, x):
@@ -416,16 +415,14 @@ def limit_map(
         if isinstance(system, SplitCircleSystem) and not _tags_split(system, images):
             raise ValueError("an exact split image carries a side tag off the split set "
                              "(or none on it): the split set is not invariant")
-        return ApproxElement(system, sample, images, generator, "exact", None, True, rule=rule)
+        return ApproxElement(system, sample, images, generator, "exact", None, rule=rule)
     prev = [system.step(x, times[0]) for x in sample.points]
     last_delta = None
     for stage in range(1, len(times)):
         cur = [system.step(x, times[stage]) for x in sample.points]
         last_delta = max(sample.metric(a, b) for a, b in zip(prev, cur))
         if last_delta <= tolerance:
-            return ApproxElement(
-                system, sample, cur, generator, "numeric", tolerance, True
-            )
+            return ApproxElement(system, sample, cur, generator, "numeric", tolerance)
         prev = cur
     raise NotStabilized(
         f"images still moving by {last_delta} after {len(times)} stages",
@@ -484,9 +481,7 @@ def _base_side(x) -> tuple[CirclePoint, int]:
 
 
 def classify(p: ApproxElement) -> ElementClass:
-    """Coarse catalog position of a stabilized element on its sample."""
-    if not p.stabilized:
-        raise ValueError("classify needs a stabilized element")
+    """Coarse catalog position of an element on its sample."""
     pts, imgs = p.sample.points, p.images
 
     from collections import Counter
@@ -544,7 +539,6 @@ def compose(p: ApproxElement, q: ApproxElement) -> ApproxElement:
         generator=("compose", tuple(p.times()), tuple(q.times())),
         backend=backend,
         tolerance=tol,
-        stabilized=p.stabilized and q.stabilized,
         rule=rule,
     )
 

@@ -153,9 +153,6 @@ class RotationNumber:
 
     # -- misc ----------------------------------------------------------------
 
-    def __float__(self) -> float:
-        return float(self.approx(Fraction(1, 10**20)))
-
     def describe(self) -> str:
         parts = [str(a) for a in self.prefix]
         if self.period is not None:
@@ -361,18 +358,6 @@ class CirclePoint:
             return -1
         return 1 if da or n else 0
 
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
     def __repr__(self):
         return f"CirclePoint({self.a}*a+{self.b})"
 
@@ -495,9 +480,6 @@ class PointSequence(abc.Sequence):
         if isinstance(other, (list, tuple, PointSequence)):
             return self.objects == list(other)
         return NotImplemented
-
-    def index(self, x) -> int:
-        return self.objects.index(x)
 
 
 class PointArray(PointSequence):

@@ -2,8 +2,19 @@
 
 One-sided limits and discontinuity sets are exact (breakpoints carry their
 left/at/right values); determining sets follow the recipe discontinuities +
-dense sample, checked against the targeted single-point escape and the two
-extremal monotone interpolants of the pins.
+dense sample.  A pin set determines a monotone step map f into [0, 1]
+exactly when it pins every discontinuity of f plainly:
+
+* a monotone adversary that copies f off one point p and escapes there
+  agrees with every pin unless p is pinned plain, and it exists exactly
+  when f(p-) < f(p+), that is, at a discontinuity;
+* the two extremal monotone interpolants of the pins, the lowest taking at
+  p the largest pinned value at or below p and the highest the smallest at
+  or above p (0 and 1 with no pin on that side), always sandwich f(p),
+  because f is monotone with values in [0, 1]; so a value they force is
+  f(p) and they never defeat the set.
+
+Hence the check is ``jumps_pinned`` alone, for the run and for ``verify``.
 The circular counterexample generator produces, for any finite excluded set,
 a two-point-target map agreeing with the constant map off one fresh point.
 """
@@ -11,9 +22,9 @@ a two-point-target map agreeing with the constant map off one fresh point.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import count
 from typing import Sequence
 
 # side tags of split points: the left copy, an unsplit point, the right copy
@@ -27,7 +38,7 @@ class MonotoneStepMap:
     breakpoints the map is constant: the left limit of the first breakpoint
     before it, the right limit of the breakpoint before each later gap.
     Construction validates weak monotonicity, which forces the one-sided
-    sandwich f(a) in [f(a-), f(a+)] everywhere.
+    sandwich f(a) in [f(a-), f(a+)] everywhere, and values in [0, 1].
     """
 
     def __init__(
@@ -50,6 +61,8 @@ class MonotoneStepMap:
         chain = [x for triple in self.triples for x in triple]
         if any(b < a for a, b in zip(chain, chain[1:])):
             raise ValueError("map is not weakly monotone (sandwich violated)")
+        if any(not 0 <= x <= 1 for x in chain):
+            raise ValueError("map values must lie in [0,1]")
 
     # -- evaluation -----------------------------------------------------------
 
@@ -86,14 +99,6 @@ class MonotoneStepMap:
                 out.append(bp)
         return tuple(out)
 
-    def side_value(self, x: Fraction, side: int) -> Fraction:
-        l, r = self.one_sided_limits(x)
-        if side == MINUS:
-            return l
-        if side == PLUS:
-            return r
-        return self(x)
-
 
 def staircase(jumps: Sequence[tuple[Fraction, Fraction, Fraction, Fraction]]) -> MonotoneStepMap:
     """Staircase from (breakpoint, left, value, right) rows, constant between."""
@@ -119,21 +124,8 @@ def parse_step_map(text: str) -> MonotoneStepMap:
     return staircase(sorted(rows))
 
 
-class OrderedDomain:
-    """The dyadic sample k/2^level, k = 0..2^level, of [0, 1]."""
-
-    __slots__ = ("sample",)
-
-    def __init__(self, sample: tuple[Fraction, ...]):
-        self.sample = sample
-
-    @classmethod
-    def interval(cls, sample_level: int = 6) -> "OrderedDomain":
-        return cls(tuple(Fraction(k, 2**sample_level) for k in range(2**sample_level + 1)))
-
-
 # ---------------------------------------------------------------------------
-# determining sets with extremal-interpolant verification
+# determining sets
 # ---------------------------------------------------------------------------
 
 
@@ -149,58 +141,31 @@ class HellyDeterminingSet:
 
 def helly_determining_set(
     f: MonotoneStepMap,
-    domain: OrderedDomain,
+    sample_level: int,
     adversaries: int = 200,
 ) -> HellyDeterminingSet:
-    """discontinuities + dense sample, with the determination property
-    checked exactly: the two extremal monotone interpolants of the pins bound
-    every monotone adversary that agrees with f on the set, so defeating them
-    defeats all ``adversaries`` requested."""
-    cset = sorted({(x, PLAIN) for x in (*f.discontinuities(), *domain.sample)})
-    sound = _defeat_adversaries(f, cset)
+    """The discontinuities of f plus the dyadic sample k/2^sample_level of
+    [0, 1], all pinned plain; determination is decided by ``jumps_pinned``.
+
+    A monotone adversary agreeing with f on the pins can only escape at one
+    point p that is not pinned plain, where f(p-) < f(p+): f is locally
+    constant off its breakpoints, so that is a discontinuity left unpinned.
+    The extremal monotone interpolants of the pins never defeat the set: for
+    f monotone into [0, 1], the pins at or below p carry values <= f(p) and
+    those at or above p values >= f(p), so bounds that meet meet at f(p).
+    A sound set therefore defeats all ``adversaries`` requested.
+    """
+    sample = (Fraction(k, 2**sample_level) for k in range(2**sample_level + 1))
+    cset = sorted({(x, PLAIN) for x in (*f.discontinuities(), *sample)})
+    sound = jumps_pinned(f, cset)
     return HellyDeterminingSet(tuple(cset), adversaries if sound else 0, sound)
 
 
-def _defeat_adversaries(f, cset) -> bool:
-    """Targeted and extremal adversaries against the pinned values on cset.
-
-    Targeted: copy f off a single probe point and escape there; monotone
-    escapes exist exactly at unpinned one-sided jumps, so this is the
-    single-point mechanism a determining set must block.  Extremal: the two
-    increasing interpolants of the pins that bound all others: the lowest is
-    at p the max of the pinned values at or below p, the highest the min of
-    those at or above p.  f is forced at p exactly when the two agree there,
-    and then f(p) must be that value; positive-width corridors between
-    adjacent pins are the sample-resolution limit, not a defeat.  A validated
-    monotone f always meets its forced values (the sandwich), so an
-    under-pinned set fails the targeted check; the extremal check is what
-    rejects a map that breaks monotonicity.
-    """
-    pinned = sorted((x, s, f.side_value(x, s)) for x, s in cset)
-    keys = [(x, s) for x, s, _ in pinned]
-    values = [v for _, _, v in pinned]
-    # bound from the pins at or below p (from_left[i] over values[: i + 1])
-    # and from those at or above p (from_right[i] over values[i:]); with no
-    # pin on a side, the codomain [0, 1] supplies the bound
-    from_left = list(accumulate(values, max))
-    from_right = list(accumulate(reversed(values), min))[::-1]
-    pinned_plain = {x for x, s in keys if s == PLAIN}
-    probes = sorted(
-        p
-        for p in set(Fraction(k, 257) for k in range(258)) | set(f.breakpoints)
-        if p not in pinned_plain
-    )
-    for p in probes:
-        left, right = f.one_sided_limits(p)
-        if left != right or left != f(p):
-            return False  # unpinned escape point: the targeted adversary wins
-    for p in probes:
-        below, above = bisect_right(keys, (p, PLAIN)), bisect_left(keys, (p, PLAIN))
-        bound_left = from_left[below - 1] if below else Fraction(0)
-        bound_right = from_right[above] if above < len(from_right) else Fraction(1)
-        if bound_left == bound_right and bound_left != f(p):
-            return False  # a forced value disagreeing with f
-    return True
+def jumps_pinned(f: MonotoneStepMap, pins) -> bool:
+    """Whether every discontinuity of f is pinned with side PLAIN: the whole
+    determination check for a step map into [0, 1] (module docstring)."""
+    plain = {x for x, s in pins if s == PLAIN}
+    return all(x in plain for x in f.discontinuities())
 
 
 # ---------------------------------------------------------------------------

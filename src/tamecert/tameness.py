@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import base64
 import itertools
-import math
 
 import numpy as np
 
@@ -237,9 +236,11 @@ def growth_report(rows: dict[int, dict]) -> GrowthReport:
 
     ``rows`` maps each window L to a row with its ``complexity`` p(L) and
     ``independence`` |I(L)|, as the caller's searches found them.
-    bounded_log: |I(L)| <= ceil(log2 p(L)) everywhere and p grows at most
-    polynomially on the range.  growing: |I(L)| climbs at least half a
-    position per window step.  Labels are heuristics over finite data.
+    bounded_log: p grows at most quadratically on the range; then
+    |I(L)| <= log2 p(L) holds too, as it does for every row, because a
+    shattered k-set needs 2^k distinct factors.  growing: |I(L)| climbs at
+    least half a position per window step.  Labels are heuristics over
+    finite data.
     """
     window_list = sorted(rows)
     if not window_list:
@@ -249,12 +250,7 @@ def growth_report(rows: dict[int, dict]) -> GrowthReport:
         for L in window_list
     }
     sizes = [table[L]["independence"] for L in window_list]
-    log_ok = all(
-        table[L]["independence"] <= math.ceil(math.log2(max(table[L]["complexity"], 2)))
-        for L in window_list
-    )
-    poly_ok = all(table[L]["complexity"] <= (L + 1) ** 2 for L in window_list)
-    if log_ok and poly_ok:
+    if all(table[L]["complexity"] <= (L + 1) ** 2 for L in window_list):
         cls = "bounded_log"
         note = "independence within the counting bound; complexity at most quadratic on range"
     elif (

@@ -221,12 +221,11 @@ def test_criterion_08_determining_sets():
         assert res2.optimal and len(res2.points) == m - 1
 
     rng = random.Random(8)
-    dom = order.OrderedDomain.interval(sample_level=5)
     from tests.test_order import random_staircase
 
     for _ in range(20):
         f = random_staircase(rng)
-        res = order.helly_determining_set(f, dom, adversaries=1000)
+        res = order.helly_determining_set(f, 5, adversaries=1000)
         assert res.sound and res.adversaries_defeated == 1000
     _pass(8, "rotation |C|=1; discrete family m-1/m exhaustively; 20 staircases defeat 1000 adversaries")
 

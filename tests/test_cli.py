@@ -325,6 +325,17 @@ class TestCliMain:
         ({"experiments": [{"kind": "rank", "id": "rk",
                            "params": {"system": "rotation", "rotations": ["1/3"]}}]},
          "experiment rk: TypeError: a point literal must be an object, not '1/3'"),
+        # a step map that leaves [0, 1]
+        ({"experiments": [{"kind": "determine", "id": "det",
+                           "params": {"family": "staircase", "map": "(1/2; 1,1,2)"}}]},
+         "experiment det: ValueError: map values must lie in [0,1]"),
+        # a word gamma is read only by the free-group boundary system
+        ({"experiments": [{"kind": "rank", "id": "rk",
+                           "params": {"system": "semicocycle", "gamma": "ab"}}]},
+         "rank experiment does not support system 'semicocycle'"),
+        ({"experiments": [{"kind": "rank", "id": "rk",
+                           "params": {"system": "cos", "gamma": "ab"}}]},
+         "rank experiment does not support system 'cos'"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, config, message):
         out = tmp_path / "never.json"
@@ -387,7 +398,8 @@ class TestCliMain:
 
     def test_run_imports_no_thread_pool_rng_or_masked_arrays(self):
         # a fresh interpreter, so modules loaded by other tests do not count;
-        # dataclasses would mean record classes generated by exec at start-up
+        # dataclasses would mean record classes generated by exec at start-up,
+        # and argparse is needed only by the console script's main
         from tests.test_acceptance import ACCEPTANCE_BATCH
 
         config = dict(ACCEPTANCE_BATCH, experiments=ACCEPTANCE_BATCH["experiments"] + [
@@ -399,7 +411,7 @@ class TestCliMain:
             "report, code = run_config(json.load(sys.stdin))\n"
             "assert code == 0, code\n"
             "print(json.dumps(sorted({'concurrent.futures', 'numpy.random', 'numpy.ma',"
-            " 'dataclasses'} & set(sys.modules))))\n"
+            " 'dataclasses', 'argparse'} & set(sys.modules))))\n"
         )
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -801,6 +813,17 @@ class TestVerify:
         # an honest unsound certificate for the under-pinned set verifies
         assert verify_certificate(dict(cert, witness=dropped, sample_size=len(dropped),
                                        result={"sound": False, "adversaries": 0}))
+
+    def test_helly_map_outside_unit_interval_fails(self, tmp_path, capsys):
+        # its one jump is a plain pin, but the map leaves [0, 1] on the right
+        cert = {"kind": "helly_determining", "map": "(1/2; 1,1,2)", "sample_size": 2,
+                "result": {"sound": True, "adversaries": 40},
+                "witness": [["0", 0], ["1/2", 0]]}
+        assert not verify_certificate(cert)
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        assert main(["verify", str(path)]) == 1
+        assert capsys.readouterr().out == "helly_determining: FAILED\n"
 
 
 # system specs that are neither a name nor an object, alphas that are not

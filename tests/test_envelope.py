@@ -138,7 +138,7 @@ class TestLimitMap:
     def test_sturmian_below_gives_minus_element(self, sturmian, sample):
         ap = one_sided_approach(zero(GOLDEN), "below", 10)
         p = limit_map(sturmian, ap, sample)
-        assert p.backend == "exact" and p.stabilized
+        assert p.backend == "exact"
         for x, im in zip(sample.points, p.images):
             assert im.base == x.base  # gamma = 0
             assert im.side == (MINUS if sturmian.splits(x.base) else PLAIN)
@@ -164,7 +164,7 @@ class TestLimitMap:
         ap = one_sided_approach(zero(GOLDEN), "below", 25)
         exact = limit_map(sturmian, ap, sample)
         numeric = limit_map(sturmian, list(ap.times)[-4:], sample, tolerance=1e-4)
-        assert numeric.backend == "numeric" and numeric.stabilized
+        assert numeric.backend == "numeric"
         # word parts coincide at the tail; the approach error bound caps the
         # residual base drift
         residual = max(sample.metric(a, b) for a, b in zip(exact.images, numeric.images))
@@ -231,7 +231,7 @@ class TestClassify:
 
 
 def limit_map_like(sample, mapping):
-    """Package a finite map as a stabilized element (test helper)."""
+    """Package a finite map as an exact element (test helper)."""
     from tamecert.envelope import ApproxElement
 
     return ApproxElement(
@@ -241,7 +241,6 @@ def limit_map_like(sample, mapping):
         generator=(0,),
         backend="exact",
         tolerance=None,
-        stabilized=True,
         rule=lambda x: mapping[x],
     )
 

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import count
+from itertools import combinations, count
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +11,10 @@ from tamecert.order import (
     MINUS,
     PLAIN,
     PLUS,
-    OrderedDomain,
     circular_counterexample,
     discrete_family,
     helly_determining_set,
+    jumps_pinned,
     parse_step_map,
     staircase,
     zero_map,
@@ -23,9 +23,12 @@ from tamecert.order import (
 F = Fraction
 
 
-def random_staircase(rng, jumps=3):
+def random_staircase(rng, jumps=3, distinct=True):
+    """Breakpoints k/64 and levels k/16; with ``distinct`` False levels may
+    repeat, giving one-sided jumps and continuous breakpoints too."""
     xs = sorted(rng.sample([F(k, 64) for k in range(1, 64)], jumps))
-    levels = sorted(rng.sample([F(k, 16) for k in range(17)], 2 * jumps + 1))
+    draw = rng.sample if distinct else rng.choices
+    levels = sorted(draw([F(k, 16) for k in range(17)], k=2 * jumps + 1))
     rows = []
     for i, x in enumerate(xs):
         lo, hi = levels[2 * i], levels[2 * i + 2]
@@ -57,6 +60,13 @@ class TestMonotoneStepMap:
         f = staircase([(F(1, 3), F(0), F(0), F(1, 4)), (F(2, 3), F(1, 4), F(1, 2), F(1, 2))])
         assert f.discontinuities() == (F(1, 3), F(2, 3))
 
+    def test_values_outside_unit_interval_refused(self):
+        for row in ((F(1, 2), F(1), F(1), F(2)), (F(1, 2), F(-1, 4), F(0), F(0))):
+            with pytest.raises(ValueError, match=r"values must lie in \[0,1\]"):
+                staircase([row])
+        with pytest.raises(ValueError):
+            parse_step_map("(1/2; 1,1,2)")
+
     def test_parse_literals(self):
         f = parse_step_map("(1/3; 0,1/4,1/4) (2/3; 1/4,1/2,3/4)")
         assert f.breakpoints == (F(1, 3), F(2, 3))
@@ -67,96 +77,76 @@ class TestMonotoneStepMap:
 
 class TestHellyDeterminingSet:
     def test_continuous_map_c_equals_sample(self):
-        dom = OrderedDomain.interval(sample_level=5)
         f = staircase([(F(1, 3), F(1, 4), F(1, 4), F(1, 4))])  # constant 1/4
-        res = helly_determining_set(f, dom, adversaries=10)
-        assert res.sound and res.points == tuple((x, PLAIN) for x in dom.sample)
+        res = helly_determining_set(f, 5, adversaries=10)
+        assert res.sound and res.points == tuple((F(k, 32), PLAIN) for k in range(33))
 
     def test_staircase_contains_jumps_and_defeats_adversaries(self):
-        dom = OrderedDomain.interval(sample_level=5)
         f = staircase([(F(1, 3), F(0), F(0), F(1, 4)), (F(2, 3), F(1, 4), F(1, 2), F(1, 2))])
-        res = helly_determining_set(f, dom, adversaries=100)
+        res = helly_determining_set(f, 5, adversaries=100)
         xs = {x for x, _ in res.points}
         assert {F(1, 3), F(2, 3)} <= xs
         assert res.sound
 
     def test_twenty_random_staircases_defeat_adversaries(self):
         rng = random.Random(7)
-        dom = OrderedDomain.interval(sample_level=5)
         for _ in range(20):
             f = random_staircase(rng)
-            res = helly_determining_set(f, dom, adversaries=50)
+            res = helly_determining_set(f, 5, adversaries=50)
             assert res.sound
 
     def test_dropping_a_jump_breaks_determination(self):
-        # adversarial check must notice when the set misses a discontinuity
-        from tamecert.order import _defeat_adversaries
-
+        # the check must notice when the set misses a discontinuity
         f = staircase([(F(1, 3), F(0), F(0), F(1))])
         cset = [(F(k, 8), PLAIN) for k in range(9) if F(k, 8) != F(1, 3)]
-        assert not _defeat_adversaries(f, sorted(cset))
-
+        assert not jumps_pinned(f, cset)
+        # one-sided pins at the jump leave its value free
+        assert not jumps_pinned(f, cset + [(F(1, 3), MINUS), (F(1, 3), PLUS)])
+        assert jumps_pinned(f, cset + [(F(1, 3), PLAIN)])
 
     def test_count_is_zero_when_unsound(self, monkeypatch):
         import tamecert.order as order_mod
 
-        dom = OrderedDomain.interval(sample_level=3)
         f = staircase([(F(1, 3), F(0), F(0), F(1))])
-        assert helly_determining_set(f, dom, adversaries=30).adversaries_defeated == 30
-        monkeypatch.setattr(order_mod, "_defeat_adversaries", lambda f, cset: False)
-        res = helly_determining_set(f, dom, adversaries=30)
+        assert helly_determining_set(f, 3, adversaries=30).adversaries_defeated == 30
+        monkeypatch.setattr(order_mod, "jumps_pinned", lambda f, cset: False)
+        res = helly_determining_set(f, 3, adversaries=30)
         assert not res.sound and res.adversaries_defeated == 0
 
-    def test_extremal_interpolants_catch_a_forced_value(self):
-        # pins 0 and 1/8 both read 0, so every monotone interpolant is 0 at
-        # the probe 1/257; a stub reading 1/2 there (continuously) is caught
-        from tamecert.order import _defeat_adversaries
-
-        f = PointValues({F(1, 257): F(1, 2)})
-        cset = [(F(k, 8), PLAIN) for k in range(9)]
-        assert not _defeat_adversaries(f, cset)
-        assert _defeat_adversaries(PointValues({}), cset)
-
-    def test_extremal_check_matches_corridor_scan(self):
-        from tamecert.order import _defeat_adversaries
-
+    def test_jump_predicate_matches_corridor_scan(self):
+        # staircases with two-sided and one-sided jumps and continuous
+        # breakpoints; pins of every side combination, 0 and 1 included
         rng = random.Random(11)
-        levels = [F(0), F(1, 2), F(1)]
         grid = [F(k, 16) for k in range(17)]
-        for _ in range(100):
-            pins = sorted(
-                (x, s) for x in rng.sample(grid, rng.randint(0, 8))
-                for s in rng.choice([(PLAIN,), (MINUS, PLUS), (MINUS, PLAIN, PLUS)])
-            )
-            probes = [F(k, 257) for k in range(258)]
-            f = PointValues({x: rng.choice(levels) for x in grid + probes})
-            assert _defeat_adversaries(f, pins) == corridor_scan(f, pins)
+        sides = [combo for n in (1, 2, 3) for combo in combinations((MINUS, PLAIN, PLUS), n)]
+        verdicts = []
+        for _ in range(1000):
+            f = random_staircase(rng, rng.randint(0, 3), distinct=rng.random() < 0.5)
+            xs = rng.sample(grid, rng.randint(0, 6)) + [
+                x for x in f.breakpoints if rng.random() < 0.8]
+            pins = sorted({(x, s) for x in xs for s in rng.choice(sides)})
+            verdicts.append(jumps_pinned(f, pins))
+            assert verdicts[-1] == corridor_scan(f, pins), (f.triples, pins)
+        assert 100 < sum(verdicts) < 900
 
 
-class PointValues:
-    """Continuous stand-in with arbitrary (non-monotone) values, 0 by default."""
-
-    breakpoints = ()
-
-    def __init__(self, values):
-        self.values = values
-
-    def __call__(self, x):
-        return self.values.get(x, F(0))
-
-    def one_sided_limits(self, x):
-        return self(x), self(x)
-
-    def side_value(self, x, side):
-        return self(x)
+PROBES = [F(k, 257) for k in range(258)]  # increasing
+PROBE_SET = frozenset(PROBES)
 
 
 def corridor_scan(f, cset):
-    """Brute-force reference: at each unpinned probe, scan every pin for the
+    """Brute-force reference: at each unpinned probe k/257 or breakpoint,
+    the targeted single-point escape, then a scan of every pin for the
     corridor [max of values at or below, min of values at or above]."""
-    pinned = sorted((x, s, f.side_value(x, s)) for x, s in cset)
+
+    def side_value(x, s):
+        left, right = f.one_sided_limits(x)
+        return left if s == MINUS else right if s == PLUS else f(x)
+
+    pinned = sorted((x, s, side_value(x, s)) for x, s in cset)
     plain = {x for x, s, _ in pinned if s == PLAIN}
-    for p in sorted({F(k, 257) for k in range(258)} | set(f.breakpoints)):
+    # a sorted run and a few breakpoints: cheap to sort
+    for p in sorted([*PROBES, *(x for x in f.breakpoints if x not in PROBE_SET)]):
         if p in plain:
             continue
         left, right = f.one_sided_limits(p)

@@ -124,7 +124,7 @@ class TestOscillation:
         el = ApproxElement(
             system=None, sample=s,
             images=[F(1, 2) if x == z else F(0) for x in pool],
-            generator=(0,), backend="exact", tolerance=None, stabilized=True,
+            generator=(0,), backend="exact", tolerance=None,
         )
         assert oscillation(el, z, pool, 0.02) == pytest.approx(0.5)
 

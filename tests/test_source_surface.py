@@ -27,6 +27,8 @@ ALLOWED = {
     "exactarith.RotationNumber.convergents": "test_exactarith.test_convergents_golden",
     "linear.partial_compose": "criterion 10 checks the partial-linear semigroup law",
     "linear.affine_catalog_element": "criterion 10 pins affine limits by three points",
+    "order.MonotoneStepMap.one_sided_limits": "test_order's corridor_scan oracle reads "
+                                               "the one-sided values of the pins",
     "rank.value_instance": "test_rank's oracle tests rank plain value maps",
     "rank.RankTrace.verify_witnesses": "criterion 04 rechecks the rank witnesses",
     "systems.CutProjectCoding.symbol_at": "oracle of test_cut_project_word_matches_symbol_at",
