@@ -29,7 +29,7 @@ from .errors import BudgetExceeded, ConfigError, NotStabilized, NotStabilizedAcr
 from .exactarith import GOLDEN, CirclePoint, one_sided_approach
 from . import envelope, order, rank, systems, tameness
 from .boundary import ReducedWord, boundary_sample, loxodromic_rank_arrays, power_limit
-from .linear import MatrixSequenceSpec, affine_catalog_limit, matrix_limit, pinned_by_three
+from .linear import affine_catalog_limit, pinned_by_three
 
 SCHEMA_VERSION = 2
 
@@ -39,7 +39,6 @@ NAMED_SYSTEMS = {
     "rationals-split": {"kind": "split_circle", "alpha": "cf:[0;1,...]", "split_set": "rationals"},
     "rotation": {"kind": "rotation", "alpha": "cf:[0;1,...]"},
     "rotation-sqrt2": {"kind": "rotation", "alpha": "cf:[0;2,...]"},
-    "cos": {"kind": "cos", "alpha": "cf:[0;1,...]", "horizon": 6},
     "cantor6": {"kind": "cut_project", "alpha": "cf:[0;1,...]",
                 "window": {"cantor_generation": 6, "scale": "1/2"}},
     "semicocycle": {"kind": "semicocycle", "n_max": 8, "depth": 24},
@@ -308,41 +307,21 @@ def run_rank(params, seed):
 
 def run_fibers(params, seed):
     sys_ = resolve_system(params.get("system", "semicocycle"))
+    if not isinstance(sys_, systems.SemicocycleCascade):
+        raise ConfigError("fibers experiment needs a semicocycle system")
     rng = random.Random(seed)
-    if isinstance(sys_, systems.SemicocycleCascade):
-        k_max = int(params.get("k_max", 6))
-        depth = int(params.get("depth", 20))
-        cards = sys_.fiber_cardinalities(k_max, depth)
-        unmarked = [rng.randrange(-(10**6), 10**6) for _ in range(int(params.get("unmarked", 10)))]
-        um = {j: sys_.unmarked_fiber_cardinality(j) for j in unmarked}
-        return {"marked": {str(k): v for k, v in cards.items()},
-                "unmarked_all_one": all(v == 1 for v in um.values()),
-                "unmarked_count": len(um)}, []
-    if isinstance(sys_, systems.SplitCircleSystem):
-        orbit_range = int(params.get("orbit_range", 50))
-        sizes = {n: len(sys_.split_fiber(CirclePoint(sys_.alpha, n, Fraction(0))))
-                 for n in range(-orbit_range, orbit_range + 1)}
-        off = []
-        for _ in range(int(params.get("off_orbit", 50))):
-            b = Fraction(rng.randrange(1, 10**6), 10**6 + 1)
-            off.append(len(sys_.split_fiber(CirclePoint(sys_.alpha, 0, b))))
-        return {"orbit_all_two": all(v == 2 for v in sizes.values()),
-                "off_orbit_all_one": all(v == 1 for v in off),
-                "orbit_range": orbit_range, "off_orbit_count": len(off)}, []
-    raise ConfigError("fibers experiment needs a semicocycle or split-circle system")
+    cards = sys_.fiber_cardinalities(int(params.get("k_max", 6)), int(params.get("depth", 20)))
+    unmarked = [rng.randrange(-(10**6), 10**6) for _ in range(int(params.get("unmarked", 10)))]
+    um = {j: sys_.unmarked_fiber_cardinality(j) for j in unmarked}
+    return {"marked": {str(k): v for k, v in cards.items()},
+            "unmarked_all_one": all(v == 1 for v in um.values()),
+            "unmarked_count": len(um)}, []
 
 
 def run_determine(params, seed):
-    family_kind = params.get("family", "rotation")
-    m = int(params.get("size", 7))
-    if family_kind == "rotation":
-        alpha = GOLDEN
-        pool = [CirclePoint(alpha, 0, Fraction(k, 11)) for k in range(11)]
-        gammas = [CirclePoint(alpha, 0, Fraction(k, m)) for k in range(m)]
-        family = [lambda x, g=g: x + g for g in gammas]
-        sizes = [len(envelope.determining_set(family, pool, p).points) for p in family]
-        return {"family": "rotation", "sizes": sizes, "all_single": all(s == 1 for s in sizes)}, []
+    family_kind = params["family"]
     if family_kind == "discrete":
+        m = int(params.get("size", 7))
         grid = [Fraction(k, m) for k in range(m)]
         fam = order.discrete_family(grid) + [order.zero_map]
         res = envelope.determining_set(fam, grid, order.zero_map)
@@ -428,21 +407,6 @@ def run_rigidity(params, seed):
 def run_catalog(params, seed):
     rows = []
     elements = []
-    for mspec in params.get("matrices", []):
-        # matrix literals: row-major rational lists plus a dimension flag
-        dim = int(mspec.get("dim", 2))
-        entries = mspec.get("entries")
-        kind = mspec.get("matrix_kind", "powers")
-        if kind == "powers":
-            g = [[Fraction(x) for x in row] for row in entries]
-            spec = MatrixSequenceSpec("powers", dim, entries=g)
-        elif kind == "scalar":
-            spec = MatrixSequenceSpec("scalar", dim)
-        else:
-            raise ConfigError(f"unknown matrix kind {kind!r}")
-        p = matrix_limit(spec, stages=int(mspec.get("stages", 12)))
-        rows.append({"matrix_kind": kind, "dim": dim, "domain_dim": p.domain_dim,
-                     "basis": [[str(x) for x in b] for b in p.basis]})
     grid = [float(x) for x in params.get("grid", [-1.0, 0.0, 1.0])]
     for s in grid:
         for r in grid:
@@ -530,11 +494,14 @@ def _exp_id(i: int, exp: dict):
 
 @contextlib.contextmanager
 def _param_errors(exp_id):
-    """Turn a malformed parameter's error into a ConfigError naming the experiment."""
+    """Turn a malformed parameter's error, or a ConfigError, into a ConfigError
+    naming the experiment."""
     try:
         yield
     except _MALFORMED as exc:
         raise ConfigError(f"experiment {exp_id}: {type(exc).__name__}: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"experiment {exp_id}: {exc}") from exc
 
 
 def run_config(config: dict, jobs: int = 1, seed: int | None = None) -> tuple[dict, int]:

@@ -50,10 +50,6 @@ class BudgetExceeded(TamecertError):
         self.best = best
 
 
-class AmbiguousSubspace(TamecertError):
-    """Singular values straddle the bounded-direction guard band."""
-
-
 class NotInIdeal(TamecertError):
     """Decomposition requested for a translation (not a limit element)."""
 

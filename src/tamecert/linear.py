@@ -10,13 +10,10 @@ floats enter only in the numeric limit detection.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .errors import AmbiguousSubspace, NotStabilized
+from .errors import NotStabilized
 
 INF = "inf"
 
@@ -211,8 +208,7 @@ def partial_compose(p: PartialLinearMap, q: PartialLinearMap) -> PartialLinearMa
 
 
 class MatrixSequenceSpec:
-    """kind: 'scalar' (s*I), 'diagonal' (per-axis callables of the stage),
-    'powers' (g**s), or 'explicit' (a list of matrices)."""
+    """kind: 'scalar' (s*I) or 'diagonal' (per-axis callables of the stage)."""
 
     __slots__ = ("kind", "dim", "entries")
 
@@ -222,70 +218,16 @@ class MatrixSequenceSpec:
         self.entries = entries
 
 
-SIGMA_BOUNDED = 1e-6
-SIGMA_GUARD = 1e-4
 DIVERGE_AT = 1e9
+TOLERANCE = 1e-9
 
 
-def _rational_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    ni, di = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if ni * ni == x.numerator and di * di == x.denominator:
-        return Fraction(ni, di)
-    return None
-
-
-def _exact_power_limit(g: list[list[Fraction]]) -> PartialLinearMap | None:
-    """Limit of g^s for rational g with rational eigenstructure (2x2 or diagonal)."""
-    dim = len(g)
-    if all(g[i][j] == 0 for i in range(dim) for j in range(dim) if i != j):
-        vals = []
-        for i in range(dim):
-            lam = g[i][i]
-            if abs(lam) < 1:
-                vals.append(Fraction(0))
-            elif lam == 1:
-                vals.append(Fraction(1))
-            else:
-                vals.append(None)
-        return PartialLinearMap.diagonal(vals)
-    if dim != 2:
-        return None
-    a, b, c, d = g[0][0], g[0][1], g[1][0], g[1][1]
-    disc = (a + d) ** 2 - 4 * (a * d - b * c)
-    root = _rational_sqrt(disc)
-    if root is None:
-        return None
-    lams = [((a + d) + root) / 2, ((a + d) - root) / 2]
-    if abs(lams[0]) == abs(lams[1]) and lams[0] != lams[1]:
-        return None
-    pairs = []
-    for lam in sorted(set(lams), key=lambda x: abs(x)):
-        # eigenvector of [[a-lam, b], [c, d-lam]]
-        if b != 0 or a - lam != 0:
-            v = (b, lam - a) if b != 0 else (Fraction(0), Fraction(1))
-        else:
-            v = (Fraction(1), Fraction(0))
-        if c != 0 and (c * v[0] + (d - lam) * v[1]) != 0:
-            v = (lam - d, c)
-        if abs(lam) < 1:
-            pairs.append((v, (Fraction(0), Fraction(0))))
-        elif lam == 1:
-            pairs.append((v, v))
-    return PartialLinearMap.from_pairs(2, pairs)
-
-
-def matrix_limit(
-    spec: MatrixSequenceSpec, stages: int = 12, tolerance: float = 1e-9
-) -> PartialLinearMap:
+def matrix_limit(spec: MatrixSequenceSpec, stages: int = 12) -> PartialLinearMap:
     """Limit of the matrix sequence inside the one-point compactification.
 
-    Closed-form kinds (scalar, diagonal, rational-eigenstructure powers) are
-    resolved exactly.  Explicit sequences go through the late-stage singular
-    value split: relative singular values below 1e-6 mark bounded directions,
-    the band [1e-6, 1e-4] is ambiguous, and the restriction to the candidate
-    subspace must be Cauchy within the tolerance.
+    The scalar family collapses to the origin.  A diagonal axis diverges,
+    or converges to its last stage value when two consecutive stages agree
+    within ``TOLERANCE``; anything else is ``NotStabilized``.
     """
     if stages < 2:
         raise ValueError("need at least two stages")
@@ -299,52 +241,12 @@ def matrix_limit(
                 abs(hist[-1]) > 10 * abs(hist[0]) + 1 and abs(hist[-1]) > abs(hist[-2]) > abs(hist[-3])
             ):
                 vals.append(None)
-            elif abs(hist[-1] - hist[-2]) <= tolerance * (1 + abs(hist[-1])):
+            elif abs(hist[-1] - hist[-2]) <= TOLERANCE * (1 + abs(hist[-1])):
                 vals.append(Fraction(hist[-1]))
             else:
                 raise NotStabilized(f"diagonal entry neither converges nor diverges: {hist[-3:]}")
         return PartialLinearMap.diagonal(vals)
-    if spec.kind == "powers":
-        g = [[Fraction(x) for x in row] for row in spec.entries]
-        exact = _exact_power_limit(g)
-        if exact is not None:
-            return exact
-        mats = [np.linalg.matrix_power(np.array(spec.entries, dtype=float), 2**j) for j in range(stages)]
-        return _svd_limit(mats, spec.dim, tolerance)
-    if spec.kind == "explicit":
-        mats = [np.array(m, dtype=float) for m in spec.entries]
-        if len(mats) < 2:
-            raise ValueError("explicit sequence needs at least two matrices")
-        return _svd_limit(mats, spec.dim, tolerance)
     raise ValueError(f"unknown kind {spec.kind!r}")
-
-
-def _svd_limit(mats: list[np.ndarray], dim: int, tolerance: float) -> PartialLinearMap:
-    last, prev = mats[-1], mats[-2]
-    if np.max(np.abs(last - prev)) <= tolerance * (1 + np.max(np.abs(last))):
-        # the whole sequence converges: the limit is finite everywhere
-        pairs = []
-        for i in range(dim):
-            e = [Fraction(0)] * dim
-            e[i] = Fraction(1)
-            pairs.append((tuple(e), tuple(Fraction(x) for x in last[:, i])))
-        return PartialLinearMap.from_pairs(dim, pairs)
-    _u, sig, vt = np.linalg.svd(last)
-    lead = sig[0] if sig[0] > 0 else 1.0
-    rel = sig / lead
-    if np.any((rel > SIGMA_BOUNDED) & (rel < SIGMA_GUARD)):
-        raise AmbiguousSubspace(
-            f"relative singular values {rel} inside the guard band "
-            f"[{SIGMA_BOUNDED}, {SIGMA_GUARD}]"
-        )
-    bounded = [vt[i] for i in range(dim) if rel[i] <= SIGMA_BOUNDED]
-    pairs = []
-    for v in bounded:
-        iv_last, iv_prev = last @ v, prev @ v
-        if np.max(np.abs(iv_last - iv_prev)) > tolerance * (1 + np.max(np.abs(iv_last))):
-            raise NotStabilized("restriction to the candidate subspace is not Cauchy")
-        pairs.append((tuple(Fraction(x) for x in v), tuple(Fraction(x) for x in iv_last)))
-    return PartialLinearMap.from_pairs(dim, pairs)
 
 
 def line_missing(points: Sequence[tuple]) -> Vec:

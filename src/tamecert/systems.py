@@ -530,8 +530,6 @@ CosPointT = CosFiber | CosRegular
 class CosSystem:
     """Orbit closure of the cos(1/x)-sampled sequence over the rotation."""
 
-    kind = "cos"
-
     def __init__(self, alpha: RotationNumber = GOLDEN, horizon: int = 20):
         self.alpha = alpha
         self.horizon = horizon
@@ -580,9 +578,6 @@ class CosSystem:
             if diff > d:
                 d = diff
         return d
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "alpha": self.alpha.describe(), "horizon": self.horizon}
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +751,8 @@ def asymptotic_defect(system, x, y, window: tuple[int, int]) -> set[int]:
 
 def load_system(spec: dict):
     """Build a system from a spec mapping (keys: kind, alpha, split_set,
-    horizon, window, base_point, n_max, depth); ValueError when the spec is not
-    a mapping."""
+    window, base_point, n_max, depth); ValueError when the spec is not a
+    mapping."""
     from .exactarith import parse_rotation_number
 
     if not isinstance(spec, dict):
@@ -768,8 +763,6 @@ def load_system(spec: dict):
         return SplitCircleSystem(alpha, split=spec.get("split_set", "orbit"))
     if kind == "rotation":
         return RotationSystem(alpha)
-    if kind == "cos":
-        return CosSystem(alpha, horizon=spec.get("horizon", 20))
     if kind == "cut_project":
         win = spec.get("window", {})
         base = spec.get("base_point")

@@ -133,7 +133,7 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="horizon"):
             run_config(config)
         assert main(["run", str(write_config(tmp_path, config))]) == 2
-        assert "config error: rank horizon" in capsys.readouterr().err
+        assert "config error: experiment rank-0: rank horizon" in capsys.readouterr().err
 
     @pytest.mark.parametrize("coding, horizon, windows", [
         ({"system": "sturmian"}, 0, [4]),
@@ -169,13 +169,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="no element"):
             run_config({"experiments": [{"kind": "rank", "params": params}]})
 
-    @pytest.mark.parametrize("system", ["cos", "semicocycle", "cantor6"])
+    @pytest.mark.parametrize("system", ["semicocycle", "cantor6"])
     def test_limit_on_unsupported_system_rejected(self, tmp_path, capsys, system):
         config = {"experiments": [{"kind": "limit", "params": {"system": system}}]}
         with pytest.raises(ConfigError, match="split-circle or rotation"):
             run_config(config)
         assert main(["run", str(write_config(tmp_path, config))]) == 2
-        assert "config error: limit experiment" in capsys.readouterr().err
+        assert "config error: experiment limit-0: limit experiment" in capsys.readouterr().err
 
     def test_rank_on_rationals_split_rejected(self, tmp_path, capsys, monkeypatch):
         # the sample would keep only 0- and 0+ (every plain k/(n+1) splits), and
@@ -188,15 +188,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="orbit of 0"):
             run_config(config)
         assert main(["run", str(write_config(tmp_path, config))]) == 2
-        assert "config error: rank experiment" in capsys.readouterr().err
+        assert "config error: experiment rank-0: rank experiment" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("system", ["cos", "semicocycle", "cantor6"])
+    @pytest.mark.parametrize("system", ["semicocycle", "cantor6"])
     def test_rigidity_on_unsupported_system_rejected(self, tmp_path, capsys, system):
         config = {"experiments": [{"kind": "rigidity", "params": {"system": system}}]}
         with pytest.raises(ConfigError, match="split-circle or rotation"):
             run_config(config)
         assert main(["run", str(write_config(tmp_path, config))]) == 2
-        assert "config error: rigidity experiment" in capsys.readouterr().err
+        assert "config error: experiment rigidity-0: rigidity experiment" in capsys.readouterr().err
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -333,9 +333,13 @@ class TestCliMain:
         ({"experiments": [{"kind": "rank", "id": "rk",
                            "params": {"system": "semicocycle", "gamma": "ab"}}]},
          "rank experiment does not support system 'semicocycle'"),
-        ({"experiments": [{"kind": "rank", "id": "rk",
-                           "params": {"system": "cos", "gamma": "ab"}}]},
-         "rank experiment does not support system 'cos'"),
+        # the split-circle fiber branch is gone, and determine names its family
+        ({"experiments": [{"kind": "fibers", "id": "fib", "params": {"system": "sturmian"}}]},
+         "experiment fib: fibers experiment needs a semicocycle system"),
+        ({"experiments": [{"kind": "determine", "id": "det", "params": {"size": 5}}]},
+         "experiment det: KeyError: 'family'"),
+        ({"experiments": [{"kind": "determine", "id": "det", "params": {"family": "rotation"}}]},
+         "experiment det: unknown determining family 'rotation'"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, config, message):
         out = tmp_path / "never.json"
@@ -435,16 +439,13 @@ class TestPlotSeries:
         assert len(csv.splitlines()) >= 3
 
     def test_boundary_family_and_matrix_literals(self):
+        # the matrix half is gone with the catalog's matrices input
         report, code = run_config({"experiments": [
             {"kind": "rank", "params": {"system": "boundary-f2", "gamma": "ab",
                                         "depth": 12, "base_length": 4, "epsilons": [0.05]}},
-            {"kind": "catalog", "params": {"matrices": [
-                {"matrix_kind": "powers", "dim": 2,
-                 "entries": [["2", "0"], ["0", "1/2"]], "stages": 10}]}},
         ]})
         assert code == 0
         assert report["results"][0]["result"]["table"][0]["beta"] == 2
-        assert report["results"][1]["result"]["table"][0]["domain_dim"] == 1
 
     def test_unknown_series_raises(self):
         with pytest.raises(UnknownSeries):
@@ -593,7 +594,7 @@ class TestVerify:
         # T^3 is the limit from either side, so a flipped side still verifies
         assert verify_certificate(dict(cert, generator=dict(cert["generator"], side="below")))
         # a limit certificate on a system no limit experiment handles fails
-        for name in ("cos", "semicocycle", "cantor6"):
+        for name in ("semicocycle", "cantor6"):
             assert not verify_certificate(dict(cert, system=NAMED_SYSTEMS[name]))
 
     def test_limit_result_and_side_are_checked(self, tmp_path, capsys):

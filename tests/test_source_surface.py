@@ -25,6 +25,8 @@ ALLOWED = {
     "envelope.IdealDecomposition.recompose": "criterion 07 recomposes the decomposition",
     "exactarith.RotationNumber.quotients": "test_exactarith.test_quotients_exhausted",
     "exactarith.RotationNumber.convergents": "test_exactarith.test_convergents_golden",
+    "linear.matrix_limit": "criterion 10 takes scalar and diagonal matrix-sequence limits",
+    "linear.PartialLinearMap.domain_dim": "criterion 10 reads the domain of the scalar limit",
     "linear.partial_compose": "criterion 10 checks the partial-linear semigroup law",
     "linear.affine_catalog_element": "criterion 10 pins affine limits by three points",
     "order.MonotoneStepMap.one_sided_limits": "test_order's corridor_scan oracle reads "

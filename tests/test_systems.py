@@ -494,7 +494,6 @@ def test_load_system_round_trip():
     sys3 = load_system(sys2.describe() | {"window": {"cantor_generation": 3, "scale": "1/4"}})
     assert sys3.cantor_generation == 3
     assert isinstance(load_system({"kind": "rotation"}), RotationSystem)
-    assert isinstance(load_system({"kind": "cos"}), CosSystem)
     assert isinstance(load_system({"kind": "semicocycle"}), SemicocycleCascade)
     with pytest.raises(ValueError):
         load_system({"kind": "nope"})
