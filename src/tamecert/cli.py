@@ -113,7 +113,6 @@ def run_limit(params, seed):
     cls = envelope.classify(element)
     out = {
         "backend": element.backend,
-        "stabilized": True,  # limit_map raises NotStabilized otherwise
         "classification": _classification(cls),
         "times": [int(t) for t in approach.times],
         "error_bounds": [str(b) for b in approach.error_bounds],
@@ -127,8 +126,6 @@ def run_limit(params, seed):
         "system": sys_.describe(),
         "generator": {"target": _point_str(target), "side": side,
                       "times": [int(t) for t in approach.times]},
-        "sample_size": len(sample),
-        "tolerance": None,
         "result": out["classification"],
         "witness": out.get("decomposition"),
     }
@@ -334,11 +331,10 @@ def run_determine(params, seed):
     if family_kind == "staircase":
         # map literal syntax: "(x; left,point,right) ..." plus a dyadic sample level
         f = order.parse_step_map(params["map"])
-        res = order.helly_determining_set(f, int(params.get("sample_level", 5)),
-                                          adversaries=int(params.get("adversaries", 200)))
+        res = order.helly_determining_set(f, int(params.get("sample_level", 5)))
         cert = {"kind": "helly_determining", "map": params["map"],
                 "sample_size": len(res.points),
-                "result": {"sound": res.sound, "adversaries": res.adversaries_defeated},
+                "result": {"sound": res.sound},
                 "witness": [[str(x), s] for x, s in res.points]}
         return {"family": "staircase", "c_size": len(res.points),
                 "sound": res.sound}, [cert]
@@ -636,12 +632,8 @@ def verify_certificate(cert: dict) -> bool:
             if any(s not in (order.MINUS, order.PLAIN, order.PLUS) or not 0 <= x <= 1
                    for x, s in pins):
                 return False
-            sound, count = cert["result"]["sound"], cert["result"]["adversaries"]
-            return (
-                int(cert["sample_size"]) == len(pins)
-                and (count >= 0 if sound else count == 0)
-                and order.jumps_pinned(f, pins) == bool(sound)
-            )
+            return (int(cert["sample_size"]) == len(pins)
+                    and order.jumps_pinned(f, pins) == bool(cert["result"]["sound"]))
     except (ConfigError, *_MALFORMED):
         return False
     raise ConfigError(f"cannot verify certificate kind {kind!r}")

@@ -130,22 +130,20 @@ def parse_step_map(text: str) -> MonotoneStepMap:
 
 
 class HellyDeterminingSet:
-    __slots__ = ("points", "adversaries_defeated", "sound")
+    __slots__ = ("points", "sound")
 
-    def __init__(self, points: tuple[tuple[Fraction, int], ...], adversaries_defeated: int,
-                 sound: bool):
+    def __init__(self, points: tuple[tuple[Fraction, int], ...], sound: bool):
         self.points = points
-        self.adversaries_defeated = adversaries_defeated  # the requested count when sound, else 0
         self.sound = sound
 
 
-def helly_determining_set(
-    f: MonotoneStepMap,
-    sample_level: int,
-    adversaries: int = 200,
-) -> HellyDeterminingSet:
+MAX_SAMPLE_LEVEL = 16
+
+
+def helly_determining_set(f: MonotoneStepMap, sample_level: int) -> HellyDeterminingSet:
     """The discontinuities of f plus the dyadic sample k/2^sample_level of
     [0, 1], all pinned plain; determination is decided by ``jumps_pinned``.
+    ValueError unless 0 <= sample_level <= MAX_SAMPLE_LEVEL (2^16 + 1 pins).
 
     A monotone adversary agreeing with f on the pins can only escape at one
     point p that is not pinned plain, where f(p-) < f(p+): f is locally
@@ -153,12 +151,13 @@ def helly_determining_set(
     The extremal monotone interpolants of the pins never defeat the set: for
     f monotone into [0, 1], the pins at or below p carry values <= f(p) and
     those at or above p values >= f(p), so bounds that meet meet at f(p).
-    A sound set therefore defeats all ``adversaries`` requested.
     """
+    if not 0 <= sample_level <= MAX_SAMPLE_LEVEL:
+        raise ValueError(f"sample_level must lie in 0..{MAX_SAMPLE_LEVEL}, not {sample_level}")
     sample = (Fraction(k, 2**sample_level) for k in range(2**sample_level + 1))
     cset = sorted({(x, PLAIN) for x in (*f.discontinuities(), *sample)})
     sound = jumps_pinned(f, cset)
-    return HellyDeterminingSet(tuple(cset), adversaries if sound else 0, sound)
+    return HellyDeterminingSet(tuple(cset), sound)
 
 
 def jumps_pinned(f: MonotoneStepMap, pins) -> bool:

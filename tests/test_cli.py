@@ -340,6 +340,10 @@ class TestCliMain:
          "experiment det: KeyError: 'family'"),
         ({"experiments": [{"kind": "determine", "id": "det", "params": {"family": "rotation"}}]},
          "experiment det: unknown determining family 'rotation'"),
+        # 2^17 + 1 pins: a sample level is bounded before any pin is built
+        ({"experiments": [{"kind": "determine", "id": "det", "params": {
+            "family": "staircase", "map": "(1/2; 0,1/2,1)", "sample_level": 17}}]},
+         "experiment det: ValueError: sample_level must lie in 0..16, not 17"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, config, message):
         out = tmp_path / "never.json"
@@ -446,6 +450,18 @@ class TestPlotSeries:
         ]})
         assert code == 0
         assert report["results"][0]["result"]["table"][0]["beta"] == 2
+
+    def test_rigidity_plot_writes_one_row_per_series_entry(self, tmp_path, capsys):
+        report, code = run_config({"experiments": [
+            {"kind": "rigidity", "params": {"system": "rotation-sqrt2", "denominators": 8}}]})
+        assert code == 0
+        series = report["results"][0]["result"]["series"]
+        assert len(series) == 8
+        path = write_config(tmp_path, report, "report.json")
+        capsys.readouterr()
+        assert main(["plot", str(path), "rigidity"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["n,sup_distance"] + [f"{n},{d}" for n, d in series]
 
     def test_unknown_series_raises(self):
         with pytest.raises(UnknownSeries):
@@ -795,11 +811,11 @@ class TestVerify:
     def test_helly_witness_checked_and_tamper_rejected(self):
         report, code = run_config({"experiments": [
             {"kind": "determine", "params": {
-                "family": "staircase", "sample_level": 4, "adversaries": 40,
+                "family": "staircase", "sample_level": 4,
                 "map": "(1/3; 0,0,1/4) (5/7; 1/4,1/2,1/2)"}}]})
         assert code == 0
         cert = report["results"][0]["certificates"][0]
-        assert cert["result"] == {"sound": True, "adversaries": 40}
+        assert cert["result"] == {"sound": True}
         assert verify_certificate(cert)
         assert not verify_certificate(dict(cert, witness=[]))
         assert not verify_certificate(dict(cert, witness=[], sample_size=0))
@@ -808,17 +824,16 @@ class TestVerify:
         dropped = [w for w in cert["witness"] if w != ["5/7", 0]]
         assert len(dropped) == len(cert["witness"]) - 1
         assert not verify_certificate(dict(cert, witness=dropped, sample_size=len(dropped)))
-        assert not verify_certificate(dict(cert, result={"sound": False, "adversaries": 40}))
-        assert not verify_certificate(dict(cert, result={"sound": False, "adversaries": 0}))
-        assert not verify_certificate(dict(cert, result={"sound": True, "adversaries": -1}))
+        assert not verify_certificate(dict(cert, result={"sound": False}))
+        assert not verify_certificate(dict(cert, result={}))
         # an honest unsound certificate for the under-pinned set verifies
         assert verify_certificate(dict(cert, witness=dropped, sample_size=len(dropped),
-                                       result={"sound": False, "adversaries": 0}))
+                                       result={"sound": False}))
 
     def test_helly_map_outside_unit_interval_fails(self, tmp_path, capsys):
         # its one jump is a plain pin, but the map leaves [0, 1] on the right
         cert = {"kind": "helly_determining", "map": "(1/2; 1,1,2)", "sample_size": 2,
-                "result": {"sound": True, "adversaries": 40},
+                "result": {"sound": True},
                 "witness": [["0", 0], ["1/2", 0]]}
         assert not verify_certificate(cert)
         path = tmp_path / "cert.json"

@@ -68,16 +68,16 @@ CONFIGS = {
 }
 
 DIGESTS = {
-    ("exact-walk", 3): "db2ac1705159aaa193d0464db91af90469897d7fd37c50e236c795dd41648141",
-    ("exact-walk", 5): "aca4325322caa1ddd2ad52cfd08797b8dbc4c903542be16c35126642df795c2f",
+    ("exact-walk", 3): "3abe7fb086b764389f52fd01825a91fe851d6eec96ccd88ce00aee6adc4fa102",
+    ("exact-walk", 5): "27035696505ac2623440187ad2488b1a5988b3aaf66df7cf1f674548cc40155d",
     ("independence-growth", 3): "20a459586446287433125b6907d3d0e35baf938ff5ca6215b1101ed3d3bc5882",
     ("independence-growth", 5): "c34b6d0b2fa6ac3ee104a550454b66cbc7d8c6ed31951dd62925996797c6e49a",
     ("rank-sweep", 3): "0b74d491c24f8db1cdceaf70799745b8993cfea55f50a0ce3a85b65f237b57ad",
     ("rank-sweep", 5): "2e571f3810203de86349541e926cf6e681e34433c906358d6351aacbd00bf436",
-    ("acceptance-batch", 3): "4bf661f97e02a85ae521b458298ea3b6d3d6fb4187d3eb68e680c0e4be39bee8",
-    ("acceptance-batch", 5): "d4a6ace76a98ce6869cce673256ce06d8a29f0b7c127bddd02a7f8508bfcad6d",
-    ("circle-witnesses", 3): "78179be4eaea54a0fbd476745c668fa6522fb0c64de91a6408ca971ec71e2a2d",
-    ("circle-witnesses", 5): "b63f8bbc9d29055a7fd8c329a85b76f44811a19dc46eadd4ae07124a0d3471c7",
+    ("acceptance-batch", 3): "46d438802cf25cd63134dcde6f8a3cee49debd1b1a29d664c27f195aaa018bf6",
+    ("acceptance-batch", 5): "566b9c7e8bcb5917cf8c4464fbe03e5f83ac4ab9d47859643700231a3dcd778f",
+    ("circle-witnesses", 3): "9767b5f8c7079f6df437b162d7c5b330d7e04ce7c27452bedca77b9546600385",
+    ("circle-witnesses", 5): "6101e589795c45653ca69ca2bc404f790073692484d56b34e69b661b9732b6f3",
 }
 
 
