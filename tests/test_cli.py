@@ -333,7 +333,7 @@ class TestCliMain:
         ({"experiments": [{"kind": "rank", "id": "rk",
                            "params": {"system": "semicocycle", "gamma": "ab"}}]},
          "rank experiment does not support system 'semicocycle'"),
-        # the split-circle fiber branch is gone, and determine names its family
+        # a system or a family the kind does not take
         ({"experiments": [{"kind": "fibers", "id": "fib", "params": {"system": "sturmian"}}]},
          "experiment fib: fibers experiment needs a semicocycle system"),
         ({"experiments": [{"kind": "determine", "id": "det", "params": {"size": 5}}]},
@@ -443,7 +443,6 @@ class TestPlotSeries:
         assert len(csv.splitlines()) >= 3
 
     def test_boundary_family_and_matrix_literals(self):
-        # the matrix half is gone with the catalog's matrices input
         report, code = run_config({"experiments": [
             {"kind": "rank", "params": {"system": "boundary-f2", "gamma": "ab",
                                         "depth": 12, "base_length": 4, "epsilons": [0.05]}},
