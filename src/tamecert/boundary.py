@@ -197,13 +197,13 @@ class LoxodromicLimit:
         return self.attracting
 
 
-def power_limit(gamma: ReducedWord, depth: int = 16, probes: Sequence[BoundaryPoint] | None = None) -> LoxodromicLimit:
+def power_limit(gamma: ReducedWord, depth: int = 16) -> LoxodromicLimit:
     """Attracting/repulsing pair of gamma from iterated powers.
 
     Candidates come from the cyclically reduced core (attracting = c h h h...,
-    repulsing = c h^-1 h^-1 ...); the iteration check then verifies on probe
-    points that gamma^n moves them onto the attracting prefix and fixes the
-    repulsing one.
+    repulsing = c h^-1 h^-1 ...); the iteration check then verifies on the
+    probe points u u u ..., one per reduced word u of length 2, that gamma^n
+    moves them onto the attracting prefix and fixes the repulsing one.
     """
     if len(gamma) == 0:
         raise ValueError("identity has no loxodromic limit")
@@ -215,9 +215,8 @@ def power_limit(gamma: ReducedWord, depth: int = 16, probes: Sequence[BoundaryPo
     while n * len(core) < 2 * depth + 2 * len(conj) + 2:
         n *= 2
     gn = gamma.power(n)
-    if probes is None:
-        probes = [periodic_point(w, w, depth) for w in all_reduced_words(2)]
-    for w in probes:
+    for u in all_reduced_words(2):
+        w = periodic_point(u, u, depth)
         if w.prefix == rep.prefix:
             continue
         moved = boundary_action(gn, w, depth)

@@ -233,9 +233,6 @@ def run_independence(params, seed):
 def run_rank(params, seed):
     sys_name = params.get("system", "sturmian")
     epsilons = [float(e) for e in params.get("epsilons", [0.1, 0.01])]
-    schedule = params.get("schedule")
-    if schedule is not None:
-        schedule = tuple(float(r) for r in schedule)
     rows, certs = [], []
     sys_ = None if sys_name == "boundary-f2" else resolve_system(sys_name)
     if isinstance(sys_, systems.SplitCircleSystem):
@@ -287,7 +284,7 @@ def run_rank(params, seed):
         for name, el in elements.items()
     }
     for eps in epsilons:
-        sr = rank.system_rank(elements, eps, r_schedule=schedule)
+        sr = rank.system_rank(elements, eps)
         rows.append(
             {"epsilon": eps, "beta": sr.beta, "witness": sr.witness,
              "stages": {name: t.stage_sizes() for name, t in sr.traces.items()}}
@@ -403,10 +400,10 @@ def run_rigidity(params, seed):
 def run_catalog(params, seed):
     rows = []
     elements = []
-    grid = [float(x) for x in params.get("grid", [-1.0, 0.0, 1.0])]
+    grid = [-1.0, 0.0, 1.0]
     for s in grid:
         for r in grid:
-            m = affine_catalog_limit("jump", r=r, s=s, stages=int(params.get("stages", 40)))
+            m = affine_catalog_limit("jump", r=r, s=s)
             elements.append(m)
             rows.append({"kind": "jump", "r": r, "s": s, "class": m.kind})
         elements.append(affine_catalog_limit("const", s=s))

@@ -328,9 +328,10 @@ def affine_catalog_element(kind: str, r=None, s=None, sign=None) -> LineLimitMap
     raise ValueError(f"unknown catalog kind {kind!r}")
 
 
-def affine_catalog_limit(
-    kind: str, r=None, s=None, sign=None, stages: int = 40, tolerance: float = 1e-9
-) -> LineLimitMap:
+CATALOG_STAGES = 40  # the stage each catalog limit is read at; the jump bisection reads 60
+
+
+def affine_catalog_limit(kind: str, r=None, s=None, sign=None) -> LineLimitMap:
     """Compute the requested catalog element as an actual limit of affine maps
     t -> a_n t + b_n, classified from the pointwise limits on a probe grid."""
     if kind == "jump":
@@ -348,7 +349,7 @@ def affine_catalog_limit(
     else:
         raise ValueError(f"unknown catalog kind {kind!r}")
 
-    def pointwise_limit(t, depth=stages):
+    def pointwise_limit(t, depth=CATALOG_STAGES):
         v_prev, v_last = None, None
         for n in (depth - 1, depth):
             a, b = seqs(n)
@@ -357,7 +358,7 @@ def affine_catalog_limit(
             return PLUS_INF
         if v_last < -DIVERGE_AT and v_last <= v_prev:
             return MINUS_INF
-        if abs(v_last - v_prev) <= max(tolerance, 1e-6 * (1 + abs(v_last))):
+        if abs(v_last - v_prev) <= max(TOLERANCE, 1e-6 * (1 + abs(v_last))):
             return v_last
         raise NotStabilized(f"affine probe at t={t} undecided: {v_prev} -> {v_last}")
 
@@ -379,7 +380,7 @@ def affine_catalog_limit(
         hi = min(t for t, v in zip(probes, limits) if v == PLUS_INF)
         for _ in range(64):
             mid = (lo + hi) / 2
-            v = pointwise_limit(mid, depth=max(stages, 60))
+            v = pointwise_limit(mid, depth=60)
             if v == PLUS_INF:
                 hi = mid
             elif v == MINUS_INF:

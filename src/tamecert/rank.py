@@ -485,16 +485,12 @@ class SystemRank:
         self.traces = traces
 
 
-def system_rank(
-    elements: dict[str, ApproxElement | RankInstance],
-    epsilon: float,
-    r_schedule: Sequence[float] | None = None,
-) -> SystemRank:
+def system_rank(elements: dict[str, ApproxElement | RankInstance], epsilon: float) -> SystemRank:
     """Supremum of the element ranks over a named family."""
     traces = {}
     best_name, best = None, 0
     for name, el in elements.items():
-        t = beta_rank(el, epsilon, r_schedule=r_schedule)
+        t = beta_rank(el, epsilon)
         traces[name] = t
         key = math.inf if t.beta is None else t.beta
         if key > best or best_name is None:

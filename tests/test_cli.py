@@ -5,7 +5,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import tamecert._kernels as K
@@ -24,7 +23,6 @@ from tamecert.cli import (
 )
 from tamecert.errors import ConfigError, UnknownSeries
 from tamecert.exactarith import GOLDEN, CirclePoint, one_sided_approach
-from tamecert.tameness import pack_masks, unpack_masks
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -471,11 +469,12 @@ class TestVerify:
     def test_tampered_independence_fails(self, tmp_path):
         report, _ = run_config({"experiments": [
             {"kind": "independence",
-             "params": {"coding": {"system": "sturmian"}, "horizon": 2000, "windows": [6]}}]})
+             "params": {"coding": {"system": "sturmian"}, "horizon": 2000, "windows": [8]}}]})
         cert = report["results"][0]["certificates"][0]
-        assert verify_certificate(cert)
-        count = len(unpack_masks(cert["witnesses"]))
-        cert_bad = dict(cert, witnesses=pack_masks([(1 << cert["window"]) - 1] * count))
+        assert cert["positions"] == [0, 2] and verify_certificate(cert)
+        # [0, 2, 5] needs all 8 patterns among the 9 Sturmian factors of length 8;
+        # they show fewer
+        cert_bad = dict(cert, positions=[0, 2, 5])
         assert not verify_certificate(cert_bad)
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps([cert_bad]))
@@ -484,39 +483,41 @@ class TestVerify:
     def test_each_independence_field_is_checked(self):
         report, _ = run_config({"experiments": [
             {"kind": "independence",
-             "params": {"coding": {"system": "sturmian"}, "horizon": 2000, "windows": [8]}}]})
-        cert = report["results"][0]["certificates"][0]
+             "params": {"coding": {"system": "sturmian"}, "horizon": 2000, "windows": [8]}},
+            {"kind": "independence",
+             "params": {"coding": {"kind": "full_shift", "window": 10}, "windows": [10]}}]})
+        cert, full = (entry["certificates"][0] for entry in report["results"])
         assert cert["positions"] == [0, 2] and verify_certificate(cert)
-        w = unpack_masks(cert["witnesses"])
-        factors = tameness.factor_masks(_source_word(cert["source"], cert["horizon"]), 8)
-        shown = K.project_masks(np.arange(256), np.array([0, 2]))
-        absent = next(m for m in range(256) if m not in factors and shown[m] == 0)
-
-        def first(value):
-            return pack_masks(np.append(value, w[1:]))
-
+        assert full["positions"] == list(range(10)) and verify_certificate(full)
         tampered = {
-            "window": dict(cert, window=9),
-            "positions": dict(cert, positions=[1, 3]),
+            "unshattered": dict(cert, positions=[0, 1]),
+            "unsorted": dict(cert, positions=[2, 0]),
+            "duplicated": dict(cert, positions=[0, 0]),
+            "at window": dict(cert, positions=[0, 8]),
+            "true": dict(cert, positions=[True, 3]),  # [1, 3] would verify
             "horizon": dict(cert, horizon=10),  # ten symbols show too few factors
-            "truncated": dict(cert, witnesses=pack_masks(w[:-1])),
-            "extended": dict(cert, witnesses=pack_masks(np.append(w, w[0]))),
-            "swapped": dict(cert, witnesses=pack_masks(w[[1, 0, 2, 3]])),
-            "wide": dict(cert, witnesses=first(w[0] | 1 << 8)),
-            "absent": dict(cert, witnesses=first(absent)),
+            # the full shift shatters every set, so only the shape can be wrong
+            "full shift swapped": dict(full, positions=[1, 0, *range(2, 10)]),
+            "full shift past window": dict(full, positions=list(range(11))),
         }
         for name, bad in tampered.items():
             assert not verify_certificate(bad), name
+        # verify checks the claim that the word shatters the positions, not that
+        # they are the search's maximum, so other sets the word shatters verify
+        assert verify_certificate(dict(cert, positions=[1, 3]))
+        assert verify_certificate(dict(cert, window=9))
 
-    def test_swapped_full_shift_witnesses_fail(self):
+    def test_old_witnesses_field_is_ignored(self):
         report, _ = run_config({"experiments": [
             {"kind": "independence",
-             "params": {"coding": {"kind": "full_shift", "window": 10}, "windows": [10]}}]})
+             "params": {"coding": {"system": "sturmian"}, "horizon": 2000, "windows": [8]}}]})
         cert = report["results"][0]["certificates"][0]
-        assert verify_certificate(cert)
-        masks = unpack_masks(cert["witnesses"])
-        masks[[0, 1]] = masks[[1, 0]]
-        assert not verify_certificate(dict(cert, witnesses=pack_masks(masks)))
+        assert set(cert) == {"kind", "source", "window", "horizon", "positions", "exhausted"}
+        # the same certificate as a schema-2 report written before the list
+        # was dropped: the smallest factor of each pattern, as base64 uint32
+        old = dict(cert, witnesses="WgAAAFsAAAC2AAAAbQAAAA==")
+        assert verify_certificate(old)
+        assert not verify_certificate(dict(old, positions=[0, 1]))
 
     def test_horizon_above_bound_fails_before_any_word(self, monkeypatch):
         report, _ = run_config({"experiments": [
@@ -578,9 +579,9 @@ class TestVerify:
             {"kind": "independence",
              "params": {"coding": {"kind": "full_shift", "window": 18}, "windows": [18]}}]})
         assert code == 0
-        assert len(json.dumps(report, sort_keys=True, indent=1).encode()) < 2_000_000
+        assert len(json.dumps(report, sort_keys=True, indent=1).encode()) < 20_000
         cert = report["results"][0]["certificates"][0]
-        assert len(unpack_masks(cert["witnesses"])) == 2**18 and verify_certificate(cert)
+        assert cert["positions"] == list(range(18)) and verify_certificate(cert)
 
     @pytest.mark.parametrize("side, epsilon", [("below", "minus"), ("above", "plus")])
     def test_limit_decomposition_matches_decompose_minimal(self, side, epsilon):
@@ -765,9 +766,7 @@ class TestVerify:
 
         bad = [dict(iso, eps="1"), dict(iso, eps="x"), dict(iso, eps="1/0"),
                dict(iso, count="five"),
-               without(iso, "gammas"), without(iso, "count"), without(ind, "witnesses"),
-               dict(ind, witnesses={"00": "000000", "10": "100000"}),  # schema 1 shape
-               dict(ind, witnesses="not base64!"), dict(ind, witnesses="AAA="),
+               without(iso, "gammas"), without(iso, "count"), without(ind, "positions"),
                dict(ind, source={"kind": "rotation", "alpha": "cf:[0;1,...]"}),
                dict(ind, source={"kind": "periodic", "pattern": [0, 2]})]
         assert not any(verify_certificate(cert) for cert in bad)

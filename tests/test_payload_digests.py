@@ -70,12 +70,12 @@ CONFIGS = {
 DIGESTS = {
     ("exact-walk", 3): "3abe7fb086b764389f52fd01825a91fe851d6eec96ccd88ce00aee6adc4fa102",
     ("exact-walk", 5): "27035696505ac2623440187ad2488b1a5988b3aaf66df7cf1f674548cc40155d",
-    ("independence-growth", 3): "20a459586446287433125b6907d3d0e35baf938ff5ca6215b1101ed3d3bc5882",
-    ("independence-growth", 5): "c34b6d0b2fa6ac3ee104a550454b66cbc7d8c6ed31951dd62925996797c6e49a",
+    ("independence-growth", 3): "2f5d64c3738f31a62720be078635111d112bf55deae7cf0ab7eb8cdd98e81ae9",
+    ("independence-growth", 5): "a897d343c7da664a7f39439f81d5b281aab2950fb7d721818c4a5e358be5e2d1",
     ("rank-sweep", 3): "0b74d491c24f8db1cdceaf70799745b8993cfea55f50a0ce3a85b65f237b57ad",
     ("rank-sweep", 5): "2e571f3810203de86349541e926cf6e681e34433c906358d6351aacbd00bf436",
-    ("acceptance-batch", 3): "46d438802cf25cd63134dcde6f8a3cee49debd1b1a29d664c27f195aaa018bf6",
-    ("acceptance-batch", 5): "566b9c7e8bcb5917cf8c4464fbe03e5f83ac4ab9d47859643700231a3dcd778f",
+    ("acceptance-batch", 3): "40c927f19aa721a93cf2f20d0c3915785751e6791fe77cf5dd8c057356798fc9",
+    ("acceptance-batch", 5): "3e50a9ab99c24813e17231490641feec5b34c7433cb84d5f597a1cd056b9e7a0",
     ("circle-witnesses", 3): "9767b5f8c7079f6df437b162d7c5b330d7e04ce7c27452bedca77b9546600385",
     ("circle-witnesses", 5): "6101e589795c45653ca69ca2bc404f790073692484d56b34e69b661b9732b6f3",
 }

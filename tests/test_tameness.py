@@ -1,5 +1,3 @@
-import base64
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,8 +15,6 @@ from tamecert.tameness import (
     factor_masks,
     growth_report,
     max_independence,
-    pack_masks,
-    unpack_masks,
 )
 
 
@@ -136,10 +132,11 @@ class TestIndependence:
         for L in (6, 9, 12):  # from 6 up, a full-shift word meets the horizon rule
             word = full_shift_word(L)
             cert = max_independence(word, L, node_budget=0)
+            assert calls == []
             assert cert.positions == tuple(range(L)) and cert.exhausted
             assert cert.witnesses.tolist() == list(range(2**L))
-            assert cert.verify(word)
-        assert calls == []
+            assert cert.verify(word) and len(calls) == 1  # verify counts the patterns once
+            calls.clear()
         # the patched kernel is the one the search calls
         max_independence(np.tile([1, 0, 0], 400), 6)
         assert calls
@@ -156,22 +153,6 @@ class TestIndependence:
         assert cert.witnesses.tolist() != factors.tolist()
         assert cert.verify(word)
 
-    def test_certificate_tamper_detected(self, sturmian_word):
-        cert = max_independence(sturmian_word, 8)
-        bad = IndependenceCertificate(cert.window, cert.positions,
-                                      np.full_like(cert.witnesses, 0xFF), cert.horizon,
-                                      cert.exhausted, cert.complexity)
-        assert not bad.verify(sturmian_word)
-        # a word that shows pattern 0 but is not a factor of the coding
-        factors = set(factor_masks(sturmian_word, 8).tolist())
-        shown = K.project_masks(np.arange(256), np.asarray(cert.positions, dtype=np.int64))
-        forged = next(w for w in range(256) if w not in factors and shown[w] == 0)
-        witnesses = cert.witnesses.copy()
-        witnesses[0] = forged
-        forged_cert = IndependenceCertificate(cert.window, cert.positions, witnesses, cert.horizon,
-                                              cert.exhausted, cert.complexity)
-        assert not forged_cert.verify(sturmian_word)
-
     @pytest.mark.parametrize("window, accepted", [(0, False), (20, True), (24, True),
                                                   (25, False), (30, False)])
     def test_verify_applies_the_window_range(self, window, accepted):
@@ -179,15 +160,11 @@ class TestIndependence:
 
         source, horizon = {"kind": "periodic", "pattern": [0, 1, 1]}, 400
         word = _source_word(source, horizon)
-        # position 0 shows both symbols; factor_masks takes windows up to 62 bits,
-        # so only verify's window range can reject 25 and 30
-        factors = factor_masks(word, window) if window else np.zeros(1, dtype=np.int64)
+        # position 0 shows both symbols; the factor kernel takes windows up to 62
+        # bits, so only verify's window range can reject 25 and 30
         positions = [0] if window else []
-        patterns = K.project_masks(factors, np.asarray(positions, dtype=np.int64))
-        witnesses = [factors[patterns == p][0] for p in range(1 << len(positions))]
         cert = {"kind": "independence", "source": source, "window": window,
-                "horizon": horizon, "positions": positions,
-                "witnesses": pack_masks(witnesses), "exhausted": True}
+                "horizon": horizon, "positions": positions, "exhausted": True}
         assert verify_certificate(cert) is accepted
         if window:  # the certificate is sound apart from the window range
             assert IndependenceCertificate.from_payload(cert).verify(word)
@@ -196,29 +173,13 @@ class TestIndependence:
         cert = max_independence(sturmian_word, 8)
         assert cert.positions == (0, 2)
         assert cert.verify(sturmian_word)
-        for positions in ((0, -6), (-8, 2), (0, 8), (2, 0), (0, 0), (0, 2.0)):
-            moved = IndependenceCertificate(
-                cert.window, positions, cert.witnesses, cert.horizon, cert.exhausted
-            )
+        for positions in ((0, -6), (-8, 2), (0, 8), (2, 0), (0, 0), (0, 2.0), (True, 3)):
+            moved = IndependenceCertificate(cert.window, positions, None, cert.horizon,
+                                            cert.exhausted)
             assert not moved.verify(sturmian_word), positions
-
-    def test_non_binary_witness_rejected(self, sturmian_word):
-        cert = max_independence(sturmian_word, 8)
-        w = cert.witnesses
-        for bad in (
-            w + 0.5,  # not integers, though each rounds down to a good witness
-            w.reshape(2, -1),  # 2^k masks, but not one per pattern
-            np.concatenate([[-1], w[1:]]),  # a negative mask
-            np.concatenate([[w[0] | 1 << 8], w[1:]]),  # bit 8 is outside the window
-        ):
-            bad_cert = IndependenceCertificate(cert.window, cert.positions, bad, cert.horizon,
-                                               cert.exhausted, cert.complexity)
-            assert not bad_cert.verify(sturmian_word), bad
-        payload = cert.payload()
-        for text in ("2" * 8, "\u00e9" * 8, payload["witnesses"][:-4] + "AAA=",
-                     {"0": "0" * 8}, list(w)):
-            with pytest.raises(ValueError):
-                IndependenceCertificate.from_payload(dict(payload, witnesses=text))
+        # (1, 3) is shattered too, so only the type check rejects True in its place
+        assert IndependenceCertificate(cert.window, (1, 3), None, cert.horizon,
+                                       cert.exhausted).verify(sturmian_word)
 
     def test_complexity_is_factor_count(self, sturmian_word):
         cert = max_independence(sturmian_word, 12)
@@ -233,7 +194,8 @@ class TestIndependence:
         cert = max_independence(word, 6)
         assert cert.positions == ()
         assert cert.witnesses.tolist() == [0]
-        assert cert.payload()["witnesses"] == pack_masks([0]) == "AAAAAA=="
+        assert cert.payload() == {"window": 6, "horizon": 100, "positions": [],
+                                  "exhausted": True}
         assert cert.verify(word)
         assert IndependenceCertificate.from_payload(cert.payload()).verify(word)
 
@@ -477,26 +439,3 @@ def test_ball_bounds_stop_at_segment_edges_and_keep_ties():
     # 0.5 in segment 0 reaches 0.25 (tie) but not the equal 0.5 of segment 1
     assert lo.tolist() == [0, 0, 1, 3, 3, 4]
     assert hi.tolist() == [2, 3, 3, 5, 6, 6]
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_pack_masks_round_trip(data):
-    width = data.draw(st.integers(1, 24))
-    k = data.draw(st.integers(0, min(width, 6)))  # k = 0: the single empty pattern
-    masks = data.draw(st.lists(st.integers(0, (1 << width) - 1),
-                               min_size=1 << k, max_size=1 << k))
-    text = pack_masks(np.asarray(masks, dtype=np.int64))
-    assert len(base64.b64decode(text)) == 4 * len(masks)
-    unpacked = unpack_masks(text)
-    assert unpacked.dtype == np.int64 and unpacked.tolist() == masks
-
-
-def test_packed_masks_are_little_endian_uint32():
-    raw = bytes([1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0])
-    assert pack_masks([1, (1 << 24) - 1]) == base64.b64encode(raw).decode("ascii")
-    assert unpack_masks(pack_masks([])).tolist() == []
-    # bad padding, 2 bytes, a non-base64 character, non-ASCII, not a string
-    for bad in ("AAAAAA=", "AAA=", "AAAA!AAA", "\u00e9AAA", None, b"AAAAAA==", {"": "0"}):
-        with pytest.raises(ValueError):
-            unpack_masks(bad)
