@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BudgetExceeded, ConfigError, NotStabilized, NotStabilizedAcrossResolutions
-from .exactarith import GOLDEN, CirclePoint, one_sided_approach
+from .exactarith import ARRAY_A_MAX, ARRAY_DEN_MAX, GOLDEN, CirclePoint, one_sided_approach
 from . import envelope, order, rank, systems, tameness
 from .boundary import ReducedWord, boundary_sample, loxodromic_rank_arrays, power_limit
 from .linear import affine_catalog_limit, pinned_by_three
@@ -398,6 +398,8 @@ def run_rigidity(params, seed):
 
 
 def run_catalog(params, seed):
+    if params:
+        raise ConfigError(f"catalog takes no parameters, not {sorted(params)}")
     rows = []
     elements = []
     grid = [-1.0, 0.0, 1.0]
@@ -574,6 +576,11 @@ def emit_plot_data(report: dict, series: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _is_count(value) -> bool:
+    """Whether a payload value is a count: a non-negative int (a JSON true is none)."""
+    return type(value) is int and value >= 0
+
+
 def verify_certificate(cert: dict) -> bool:
     """Re-check one certificate: False when it fails or a payload field is
     missing or malformed; ConfigError when no check exists for its kind."""
@@ -585,18 +592,25 @@ def verify_certificate(cert: dict) -> bool:
             tameness.check_horizon(made.window, made.horizon)
             return made.verify(_source_word(cert["source"], made.horizon))
         if kind == "isolation":
-            # re-run the exact check on the payload's own gammas; the single-circle
-            # family k/count (side +1) has 1/count as its smallest offset, so, with
-            # eps in (0, 1/2], all its members are isolated iff count * eps <= 1
-            count, eps = int(cert["count"]), Fraction(cert["eps"])
+            # Flipped-diagonal lemma.  Member g is ((g, +1), (-g, +1)), so member h
+            # lies in its rectangle when both offsets, h - g and (-h) - (-g), taken
+            # in [0, 1), are below eps.  With d = h - g mod 1 the second offset is
+            # 1 - d, or 0 when h = g; for h != g, d < eps and 1 - d < eps sum to
+            # 1 < 2 * eps, impossible for eps <= 1/2.  So the diagonal is isolated
+            # iff its gammas are pairwise distinct.  The single-circle family
+            # k/count (side +1) has 1/count as its smallest offset, so all its
+            # members are isolated iff count * eps <= 1
+            count, eps = cert["count"], Fraction(cert["eps"])
             gammas = [_parse_point(GOLDEN, g) for g in cert["gammas"]]
-            if len(gammas) != count:
-                return False
-            rep = envelope.sorgenfrey_isolation(envelope.flipped_diagonal(gammas), eps=eps)
-            return (rep.all_isolated == bool(cert["diagonal_isolated"])
-                    and (count * eps <= 1) == bool(cert["single_circle_isolated"]))
+            flags = (cert["diagonal_isolated"], cert["single_circle_isolated"])
+            return (_is_count(count) and len(gammas) == count and 0 < eps <= Fraction(1, 2)
+                    and all(abs(g.a) <= ARRAY_A_MAX and g.b.denominator < ARRAY_DEN_MAX
+                            for g in gammas)
+                    and all(type(flag) is bool for flag in flags)
+                    and flags == (len(set(gammas)) == count, count * eps <= 1))
         if kind == "counterexample":
-            return int(cert["sound"]) == int(cert["count"])
+            sound, count = cert["sound"], cert["count"]
+            return _is_count(sound) and _is_count(count) and sound == count
         if kind == "rank":
             # stage 0 is the whole sample and the sizes never grow; they stay
             # positive up to a last, empty stage beta >= 1, or through the
@@ -616,21 +630,35 @@ def verify_certificate(cert: dict) -> bool:
                     and all(map(operator.gt, schedule, schedule[1:]))
                     and type(eps) is float and 0 < eps < math.inf)
         if kind == "limit":
+            # Closed form (Todorcevic, JAMS 1999): times n_i with n_i*alpha -> t
+            # strictly from below (above) converge on a split circle to the
+            # one-sided element x -> x + t, its images tagged minus (plus) wherever
+            # their base splits, whose minimal-ideal decomposition is that tag
+            # times t; on a rotation they converge to the rotation by t, which is
+            # T^n when t = n*alpha.  So target and side fix result and witness
             sys_ = _circle_system(cert["system"], "limit")
-            gen = cert["generator"]
-            target = _parse_point(sys_.alpha, gen["target"])
-            sample = envelope.limit_sample(sys_, target, plain_count=60, split_range=4)
-            element = envelope.limit_map(sys_, one_sided_approach(target, gen["side"], 6), sample)
-            return _classification(envelope.classify(element)) == cert["result"]
+            target = _parse_point(sys_.alpha, cert["generator"]["target"])
+            gamma = _point_str(target)
+            # a side other than below or above is a KeyError on every system
+            epsilon = {"below": "minus", "above": "plus"}[cert["generator"]["side"]]
+            if isinstance(sys_, systems.SplitCircleSystem):
+                result = {"tag": "one_sided", "params": {"gamma": gamma, "side": epsilon}}
+                witness = {"epsilon": epsilon, "gamma": gamma}
+            elif target.on_orbit:
+                result, witness = {"tag": "translation", "params": {"n": str(target.a)}}, None
+            else:
+                result, witness = {"tag": "rotation", "params": {"gamma": gamma}}, None
+            return cert["result"] == result and cert["witness"] == witness
         if kind == "helly_determining":
             # the witness is the pin set itself: every jump of the map must be a plain pin
             f = order.parse_step_map(cert["map"])
-            pins = [(Fraction(x), int(s)) for x, s in cert["witness"]]
-            if any(s not in (order.MINUS, order.PLAIN, order.PLUS) or not 0 <= x <= 1
-                   for x, s in pins):
+            pins = [(Fraction(x), s) for x, s in cert["witness"]]
+            if any(type(s) is not int or s not in (order.MINUS, order.PLAIN, order.PLUS)
+                   or not 0 <= x <= 1 for x, s in pins):
                 return False
-            return (int(cert["sample_size"]) == len(pins)
-                    and order.jumps_pinned(f, pins) == bool(cert["result"]["sound"]))
+            sound = cert["result"]["sound"]
+            return (_is_count(cert["sample_size"]) and cert["sample_size"] == len(pins)
+                    and type(sound) is bool and order.jumps_pinned(f, pins) == sound)
     except (ConfigError, *_MALFORMED):
         return False
     raise ConfigError(f"cannot verify certificate kind {kind!r}")

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tamecert._kernels as K
 from tamecert import cli, envelope, rank, systems, tameness
@@ -23,6 +25,8 @@ from tamecert.cli import (
 )
 from tamecert.errors import ConfigError, UnknownSeries
 from tamecert.exactarith import GOLDEN, CirclePoint, one_sided_approach
+from tests.test_acceptance import ACCEPTANCE_BATCH
+from tests.test_payload_digests import CONFIGS
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -342,6 +346,9 @@ class TestCliMain:
         ({"experiments": [{"kind": "determine", "id": "det", "params": {
             "family": "staircase", "map": "(1/2; 0,1/2,1)", "sample_level": 17}}]},
          "experiment det: ValueError: sample_level must lie in 0..16, not 17"),
+        # the catalog reads no parameter, so any parameter is refused
+        ({"experiments": [{"kind": "catalog", "id": "cat", "params": {"grid": [5.0]}}]},
+         "experiment cat: catalog takes no parameters, not ['grid']"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, config, message):
         out = tmp_path / "never.json"
@@ -364,6 +371,10 @@ class TestCliMain:
         result = json.loads(out.read_text())["results"][0]["result"]
         assert result["sound"] == result["count"] == 100
         assert main(["verify", str(out)]) == 0
+        # sound and count are non-negative integers (a JSON true is no count)
+        cert = json.loads(out.read_text())["results"][0]["certificates"][0]
+        for sound, count in (("100", 100), (100, 100.0), ("20", 20.7), (True, 1), (-3, -3)):
+            assert not verify_certificate(dict(cert, sound=sound, count=count)), (sound, count)
 
     def test_list_systems(self, capsys):
         assert main(["list-systems"]) == 0
@@ -463,6 +474,11 @@ class TestPlotSeries:
     def test_unknown_series_raises(self):
         with pytest.raises(UnknownSeries):
             emit_plot_data({"results": []}, "independence")
+
+
+# literals with repeats, two spellings of one point (1/3 and 4/3) and members
+# exactly 1/2 apart (b = 0 and b = 1/2)
+ISOLATION_POOL = [f"{a}*alpha+{b}" for a in (-1, 0, 2) for b in ("0", "1/2", "1/3", "4/3", "-3/4")]
 
 
 class TestVerify:
@@ -635,6 +651,54 @@ class TestVerify:
         assert main(["verify", str(path)]) == 1
         assert capsys.readouterr().out.splitlines() == ["limit: FAILED", "limit: FAILED"]
 
+    def test_limit_witness_and_side_are_checked(self):
+        report, code = run_config({"experiments": [
+            {"kind": "limit", "params": {"system": "sturmian", "target": {"a": 0, "b": "1/3"},
+                                         "side": "below", "depth": 8, "plain_count": 40}},
+            {"kind": "limit", "params": {"system": "rotation", "target": {"a": 3, "b": 0},
+                                         "side": "above", "depth": 8, "plain_count": 40}}]})
+        lim, rot = (entry["certificates"][0] for entry in report["results"])
+        assert code == 0 and lim["witness"] == {"epsilon": "minus", "gamma": "0*alpha+1/3"}
+        assert rot["witness"] is None and verify_certificate(lim) and verify_certificate(rot)
+        bad = [dict(lim, witness={"epsilon": "above", "gamma": "junk"}),
+               dict(lim, witness=dict(lim["witness"], gamma="0*alpha+1/4")),
+               dict(lim, witness=dict(lim["witness"], epsilon="plus")),
+               dict(lim, witness=None),
+               {k: v for k, v in lim.items() if k != "witness"},
+               dict(rot, witness={"epsilon": "plus", "gamma": "3*alpha+0"}),
+               dict(rot, generator=dict(rot["generator"], side="sideways")),
+               dict(lim, generator=dict(lim["generator"], side="sideways"))]
+        assert not any(verify_certificate(cert) for cert in bad)
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    @pytest.mark.parametrize("system", ["sturmian", "sturmian-sqrt2", "rationals-split",
+                                        "rotation", "rotation-sqrt2"])
+    def test_limit_closed_form_matches_run(self, system, side):
+        # verify's closed form against run_limit's sampled classification: the
+        # certificate verifies, and the other side does too only on a rotation
+        for a, b in [(-3, "5/4"), (0, "0"), (0, "1/2"), (1, "3/29"), (2, "-2/7")]:
+            _, [cert] = cli.run_limit({"system": system, "target": {"a": a, "b": b},
+                                       "side": side, "depth": 6, "plain_count": 40,
+                                       "split_range": 4}, 0)
+            assert verify_certificate(cert), (a, b)
+            other = dict(cert["generator"], side="above" if side == "below" else "below")
+            assert verify_certificate(dict(cert, generator=other)) == system.startswith("rot")
+
+    def test_verify_calls_no_envelope_function(self, monkeypatch):
+        configs = [json.loads(Path(__file__).with_name("smoke.json").read_text()),
+                   ACCEPTANCE_BATCH, {"seed": 3, "experiments": CONFIGS["circle-witnesses"]}]
+        certs = [cert for config in configs for entry in run_config(config)[0]["results"]
+                 for cert in entry["certificates"]]
+        assert {"limit", "isolation"} <= {cert["kind"] for cert in certs}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify entered the envelope")
+
+        for name in ("limit_sample", "limit_map", "classify", "flipped_diagonal",
+                     "sorgenfrey_isolation"):
+            monkeypatch.setattr(envelope, name, refuse)
+        assert all(verify_certificate(cert) for cert in certs)
+
     def test_off_orbit_rotation_limit_is_tagged_rotation(self):
         report, code = run_config({"experiments": [
             {"kind": "limit", "params": {"system": "rotation", "target": {"a": -2, "b": "2/7"},
@@ -697,6 +761,9 @@ class TestVerify:
         zeros = ["0*alpha+0"] * 12  # one point twelve times: nothing is isolated
         assert not verify_certificate(dict(cert, gammas=zeros))
         assert verify_certificate(dict(cert, gammas=zeros, diagonal_isolated=False))
+        dup = cert["gammas"][:-1] + cert["gammas"][:1]  # one member twice
+        assert not verify_certificate(dict(cert, gammas=dup))
+        assert verify_certificate(dict(cert, gammas=dup, diagonal_isolated=False))
         assert not verify_certificate(dict(cert, gammas=[]))
         assert not verify_certificate(dict(cert, gammas=cert["gammas"][:-1]))
 
@@ -721,6 +788,18 @@ class TestVerify:
             cert = report["results"][0]["certificates"][0]
             assert verify_certificate(dict(cert, single_circle_isolated=isolated))
             assert not verify_certificate(dict(cert, single_circle_isolated=not isolated))
+
+    @settings(max_examples=80, deadline=None)
+    @given(gammas=st.lists(st.sampled_from(ISOLATION_POOL), max_size=12),
+           eps=st.integers(2, 40).flatmap(
+               lambda q: st.integers(1, q // 2).map(lambda p: Fraction(p, q))))
+    def test_flipped_diagonal_lemma_matches_the_exact_scan(self, gammas, eps):
+        points = [_parse_point(GOLDEN, g) for g in gammas]
+        exact = envelope.sorgenfrey_isolation(envelope.flipped_diagonal(points), eps=eps)
+        cert = {"kind": "isolation", "eps": str(eps), "count": len(gammas), "gammas": gammas,
+                "single_circle_isolated": len(gammas) * eps <= 1}
+        assert verify_certificate(dict(cert, diagonal_isolated=exact.all_isolated))
+        assert not verify_certificate(dict(cert, diagonal_isolated=not exact.all_isolated))
 
     def test_malformed_point_fails_verify(self, tmp_path, capsys):
         points = [CirclePoint(GOLDEN, a, b) for a, b in [(0, 0), (3, "1/29"), (-7, "-2/5")]]
@@ -768,8 +847,14 @@ class TestVerify:
         def without(cert, key):
             return {k: v for k, v in cert.items() if k != key}
 
+        # one member, isolated on both families at eps 1/4: it fails only by type
+        one = dict(iso, gammas=iso["gammas"][:1], count=1, single_circle_isolated=True)
+        assert verify_certificate(one)
         bad = [dict(iso, eps="1"), dict(iso, eps="x"), dict(iso, eps="1/0"),
-               dict(iso, count="five"),
+               dict(iso, eps="0"), dict(iso, eps="3/5"),
+               dict(iso, count="five"), dict(iso, count=5.0),
+               dict(one, count=True), dict(one, count="1"), dict(one, count=1.5),
+               dict(iso, diagonal_isolated="yes"), dict(iso, single_circle_isolated=0),
                without(iso, "gammas"), without(iso, "count"), without(ind, "positions"),
                dict(ind, source={"kind": "rotation", "alpha": "cf:[0;1,...]"}),
                dict(ind, source={"kind": "periodic", "pattern": [0, 2]})]
@@ -828,6 +913,13 @@ class TestVerify:
         assert not verify_certificate(dict(cert, witness=dropped, sample_size=len(dropped)))
         assert not verify_certificate(dict(cert, result={"sound": False}))
         assert not verify_certificate(dict(cert, result={}))
+        # pin sides and sample_size are plain ints, sound a JSON boolean: int(0.9)
+        # would read as the plain side 0
+        fuzzy = [[x, 0.9 if s == 0 else s] for x, s in cert["witness"]]
+        assert not verify_certificate(dict(cert, witness=fuzzy))
+        for size in (str(cert["sample_size"]), float(cert["sample_size"])):
+            assert not verify_certificate(dict(cert, sample_size=size))
+        assert not verify_certificate(dict(cert, result={"sound": 1}))
         # an honest unsound certificate for the under-pinned set verifies
         assert verify_certificate(dict(cert, witness=dropped, sample_size=len(dropped),
                                        result={"sound": False}))
