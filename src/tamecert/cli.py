@@ -64,7 +64,7 @@ def _point_str(p: CirclePoint) -> str:
     return f"{p.a}*alpha+{p.b}"
 
 
-_POINT = re.compile(r"(-?\d+)\*alpha\+(-?\d+(?:/[1-9]\d*)?)")
+_POINT = re.compile(r"(-?\d+)\*alpha\+((-?\d+)(?:/([1-9]\d*))?)")
 
 
 def _parse_point(alpha, text: str) -> CirclePoint:
@@ -599,15 +599,20 @@ def verify_certificate(cert: dict) -> bool:
             # 1 < 2 * eps, impossible for eps <= 1/2.  So the diagonal is isolated
             # iff its gammas are pairwise distinct.  The single-circle family
             # k/count (side +1) has 1/count as its smallest offset, so all its
-            # members are isolated iff count * eps <= 1
+            # members are isolated iff count * eps <= 1.  A point a*alpha + b is
+            # fixed by a and by b mod 1 in lowest terms, so no CirclePoint is built
             count, eps = cert["count"], Fraction(cert["eps"])
-            gammas = [_parse_point(GOLDEN, g) for g in cert["gammas"]]
+            gammas = set()
+            for m in map(_POINT.fullmatch, cert["gammas"]):  # a non-string or no match: TypeError
+                a, num, den = int(m[1]), int(m[3]), int(m[4] or 1)
+                cut = math.gcd(num, den)
+                gammas.add((a, num // cut % (den // cut), den // cut))
             flags = (cert["diagonal_isolated"], cert["single_circle_isolated"])
-            return (_is_count(count) and len(gammas) == count and 0 < eps <= Fraction(1, 2)
-                    and all(abs(g.a) <= ARRAY_A_MAX and g.b.denominator < ARRAY_DEN_MAX
-                            for g in gammas)
+            return (_is_count(count) and len(cert["gammas"]) == count
+                    and 0 < eps <= Fraction(1, 2)
+                    and all(abs(a) <= ARRAY_A_MAX and den < ARRAY_DEN_MAX for a, _, den in gammas)
                     and all(type(flag) is bool for flag in flags)
-                    and flags == (len(set(gammas)) == count, count * eps <= 1))
+                    and flags == (len(gammas) == count, count * eps <= 1))
         if kind == "counterexample":
             sound, count = cert["sound"], cert["count"]
             return _is_count(sound) and _is_count(count) and sound == count

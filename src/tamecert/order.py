@@ -107,11 +107,17 @@ def staircase(jumps: Sequence[tuple[Fraction, Fraction, Fraction, Fraction]]) ->
     return MonotoneStepMap(bps, triples)
 
 
-_MAP_RE = re.compile(r"\(\s*([^;()]+);([^()]*)\)")
+# x starts at a non-space, so a literal matches one way only and a
+# malformed text fails in linear time
+_MAP_RE = re.compile(r"\(\s*([^;()\s][^;()]*);([^()]*)\)")
+_MAP_TEXT = re.compile(rf"\s*(?:{_MAP_RE.pattern}\s*)+")
 
 
 def parse_step_map(text: str) -> MonotoneStepMap:
-    """Breakpoint/value triples in the config syntax ``(x; left,point,right)``."""
+    """Breakpoint/value triples in the config syntax ``(x; left,point,right)``;
+    the whole text must be such literals separated by whitespace."""
+    if not _MAP_TEXT.fullmatch(text):
+        raise ValueError(f"not a sequence of map literals (x; left,point,right): {text!r}")
     rows = []
     for m in _MAP_RE.finditer(text):
         x = Fraction(m.group(1).strip())
@@ -119,8 +125,6 @@ def parse_step_map(text: str) -> MonotoneStepMap:
         if len(parts) != 3:
             raise ValueError("each literal needs exactly left,point,right")
         rows.append((x, *parts))
-    if not rows:
-        raise ValueError(f"no map literals in {text!r}")
     return staircase(sorted(rows))
 
 

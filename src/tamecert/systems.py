@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,13 +109,15 @@ class SplitArray(PointSequence):
 
 
 class _CircleWalk:
-    """Walk n -> (A0+n)*alpha + B0 mod 1 on the int64 grid of a convergent.
+    """Walk n -> (A0+n)*alpha + B0 mod 1 on the int64 grid of a convergent, once
+    for all the ``arcs`` [start, start + width) it is read against.
 
-    The grid has D = q_k units and puts position n at (A0+n)*p_k +
-    round(B0*q_k) mod D.  That is within |A0+n|/q_{k+1} (convergent error)
-    plus 1/2 (rounding) units of D times the true position, and ``boundary``
-    is under 1 + 2^-20 units off (truncation), so a test that stays
-    ``slack`` = ceil(nmax/q_{k+1}) + 2 units clear of 0, D and the boundary
+    The grid has D = q_k units and puts a*alpha + b at a*p_k + round(b*q_k)
+    mod D.  Position n minus an arc start a*alpha + b is then within
+    |A0+n-a|/q_{k+1} (convergent error) plus 1 (two roundings) units of D
+    times the true offset, and the arc width is truncated to the grid under
+    1 + 2^-20 units off.  So with nmax >= |A0+n| + |a|, an offset that stays
+    ``slack`` = ceil(nmax/q_{k+1}) + 3 units clear of 0, D and the arc width
     is certified.  Anything closer is re-decided exactly.
     """
 
@@ -123,24 +125,25 @@ class _CircleWalk:
     LIMB_BITS = 10
     BOUNDARY_EPS = Fraction(1, 1 << 72)  # D * eps < 2^-20 grid units
 
-    def __init__(self, alpha: RotationNumber, a0: int, b0: Fraction, n0: int, n1: int):
-        nmax = max(abs(a0 + n0), abs(a0 + n1)) + 2
-        # q_{k+1} >= min(2^52, nmax * 2^26) makes the slack 3 units whenever
+    def __init__(self, alpha: RotationNumber, x: CirclePoint, n0: int, n1: int,
+                 arcs: tuple[tuple[CirclePoint, CirclePoint], ...]):
+        nmax = max(abs(x.a + n0), abs(x.a + n1)) + max([abs(s.a) for s, _ in arcs], default=0) + 2
+        # q_{k+1} >= min(2^52, nmax * 2^26) makes the slack 4 units whenever
         # nmax <= 2^52; the target stays below 10^13 sqrt(nmax), so an alpha with
         # a finite quotient prefix needs no convergent past the first q >= 10^13 sqrt(nmax)
         k = alpha.denominator_level(min(1 << self.GRID_BITS, nmax << 26)) - 1
-        p, q = alpha.numerator(k), alpha.denominator(k)
+        q = alpha.denominator(k)
         self.D = q
-        self.step = p % q
-        rounded_b = (2 * b0.numerator * q + b0.denominator) // (2 * b0.denominator)
-        self.start = ((a0 + n0) * p + rounded_b) % q
-        self.slack = min(-(-nmax // alpha.denominator(k + 1)) + 2, q)
+        self.step = alpha.numerator(k) % q
+        self.start = self._grid(self.step, q, x.a + n0, x.b)
+        self.slack = min(-(-nmax // alpha.denominator(k + 1)) + 3, q)
         self.n0, self.n1 = n0, n1
+        self.arcs = arcs
 
-    def boundary(self, pt: CirclePoint) -> int:
-        """D times the value of ``pt``, rounded down to the grid (under 1 + 2^-20 off)."""
-        num, den = pt.midpoint(self.BOUNDARY_EPS)
-        return num * self.D // den
+    @staticmethod
+    def _grid(step: int, d: int, a: int, b: Fraction) -> int:
+        """a*alpha + b on the grid: a*p_k + round(b*q_k) mod D."""
+        return (a * step + (2 * b.numerator * d + b.denominator) // (2 * b.denominator)) % d
 
     def positions(self) -> np.ndarray:
         """Grid positions for n = n0..n1 as int64, one 10-bit limb of n - n0 at a time.
@@ -166,23 +169,47 @@ class _CircleWalk:
         rest %= d
         return rest
 
-    # the five cells of a grid position: near 0 | inside | near w | outside | near D
-    _INSIDE = np.array([0, 1, 0, 0, 0], dtype=np.uint8)
-    _NEAR = np.array([1, 0, 1, 0, 1], dtype=bool)
+    @staticmethod
+    @lru_cache(maxsize=64)
+    def _cells(step: int, d: int, sl: int, arcs: tuple[tuple[CirclePoint, CirclePoint], ...],
+               invert: bool):
+        """The sorted cuts of ``arcs`` on the grid, and the symbol of each gap:
+        1 in an arc, 0 in none (swapped when ``invert``), 2 near an arc end.
+        Each arc cuts the circle into near start | inside | near end |
+        outside, turned by its start.  Gap i ends at cuts[i]; gap 0 wraps
+        round from cuts[-1], as does the last.
+        """
+        grid = []
+        for start, width in arcs:
+            num, den = width.midpoint(_CircleWalk.BOUNDARY_EPS)  # width * D, rounded down
+            grid.append((_CircleWalk._grid(step, d, start.a, start.b), num * d // den))
+        cuts = sorted({(s + c) % d for s, w in grid for c in (sl, w - sl + 1, w + sl, d - sl + 1)})
 
-    def arc_symbols(self, width: CirclePoint, exact: Callable[[int], int]) -> np.ndarray:
-        """uint8 array: 1 where the position lies in [0, width), else 0, for n = n0..n1.
+        def gap(r: int) -> int:
+            near = False
+            for s, w in grid:
+                off = (r - s) % d
+                if off < sl or off > d - sl or w - sl < off < w + sl:
+                    near = True
+                elif off < w:
+                    return 1 - invert
+            return 2 if near else int(invert)
 
-        A position within the slack of 0, D or ``width`` is decided by
+        # with no arcs, one gap: the whole circle
+        table = np.array([gap(r) for r in cuts[-1:] + cuts or [0]], dtype=np.uint8)
+        cuts = np.array(cuts, dtype=np.int64)
+        cuts.flags.writeable = table.flags.writeable = False  # shared by every walk of the cache
+        return cuts, table
+
+    def symbols(self, exact: Callable[[int], int], invert: bool = False) -> np.ndarray:
+        """uint8 array over n = n0..n1: 1 where the position lies in an arc, else
+        0 (swapped when ``invert``), read by one searchsorted against the
+        merged cuts.  A position within the slack of an arc end is decided by
         ``exact(n)`` instead of by the grid.
         """
-        w, d, sl = self.boundary(width), self.D, self.slack
-        # the edges between the cells, kept in order by leaving a cell empty
-        inside, outside = max(w - sl + 1, sl), w + sl
-        edges = np.array([sl, inside, outside, max(d - sl + 1, outside)], dtype=np.int64)
-        cell = np.searchsorted(edges, self.positions(), side="right")
-        out = self._INSIDE[cell]
-        for i in self._NEAR[cell].nonzero()[0].tolist():
+        cuts, table = self._cells(self.step, self.D, self.slack, self.arcs, invert)
+        out = table[np.searchsorted(cuts, self.positions(), side="right")]
+        for i in (out > 1).nonzero()[0].tolist():
             out[i] = exact(self.n0 + i)
         return out
 
@@ -274,9 +301,8 @@ class SplitCircleSystem:
         come within the grid slack of an arc endpoint fall back to the exact
         side-aware comparison, so boundary ties are always broken by tags.
         """
-        lo = self.arc[0]
-        walk = _CircleWalk(self.alpha, x.base.a - lo.base.a, x.base.b - lo.base.b, n0, n1)
-        return walk.arc_symbols(self._arc_width, lambda n: self.symbol(x.translate(n)))
+        walk = _CircleWalk(self.alpha, x.base, n0, n1, ((self.arc[0].base, self._arc_width),))
+        return walk.symbols(lambda n: self.symbol(x.translate(n)))
 
     def word(self, x: SplitPoint, horizon: int) -> np.ndarray:
         """Forward coding word of length ``horizon`` as a uint8 array."""
@@ -389,22 +415,15 @@ class CutProjectCoding:
         return 1 if self.in_window(self.base_point.translate(n)) else 0
 
     def word(self, horizon: int, n0: int = 0) -> np.ndarray:
-        """Coding word over [n0, n0 + horizon), bulk-evaluated with exact fallback."""
+        """Coding word over [n0, n0 + horizon): one orbit walk for every window
+        arc, a position near an arc end decided by ``symbol_at``."""
         cantor = self.cantor_generation is not None
-        base = self.base_point
-        hits = np.zeros(horizon, dtype=np.uint8)
-        for arc in self.deleted if cantor else self.arcs:
-            if arc.full:
-                hits[:] = 1
-                continue
-            walk = _CircleWalk(
-                self.alpha, base.a - arc.start.a, base.b - arc.start.b, n0, n0 + horizon - 1
-            )
-            hits |= walk.arc_symbols(
-                CirclePoint(self.alpha, 0, arc.length),
-                lambda n, arc=arc: 1 if arc.covers(base.translate(n), open_arc=cantor) else 0,
-            )
-        return hits ^ 1 if cantor else hits
+        arcs = self.deleted if cantor else self.arcs
+        if any(arc.full for arc in arcs):
+            return np.full(horizon, 0 if cantor else 1, dtype=np.uint8)
+        window = tuple((arc.start, CirclePoint(self.alpha, 0, arc.length)) for arc in arcs)
+        walk = _CircleWalk(self.alpha, self.base_point, n0, n0 + horizon - 1, window)
+        return walk.symbols(self.symbol_at, invert=cantor)
 
     def describe(self) -> dict:
         d = {"kind": self.kind, "alpha": self.alpha.describe(),

@@ -331,6 +331,10 @@ class TestCliMain:
         ({"experiments": [{"kind": "determine", "id": "det",
                            "params": {"family": "staircase", "map": "(1/2; 1,1,2)"}}]},
          "experiment det: ValueError: map values must lie in [0,1]"),
+        # text outside the map literals
+        ({"experiments": [{"kind": "determine", "id": "det",
+                           "params": {"family": "staircase", "map": "(1/2; 0,1/2,1) junk"}}]},
+         "experiment det: ValueError: not a sequence of map literals"),
         # a word gamma is read only by the free-group boundary system
         ({"experiments": [{"kind": "rank", "id": "rk",
                            "params": {"system": "semicocycle", "gamma": "ab"}}]},
@@ -913,6 +917,10 @@ class TestVerify:
         assert not verify_certificate(dict(cert, witness=dropped, sample_size=len(dropped)))
         assert not verify_certificate(dict(cert, result={"sound": False}))
         assert not verify_certificate(dict(cert, result={}))
+        # junk before, between or after the map literals
+        for junk in ("junk " + cert["map"], cert["map"].replace(") (", ") junk ("),
+                     cert["map"] + " junk"):
+            assert not verify_certificate(dict(cert, map=junk))
         # pin sides and sample_size are plain ints, sound a JSON boolean: int(0.9)
         # would read as the plain side 0
         fuzzy = [[x, 0.9 if s == 0 else s] for x, s in cert["witness"]]

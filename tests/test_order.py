@@ -1,7 +1,10 @@
+import importlib.util
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, count
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +76,37 @@ class TestMonotoneStepMap:
         assert f(F(2, 3)) == F(1, 2)
         with pytest.raises(ValueError):
             parse_step_map("nothing here")
+
+    @pytest.mark.parametrize("text", [
+        "junk (1/3; 0,1/4,1/4) (2/3; 1/4,1/2,3/4)",
+        "(1/3; 0,1/4,1/4) junk (2/3; 1/4,1/2,3/4)",
+        "(1/3; 0,1/4,1/4) (2/3; 1/4,1/2,3/4) junk",
+        "(1/3; 0,1/4,1/4), (2/3; 1/4,1/2,3/4)",
+        "",
+    ])
+    def test_parse_refuses_text_outside_the_literals(self, text):
+        with pytest.raises(ValueError, match="not a sequence of map literals"):
+            parse_step_map(text)
+
+    def test_parse_refuses_a_long_malformed_text_in_linear_time(self):
+        # an x of spaces once matched in quadratically many ways: 16,000 took ~2 s
+        for text in ("(" + " " * 200_000, "(" + " " * 200_000 + ";", "(1" + " " * 200_000):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="not a sequence of map literals"):
+                parse_step_map(text)
+            assert time.perf_counter() - start < 2.0
+
+    def test_parse_workload_staircase_spelling(self):
+        # the benchmark's staircase map, its spaces included
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        f = parse_step_map(workloads.STAIRCASE)
+        assert f.breakpoints == (F(1, 5), F(2, 5), F(3, 5), F(4, 5))
+        assert f(F(3, 5)) == F(5, 16)
+        assert parse_step_map(" \t" + workloads.STAIRCASE.replace(") (", ")(") + "\n").breakpoints \
+            == f.breakpoints
 
 
 class TestHellyDeterminingSet:

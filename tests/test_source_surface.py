@@ -33,7 +33,6 @@ ALLOWED = {
                                                "the one-sided values of the pins",
     "rank.value_instance": "test_rank's oracle tests rank plain value maps",
     "rank.RankTrace.verify_witnesses": "criterion 04 rechecks the rank witnesses",
-    "systems.CutProjectCoding.symbol_at": "oracle of test_cut_project_word_matches_symbol_at",
     "systems.CosSystem.generator_point": "criterion 07 starts from the orbit generator",
     "systems.CosSystem.fiber_point": "criterion 13 builds points of the exotic fiber",
     "systems.asymptotic_defect": "criterion 13 measures asymptotic pairs",

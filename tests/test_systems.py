@@ -35,6 +35,7 @@ from tamecert.systems import (
     SemicocycleCascade,
     SplitCircleSystem,
     SplitPoint,
+    _CircleWalk,
     asymptotic_defect,
     full_shift_word,
     load_system,
@@ -314,6 +315,70 @@ def test_walks_decide_exactly_only_at_boundary_hits(monkeypatch):
     assert len(calls) == 2  # positions 0 and 1 sit on the arc ends 0 and alpha
     cantor.word(100_000)
     assert len(calls) == 2  # the orbit of 1/7 meets no deleted-arc end
+
+
+def test_one_orbit_walk_per_word(monkeypatch):
+    walks = []
+    positions = _CircleWalk.positions
+    monkeypatch.setattr(_CircleWalk, "positions",
+                        lambda self: walks.append(len(self.arcs)) or positions(self))
+    two_arcs = CutProjectCoding(GOLDEN, arcs=(Arc(zero(GOLDEN), Fraction(1, 3)),
+                                              Arc(point(GOLDEN, 2, Fraction(-1, 5)), Fraction(1, 5))))
+    sturmian = SplitCircleSystem(GOLDEN)
+    for build, arcs in ((lambda: CutProjectCoding(GOLDEN, cantor_generation=6).word(5000), 6),
+                        (lambda: two_arcs.word(5000, n0=-40), 2),
+                        (lambda: sturmian.coding_word(sturmian.orbit_pt(0, PLUS), -50, 50), 1)):
+        walks.clear()
+        build()
+        assert walks == [arcs]  # one walk of the orbit, read against every arc
+
+
+@pytest.mark.parametrize("far", [100_003, 1_000_003])
+def test_words_far_from_zero_match_symbol_at(far):
+    # interval window: the orbit of 0 meets the start far*alpha at n = far and the
+    # end (far+2)*alpha at n = far + 2, where |a0 + n| and the arc a are near ``far``
+    interval = CutProjectCoding(GOLDEN, base_point=zero(GOLDEN), arcs=(
+        Arc(point(GOLDEN, far), Fraction(1, 3)),
+        Arc(point(GOLDEN, far + 2, Fraction(-1, 5)), Fraction(1, 5))))
+    # Cantor window: deleted arc 1 is [alpha - 1/12, alpha + 1/12], met at its
+    # start (end) at n = far by a base point far steps back
+    cantor = [CutProjectCoding(GOLDEN, cantor_generation=4,
+                               base_point=point(GOLDEN, 1 - far, Fraction(sign, 12)))
+              for sign in (-1, 1)]
+    for sys_, on_end in ((interval, [far, far + 2]), *((c, [far]) for c in cantor)):
+        ends = [end for arc in sys_.deleted + sys_.arcs
+                for end in (arc.start, arc.start + CirclePoint(GOLDEN, 0, arc.length))]
+        for n in on_end:
+            assert any(sys_.base_point.translate(n).compare(end) == 0 for end in ends)
+        n0 = far - 150
+        assert sys_.word(300, n0=n0).tolist() == [sys_.symbol_at(n) for n in range(n0, n0 + 300)]
+    # the default Cantor base point, with no arc end in reach, ``far`` steps out
+    cantor6 = CutProjectCoding(GOLDEN, cantor_generation=6)
+    assert cantor6.word(300, n0=far).tolist() == [cantor6.symbol_at(n)
+                                                  for n in range(far, far + 300)]
+
+
+@pytest.mark.parametrize("far", [100_003, 1_000_003])
+def test_word_survives_worst_case_grid_rounding(far):
+    # Base point and arc start each round by nearly half a unit in the same
+    # direction, the arc width truncates by nearly a unit, and the convergent
+    # error tips the balance: position ``far`` lies inside the arc, yet its grid
+    # offset is the truncated width plus 2.  A slack of 2 reads it as outside.
+    n0, n1 = far - 150, far + 149
+    for a0 in (0, -2 * far):
+        probe = _CircleWalk(GOLDEN, point(GOLDEN, a0), n0, n1, ())
+        d, p, m = probe.D, probe.step, a0 + far
+        # pick the sign of m so that the convergent error m*(d*alpha - p) is negative
+        if (CirclePoint(GOLDEN, 1, 0).compare(point(GOLDEN, 0, Fraction(p, d))) > 0) == (m < 0):
+            break
+    delta = Fraction(abs(m), 12 * d)  # under a quarter of it: |d*alpha - p| > 1/(3d)
+    w = d // 3
+    start = (m * p + 1 - (w + 2)) % d
+    coding = CutProjectCoding(GOLDEN, base_point=point(GOLDEN, a0, Fraction(1, 2 * d)),
+                              arcs=[Arc(point(GOLDEN, 0, (start + Fraction(1, 2) - delta) / d),
+                                        (w + 1 - delta) / d)])
+    assert coding.symbol_at(far) == 1
+    assert coding.word(300, n0=n0).tolist() == [coding.symbol_at(n) for n in range(n0, n1 + 1)]
 
 
 def greedy_de_bruijn(window):
