@@ -331,10 +331,6 @@ class TestCliMain:
         ({"experiments": [{"kind": "determine", "id": "det",
                            "params": {"family": "staircase", "map": "(1/2; 1,1,2)"}}]},
          "experiment det: ValueError: map values must lie in [0,1]"),
-        # text outside the map literals
-        ({"experiments": [{"kind": "determine", "id": "det",
-                           "params": {"family": "staircase", "map": "(1/2; 0,1/2,1) junk"}}]},
-         "experiment det: ValueError: not a sequence of map literals"),
         # a word gamma is read only by the free-group boundary system
         ({"experiments": [{"kind": "rank", "id": "rk",
                            "params": {"system": "semicocycle", "gamma": "ab"}}]},
@@ -353,6 +349,10 @@ class TestCliMain:
         # the catalog reads no parameter, so any parameter is refused
         ({"experiments": [{"kind": "catalog", "id": "cat", "params": {"grid": [5.0]}}]},
          "experiment cat: catalog takes no parameters, not ['grid']"),
+        # text outside the map literals
+        ({"experiments": [{"kind": "determine", "id": "det",
+                           "params": {"family": "staircase", "map": "(1/2; 0,1/2,1) junk"}}]},
+         "experiment det: ValueError: not a sequence of map literals"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, config, message):
         out = tmp_path / "never.json"
