@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -169,21 +169,21 @@ class _CircleWalk:
         rest %= d
         return rest
 
-    @staticmethod
-    @lru_cache(maxsize=64)
-    def _cells(step: int, d: int, sl: int, arcs: tuple[tuple[CirclePoint, CirclePoint], ...],
-               invert: bool):
+    def _cells(self, invert: bool):
         """The sorted cuts of ``arcs`` on the grid, and the symbol of each gap:
         1 in an arc, 0 in none (swapped when ``invert``), 2 near an arc end.
         Each arc cuts the circle into near start | inside | near end |
         outside, turned by its start.  Gap i ends at cuts[i]; gap 0 wraps
         round from cuts[-1], as does the last.
         """
-        grid = []
-        for start, width in arcs:
-            num, den = width.midpoint(_CircleWalk.BOUNDARY_EPS)  # width * D, rounded down
-            grid.append((_CircleWalk._grid(step, d, start.a, start.b), num * d // den))
-        cuts = sorted({(s + c) % d for s, w in grid for c in (sl, w - sl + 1, w + sl, d - sl + 1)})
+        d, sl = self.D, self.slack
+        grid, cuts = [], []
+        for start, width in self.arcs:
+            num, den = width.midpoint(self.BOUNDARY_EPS)  # width * D, rounded down
+            s, w = self._grid(self.step, d, start.a, start.b), num * d // den
+            grid.append((s, w))
+            cuts += (s + sl) % d, (s + w - sl + 1) % d, (s + w + sl) % d, (s - sl + 1) % d
+        cuts.sort()  # a repeated cut only leaves an empty gap
 
         def gap(r: int) -> int:
             near = False
@@ -195,11 +195,8 @@ class _CircleWalk:
                     return 1 - invert
             return 2 if near else int(invert)
 
-        # with no arcs, one gap: the whole circle
-        table = np.array([gap(r) for r in cuts[-1:] + cuts or [0]], dtype=np.uint8)
-        cuts = np.array(cuts, dtype=np.int64)
-        cuts.flags.writeable = table.flags.writeable = False  # shared by every walk of the cache
-        return cuts, table
+        table = [gap(r) for r in cuts] or [int(invert)]  # no arcs: one gap, the whole circle
+        return np.array(cuts, dtype=np.int64), np.array(table[-1:] + table, dtype=np.uint8)
 
     def symbols(self, exact: Callable[[int], int], invert: bool = False) -> np.ndarray:
         """uint8 array over n = n0..n1: 1 where the position lies in an arc, else
@@ -207,7 +204,7 @@ class _CircleWalk:
         merged cuts.  A position within the slack of an arc end is decided by
         ``exact(n)`` instead of by the grid.
         """
-        cuts, table = self._cells(self.step, self.D, self.slack, self.arcs, invert)
+        cuts, table = self._cells(invert)
         out = table[np.searchsorted(cuts, self.positions(), side="right")]
         for i in (out > 1).nonzero()[0].tolist():
             out[i] = exact(self.n0 + i)
