@@ -53,13 +53,6 @@ def resolve_system(spec):
     return systems.load_system(spec)
 
 
-def _point(system_alpha, desc) -> CirclePoint:
-    """Point literal {a: int, b: 'num/den'}; TypeError unless it is an object."""
-    if not isinstance(desc, dict):
-        raise TypeError(f"a point literal must be an object, not {desc!r}")
-    return CirclePoint(system_alpha, int(desc.get("a", 0)), Fraction(desc.get("b", 0)))
-
-
 def _point_str(p: CirclePoint) -> str:
     return f"{p.a}*alpha+{p.b}"
 
@@ -73,6 +66,105 @@ def _parse_point(alpha, text: str) -> CirclePoint:
     if m is None:
         raise ValueError(f"not a point literal a*alpha+b: {text!r}")
     return CirclePoint(alpha, int(m.group(1)), Fraction(m.group(2)))
+
+
+# A row maps each parameter key to (default, type[, least value]); a rank, rigidity or fibers
+# system's kind, a determine family or a coding's kind picks the row "kind/variant".  Types:
+# int (a JSON true or 2.9 is none), str, dict, a tuple of these, float or Fraction (a positive
+# finite epsilon from an int or float, or an int or "num/den" string), [t] (a list of t), or a
+# row.  Library functions keep their own ranges (approach depth, window, horizon, sample level).
+REQUIRED, SYSTEM = object(), (str, dict)
+_POINT_ROW, _CODING = {"a": (0, int), "b": (0, (int, str))}, {"kind": (REQUIRED, str)}
+_EPSILONS = {"epsilons": ([0.1, 0.01], [float])}
+_WINDOWS = {"windows": ([8, 12, 16, 20], [int]), "node_budget": (5_000_000, int)}
+PARAMS = {
+    "limit": {"system": ("sturmian", SYSTEM), "target": ({"a": 0, "b": 0}, _POINT_ROW),
+              "side": ("below", str), "depth": (10, int), "plain_count": (200, int),
+              "split_range": (8, int), "horizon": (8, int)},
+    "independence/system": {"coding": ({"system": "sturmian"}, {"system": ("sturmian", SYSTEM)}),
+                            "horizon": (10_000, int), **_WINDOWS},
+    "independence/periodic": {"coding": (REQUIRED, {**_CODING, "pattern": (REQUIRED, [int])}),
+                              "horizon": (10_000, int), **_WINDOWS},
+    "independence/full_shift": {"coding": (REQUIRED, {**_CODING, "window": (REQUIRED, int)}),
+                                **_WINDOWS},
+    "rank/split_circle": {"system": ("sturmian", SYSTEM), **_EPSILONS, "horizon": (12, int, 1),
+                          "plain_count": (4000, int), "split_range": (8, int),
+                          "translations": ([1, 3], [int]),
+                          "one_sided": ([{"a": 0, "b": 0, "side": "below"}],
+                                        [{**_POINT_ROW, "side": ("below", str)}])},
+    "rank/rotation": {"system": (REQUIRED, SYSTEM), **_EPSILONS, "plain_count": (500, int),
+                      "rotations": ([{"a": 0, "b": "1/3", "side": "above"}],
+                                    [{**_POINT_ROW, "side": ("above", str)}]),
+                      "translations": ([], [int])},
+    "rank/boundary-f2": {"system": (REQUIRED, str), **_EPSILONS, "gamma": ("ab", str),
+                         "depth": (16, int), "base_length": (5, int)},
+    "fibers/semicocycle": {"system": ("semicocycle", SYSTEM), "k_max": (6, int),
+                           "depth": (20, int), "unmarked": (10, int)},
+    "determine/discrete": {"family": (REQUIRED, str), "size": (7, int)},
+    # adversaries is read by nothing: benchmark configs written before the Helly
+    # adversary count was dropped still pass it
+    "determine/staircase": {"family": (REQUIRED, str), "map": (REQUIRED, str),
+                            "sample_level": (5, int), "adversaries": (None, int)},
+    "isolation": {"count": (100, int, 0), "eps": (Fraction(1, 4), Fraction)},
+    "counterexample": {"scenario": ("circle_parabolic", str), "count": (100, int, 0),
+                       "size": (50, int)},
+    "rigidity/rotation": {"system": ("rotation-sqrt2", SYSTEM), "plain_count": (20, int),
+                          "denominators": (25, int)},
+    "rigidity/split_circle": {"system": (REQUIRED, SYSTEM), "plain_count": (24, int),
+                              "horizon": (6, int), "max_time": (10_000, int)},
+    "catalog": {},
+}
+_DEFAULT_SYSTEM = {"rank": "sturmian", "rigidity": "rotation-sqrt2", "fibers": "semicocycle"}
+_EPSILON_FROM = {float: (int, float), Fraction: (int, str)}
+_JSON = {int: "an integer", float: "a number", str: "a string", dict: "an object", list: "a list"}
+
+
+def check_params(kind: str, params) -> dict:
+    """``params`` checked against the PARAMS row of a ``kind`` experiment, with the
+    row's defaults filled in; the error it raises names the key it refuses."""
+    if not isinstance(params, dict):
+        raise TypeError("params must be an object")
+    name, pick = kind, "system"
+    if kind in _DEFAULT_SYSTEM:
+        system = params.get("system", _DEFAULT_SYSTEM[kind])
+        name += "/" + (system if system == "boundary-f2" else resolve_system(system).kind)
+    elif kind == "independence":
+        coding, pick = params.get("coding", {}), "coding kind"
+        name += "/" + str(coding.get("kind", "system") if isinstance(coding, dict) else "system")
+    elif kind == "determine":
+        name, pick = f"determine/{params['family']}", "family"
+    if name not in PARAMS:
+        raise ConfigError(f"{kind} experiment does not support {pick} {name.partition('/')[2]!r}"
+                          f" (rows: {', '.join(row for row in PARAMS if row.startswith(kind))})")
+    return _typed(params, PARAMS[name])
+
+
+def _typed(value, typ):
+    """``value`` read as a parameter of type ``typ`` (see PARAMS)."""
+    if isinstance(typ, list):
+        return [_typed(v, typ[0]) for v in _typed(value, list)]
+    if isinstance(typ, dict):
+        for key in sorted(_typed(value, dict).keys() - typ.keys()):
+            raise ConfigError(f"unknown key {key!r} (known: {', '.join(typ) or 'none'})")
+        filled = {}
+        for key, (default, key_type, *least) in typ.items():
+            if key not in value and default is REQUIRED:
+                raise KeyError(key)
+            try:
+                filled[key] = _typed(value[key], key_type) if key in value else default
+                if least and filled[key] < least[0]:
+                    raise ValueError(f"{filled[key]} is below {least[0]}")
+            except (ConfigError, *_MALFORMED) as exc:
+                raise type(exc)(f"{key}: {exc}") from exc
+        return filled
+    accepted = _EPSILON_FROM.get(typ) or (typ if isinstance(typ, tuple) else (typ,))
+    if type(value) not in accepted:
+        raise TypeError(f"{value!r} is not {' or '.join(map(_JSON.get, accepted))}")
+    if typ in _EPSILON_FROM:
+        value = typ(value)
+        if not 0 < value < math.inf:
+            raise ValueError(f"an epsilon must be positive and finite, not {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -95,19 +187,12 @@ def _classification(cls) -> dict:
                        for k, v in cls.params.items()}}
 
 
-def run_limit(params, seed):
-    sys_ = _circle_system(params.get("system", "sturmian"), "limit")
-    alpha = sys_.alpha
-    target = _point(alpha, params.get("target", {"a": 0, "b": 0}))
-    side = params.get("side", "below")
-    depth = int(params.get("depth", 10))
-    approach = one_sided_approach(target, side, depth)
-    sample = envelope.limit_sample(
-        sys_, target,
-        plain_count=int(params.get("plain_count", 200)),
-        split_range=int(params.get("split_range", 8)),
-        horizon=int(params.get("horizon", 8)),
-    )
+def run_limit(p, seed):
+    sys_ = _circle_system(p["system"], "limit")
+    target = CirclePoint(sys_.alpha, p["target"]["a"], Fraction(p["target"]["b"]))
+    approach = one_sided_approach(target, p["side"], p["depth"])
+    sample = envelope.limit_sample(sys_, target, plain_count=p["plain_count"],
+                                   split_range=p["split_range"], horizon=p["horizon"])
     # a circle system has a closed-form rule for every approach: the element is exact
     element = envelope.limit_map(sys_, approach, sample)
     cls = envelope.classify(element)
@@ -124,7 +209,7 @@ def run_limit(params, seed):
     cert = {
         "kind": "limit",
         "system": sys_.describe(),
-        "generator": {"target": _point_str(target), "side": side,
+        "generator": {"target": _point_str(target), "side": p["side"],
                       "times": [int(t) for t in approach.times]},
         "result": out["classification"],
         "witness": out.get("decomposition"),
@@ -132,30 +217,23 @@ def run_limit(params, seed):
     return out, [cert]
 
 
-def _windows(params) -> list[int]:
-    """The window lengths of an independence experiment, in increasing order."""
-    return sorted(int(L) for L in params.get("windows", [8, 12, 16, 20]))
-
-
-def _coding_source(params) -> tuple[dict, int]:
+def _coding_source(p) -> tuple[dict, int]:
     """The ``source`` descriptor of an independence experiment and its horizon.
 
     ValueError unless there are windows, each passes ``tameness.check_window`` and
     the horizon passes ``tameness.check_horizon`` for the longest; builds no word."""
-    coding = params.get("coding", {"system": "sturmian"})
-    if not isinstance(coding, dict):
-        raise TypeError(f"coding must be an object, not {coding!r}")
+    coding = p["coding"]
     if coding.get("kind") == "full_shift":
-        window = int(coding["window"])
+        window = coding["window"]
         tameness.check_window(window)
         source, horizon = {"kind": "full_shift"}, (1 << window) + 2 * window - 1
     else:
-        horizon = int(params.get("horizon", 10_000))
+        horizon = p["horizon"]
         if coding.get("kind") == "periodic":
-            source = {"kind": "periodic", "pattern": [int(x) for x in coding["pattern"]]}
+            source = {"kind": "periodic", "pattern": coding["pattern"]}
         else:
-            source = resolve_system(coding.get("system", "sturmian")).describe()
-    windows = _windows(params)
+            source = resolve_system(coding["system"]).describe()
+    windows = sorted(p["windows"])
     if not windows:
         raise ValueError("independence windows must be a nonempty list")
     for window in windows:
@@ -200,15 +278,14 @@ def _word(source_json: str, horizon: int) -> np.ndarray:
     return word
 
 
-def run_independence(params, seed):
-    source, horizon = _coding_source(params)
+def run_independence(p, seed):
+    source, horizon = _coding_source(p)
     word = _source_word(source, horizon)
-    budget = int(params.get("node_budget", 5_000_000))
     rows, certs = [], []
     flag = None
-    for L in _windows(params):
+    for L in sorted(p["windows"]):
         try:
-            cert = tameness.max_independence(word, L, node_budget=budget)
+            cert = tameness.max_independence(word, L, node_budget=p["node_budget"])
         except BudgetExceeded as exc:
             cert = exc.best
             flag = f"budget exceeded at window {L}"
@@ -230,52 +307,41 @@ def run_independence(params, seed):
     return result, certs
 
 
-def run_rank(params, seed):
-    sys_name = params.get("system", "sturmian")
-    epsilons = [float(e) for e in params.get("epsilons", [0.1, 0.01])]
+def run_rank(p, seed):
+    sys_name = p["system"]
     rows, certs = [], []
     sys_ = None if sys_name == "boundary-f2" else resolve_system(sys_name)
     if isinstance(sys_, systems.SplitCircleSystem):
         if sys_.split != "orbit":
             # translations move a split point off any other split set
             raise ConfigError("rank experiment needs a split set that is the orbit of 0")
-        horizon = int(params.get("horizon", 12))
-        if horizon < 1:
-            raise ConfigError("rank horizon must be at least 1")
-        sample = envelope.split_sample(
-            sys_, plain_count=int(params.get("plain_count", 4000)),
-            split_range=int(params.get("split_range", 8)), horizon=horizon,
-        )
-        elements = {}
-        for n in params.get("translations", [1, 3]):
-            elements[f"T^{n}"] = envelope.limit_map(sys_, [int(n)], sample)
-        for g in params.get("one_sided", [{"a": 0, "b": 0, "side": "below"}]):
-            target = _point(sys_.alpha, g)
-            ap = one_sided_approach(target, g.get("side", "below"), 10)
-            elements[f"p({_point_str(target)})^{g.get('side', 'below')}"] = envelope.limit_map(
+        sample = envelope.split_sample(sys_, plain_count=p["plain_count"],
+                                       split_range=p["split_range"], horizon=p["horizon"])
+        elements = {f"T^{n}": envelope.limit_map(sys_, [n], sample) for n in p["translations"]}
+        for g in p["one_sided"]:
+            target = CirclePoint(sys_.alpha, g["a"], Fraction(g["b"]))
+            ap = one_sided_approach(target, g["side"], 10)
+            elements[f"p({_point_str(target)})^{g['side']}"] = envelope.limit_map(
                 sys_, ap, sample
             )
     elif isinstance(sys_, systems.RotationSystem):
-        sample = envelope.rotation_sample(sys_, int(params.get("plain_count", 500)))
+        sample = envelope.rotation_sample(sys_, p["plain_count"])
         elements = {}
-        for g in params.get("rotations", [{"a": 0, "b": "1/3", "side": "above"}]):
-            target = _point(sys_.alpha, g)
-            ap = one_sided_approach(target, g.get("side", "above"), 8)
+        for g in p["rotations"]:
+            target = CirclePoint(sys_.alpha, g["a"], Fraction(g["b"]))
+            ap = one_sided_approach(target, g["side"], 8)
             elements[f"R({_point_str(target)})"] = envelope.limit_map(sys_, ap, sample)
-        for n in params.get("translations", []):
-            elements[f"T^{n}"] = envelope.limit_map(sys_, [int(n)], sample)
-    elif sys_name == "boundary-f2":
+        for n in p["translations"]:
+            elements[f"T^{n}"] = envelope.limit_map(sys_, [n], sample)
+    else:
         # word literals over a b A B (capitals are inverses)
-        gamma = ReducedWord.parse(params.get("gamma", "ab"))
-        depth = int(params.get("depth", 16))
-        lox = power_limit(gamma, depth=depth)
-        pts = boundary_sample(depth, base_length=int(params.get("base_length", 5)), lox=lox)
+        gamma = ReducedWord.parse(p["gamma"])
+        lox = power_limit(gamma, depth=p["depth"])
+        pts = boundary_sample(p["depth"], base_length=p["base_length"], lox=lox)
         pw, iw = loxodromic_rank_arrays(lox, pts)
         inst = rank.prefix_instance(pts, pw, iw)
         elements = {f"lox({gamma})": inst}
         sample = pts
-    else:
-        raise ConfigError(f"rank experiment does not support system {sys_name!r}")
     if not elements:
         raise ConfigError("rank experiment builds no element")
     # one set of arrays per element, shared by every epsilon
@@ -283,7 +349,7 @@ def run_rank(params, seed):
         name: el if isinstance(el, rank.RankInstance) else rank.build_instance(el)
         for name, el in elements.items()
     }
-    for eps in epsilons:
+    for eps in p["epsilons"]:
         sr = rank.system_rank(elements, eps)
         rows.append(
             {"epsilon": eps, "beta": sr.beta, "witness": sr.witness,
@@ -299,23 +365,20 @@ def run_rank(params, seed):
     return {"table": rows, "sample_size": len(sample)}, certs
 
 
-def run_fibers(params, seed):
-    sys_ = resolve_system(params.get("system", "semicocycle"))
-    if not isinstance(sys_, systems.SemicocycleCascade):
-        raise ConfigError("fibers experiment needs a semicocycle system")
+def run_fibers(p, seed):
+    sys_ = resolve_system(p["system"])
     rng = random.Random(seed)
-    cards = sys_.fiber_cardinalities(int(params.get("k_max", 6)), int(params.get("depth", 20)))
-    unmarked = [rng.randrange(-(10**6), 10**6) for _ in range(int(params.get("unmarked", 10)))]
+    cards = sys_.fiber_cardinalities(p["k_max"], p["depth"])
+    unmarked = [rng.randrange(-(10**6), 10**6) for _ in range(p["unmarked"])]
     um = {j: sys_.unmarked_fiber_cardinality(j) for j in unmarked}
     return {"marked": {str(k): v for k, v in cards.items()},
             "unmarked_all_one": all(v == 1 for v in um.values()),
             "unmarked_count": len(um)}, []
 
 
-def run_determine(params, seed):
-    family_kind = params["family"]
-    if family_kind == "discrete":
-        m = int(params.get("size", 7))
+def run_determine(p, seed):
+    if p["family"] == "discrete":
+        m = p["size"]
         grid = [Fraction(k, m) for k in range(m)]
         fam = order.discrete_family(grid) + [order.zero_map]
         res = envelope.determining_set(fam, grid, order.zero_map)
@@ -325,22 +388,19 @@ def run_determine(params, seed):
         )
         return {"family": "discrete", "size": m, "c_size": len(res.points),
                 "optimal": res.optimal, "growth": growth}, []
-    if family_kind == "staircase":
-        # map literal syntax: "(x; left,point,right) ..." plus a dyadic sample level
-        f = order.parse_step_map(params["map"])
-        res = order.helly_determining_set(f, int(params.get("sample_level", 5)))
-        cert = {"kind": "helly_determining", "map": params["map"],
-                "sample_size": len(res.points),
-                "result": {"sound": res.sound},
-                "witness": [[str(x), s] for x, s in res.points]}
-        return {"family": "staircase", "c_size": len(res.points),
-                "sound": res.sound}, [cert]
-    raise ConfigError(f"unknown determining family {family_kind!r}")
+    # map literal syntax: "(x; left,point,right) ..." plus a dyadic sample level
+    f = order.parse_step_map(p["map"])
+    res = order.helly_determining_set(f, p["sample_level"])
+    cert = {"kind": "helly_determining", "map": p["map"],
+            "sample_size": len(res.points),
+            "result": {"sound": res.sound},
+            "witness": [[str(x), s] for x, s in res.points]}
+    return {"family": "staircase", "c_size": len(res.points),
+            "sound": res.sound}, [cert]
 
 
-def run_isolation(params, seed):
-    count = int(params.get("count", 100))
-    eps = Fraction(params.get("eps", "1/4"))
+def run_isolation(p, seed):
+    count, eps = p["count"], p["eps"]
     alpha = GOLDEN
     gammas = [CirclePoint(alpha, k, Fraction(k % 29, 29)) for k in range(count)]
     diag = envelope.sorgenfrey_isolation(envelope.flipped_diagonal(gammas), eps=eps)
@@ -355,11 +415,9 @@ def run_isolation(params, seed):
             "single_circle_conflicts": sum(1 for c in single.conflicts if c is not None)}, [cert]
 
 
-def run_counterexample(params, seed):
-    scenario = params.get("scenario", "circle_parabolic")
+def run_counterexample(p, seed):
+    scenario, count, size = p["scenario"], p["count"], p["size"]
     rng = random.Random(seed)
-    count = int(params.get("count", 100))
-    size = int(params.get("size", 50))
     sound = 0
     last = None
     for _ in range(count):
@@ -369,7 +427,7 @@ def run_counterexample(params, seed):
             last = {"differs_at" if scenario == "circle_parabolic" else "b": str(w.b)}
         elif scenario == "projective_p_infty":
             pts = [(rng.randint(-99, 99), rng.randint(-99, 99)) for _ in range(size)]
-            pts = [p for p in pts if p != (0, 0)] or [(1, 0)]
+            pts = [q for q in pts if q != (0, 0)] or [(1, 0)]
             w = envelope.no_countable_basis_witness(pts, "projective_p_infty")
             last = {"line_direction": [str(x) for x in w.differs_at]}
         else:
@@ -380,26 +438,22 @@ def run_counterexample(params, seed):
     return {"scenario": scenario, "sound": sound, "count": count}, [cert]
 
 
-def run_rigidity(params, seed):
-    sys_ = _circle_system(params.get("system", "rotation-sqrt2"), "rigidity")
+def run_rigidity(p, seed):
+    sys_ = resolve_system(p["system"])
     if isinstance(sys_, systems.RotationSystem):
-        sample = envelope.rotation_sample(sys_, int(params.get("plain_count", 20)))
-        ks = int(params.get("denominators", 25))
-        times = [sys_.alpha.denominator(k) for k in range(1, ks + 1)]
+        sample = envelope.rotation_sample(sys_, p["plain_count"])
+        times = [sys_.alpha.denominator(k) for k in range(1, p["denominators"] + 1)]
     else:
-        sample = envelope.split_sample(
-            sys_, plain_count=int(params.get("plain_count", 24)),
-            split_range=4, horizon=int(params.get("horizon", 6)))
-        times = np.arange(1, int(params.get("max_time", 10_000)) + 1)
+        sample = envelope.split_sample(sys_, plain_count=p["plain_count"], split_range=4,
+                                       horizon=p["horizon"])
+        times = np.arange(1, p["max_time"] + 1)
     rep = envelope.rigidity_probe(sys_, sample, times)
     series = [list(row) for row in zip(rep.times[:200].tolist(), rep.distances[:200].tolist())]
     return {"minimum": {"n": rep.minimum[0], "distance": rep.minimum[1]},
             "series_length": len(rep.times), "series": series}, []
 
 
-def run_catalog(params, seed):
-    if params:
-        raise ConfigError(f"catalog takes no parameters, not {sorted(params)}")
+def run_catalog(p, seed):
     rows = []
     elements = []
     grid = [-1.0, 0.0, 1.0]
@@ -420,7 +474,12 @@ def run_catalog(params, seed):
     return {"table": rows, "jump_elements_pinned_by_three": pinned}, []
 
 
-DISPATCH = {
+def _checked(kind, run):
+    """``run`` on a checked copy of the config's own params (a tracer keys by its id)."""
+    return lambda params, seed: run(check_params(kind, params), seed)
+
+
+DISPATCH = {kind: _checked(kind, run) for kind, run in {
     "limit": run_limit,
     "independence": run_independence,
     "rank": run_rank,
@@ -430,7 +489,7 @@ DISPATCH = {
     "counterexample": run_counterexample,
     "rigidity": run_rigidity,
     "catalog": run_catalog,
-}
+}.items()}
 
 
 class _Partial(Exception):
@@ -455,14 +514,15 @@ def _digest(obj) -> str:
     return hashlib.sha256(_canonical(obj).encode()).hexdigest()[:16]
 
 
-# what reading a malformed parameter or payload field raises
-_MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError)
+# what reading a malformed parameter or payload field raises (an arithmetic
+# error: a "1/0" literal, or an integer too large for a float)
+_MALFORMED = (KeyError, TypeError, ValueError, ArithmeticError)
 
 
 def _experiments(config) -> list[dict]:
     """The experiments of a config; ConfigError unless the config is an object
     with an integer seed whose experiments (or the config itself) are objects
-    with a known kind, object ``params`` and positive, finite ``epsilons``."""
+    with a known kind whose ``params`` pass ``check_params``."""
     if not isinstance(config, dict):
         raise ConfigError("a config must be an object")
     seed = config.get("seed", 0)
@@ -472,14 +532,11 @@ def _experiments(config) -> list[dict]:
     if not isinstance(experiments, list) or not all(isinstance(e, dict) for e in experiments):
         raise ConfigError("experiments must be a list of objects")
     for i, exp in enumerate(experiments):
-        kind, params = exp.get("kind"), exp.get("params", {})
+        kind = exp.get("kind")
         if not isinstance(kind, str) or kind not in DISPATCH:
             raise ConfigError(f"experiment {i}: unknown kind {kind!r}")
         with _param_errors(_exp_id(i, exp)):
-            if not isinstance(params, dict):
-                raise TypeError("params must be an object")
-            if not all(0 < float(e) < float("inf") for e in params.get("epsilons") or ()):
-                raise ValueError("epsilon must be positive and finite")
+            check_params(kind, exp.get("params", {}))
     return experiments
 
 

@@ -765,15 +765,25 @@ def asymptotic_defect(system, x, y, window: tuple[int, int]) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
+# the keys a spec of each kind reads; a cut-project window reads cantor_generation
+# and scale, or arcs
+SPEC_KEYS = {"split_circle": {"kind", "alpha", "split_set"}, "rotation": {"kind", "alpha"},
+             "cut_project": {"kind", "alpha", "window", "base_point"},
+             "semicocycle": {"kind", "n_max", "depth"}}
+
+
 def load_system(spec: dict):
-    """Build a system from a spec mapping (keys: kind, alpha, split_set,
-    window, base_point, n_max, depth); ValueError when the spec is not a
-    mapping."""
+    """Build a system from a spec mapping; ValueError when the spec is not a
+    mapping of the ``SPEC_KEYS`` of its kind."""
     from .exactarith import parse_rotation_number
 
     if not isinstance(spec, dict):
         raise ValueError(f"a system spec must be an object, not {spec!r}")
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in SPEC_KEYS:
+        raise ValueError(f"unknown system kind: {kind!r}")
+    if spec.keys() - SPEC_KEYS[kind]:
+        raise ValueError(f"a {kind} spec reads only {sorted(SPEC_KEYS[kind])}, not {sorted(spec)}")
     alpha = parse_rotation_number(spec["alpha"]) if "alpha" in spec else GOLDEN
     if kind == "split_circle":
         return SplitCircleSystem(alpha, split=spec.get("split_set", "orbit"))
@@ -781,6 +791,9 @@ def load_system(spec: dict):
         return RotationSystem(alpha)
     if kind == "cut_project":
         win = spec.get("window", {})
+        if not isinstance(win, dict) or win.keys() - (
+                {"cantor_generation", "scale"} if "cantor_generation" in win else {"arcs"}):
+            raise ValueError(f"a window reads cantor_generation and scale, or arcs: {win!r}")
         base = spec.get("base_point")
         if base is not None:
             base = point(alpha, int(base[0]), Fraction(base[1]))
@@ -795,6 +808,4 @@ def load_system(spec: dict):
             Arc(point(alpha, int(a), Fraction(b)), Fraction(ln)) for a, b, ln in win["arcs"]
         )
         return CutProjectCoding(alpha, arcs=arcs, base_point=base)
-    if kind == "semicocycle":
-        return SemicocycleCascade(n_max=spec.get("n_max", 8), depth=spec.get("depth", 24))
-    raise ValueError(f"unknown system kind: {kind!r}")
+    return SemicocycleCascade(n_max=spec.get("n_max", 8), depth=spec.get("depth", 24))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -135,7 +136,7 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="horizon"):
             run_config(config)
         assert main(["run", str(write_config(tmp_path, config))]) == 2
-        assert "config error: experiment rank-0: rank horizon" in capsys.readouterr().err
+        assert f"config error: experiment rank-0: ValueError: horizon: {horizon} is below 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("coding, horizon, windows", [
         ({"system": "sturmian"}, 0, [4]),
@@ -195,10 +196,11 @@ class TestRunConfig:
     @pytest.mark.parametrize("system", ["semicocycle", "cantor6"])
     def test_rigidity_on_unsupported_system_rejected(self, tmp_path, capsys, system):
         config = {"experiments": [{"kind": "rigidity", "params": {"system": system}}]}
-        with pytest.raises(ConfigError, match="split-circle or rotation"):
+        with pytest.raises(ConfigError, match="rows: rigidity/rotation, rigidity/split_circle"):
             run_config(config)
         assert main(["run", str(write_config(tmp_path, config))]) == 2
-        assert "config error: experiment rigidity-0: rigidity experiment" in capsys.readouterr().err
+        assert "config error: experiment rigidity-0: rigidity experiment does not support system" in (
+            capsys.readouterr().err)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -305,13 +307,13 @@ class TestCliMain:
          "experiment catalog-0: TypeError: params must be an object"),
         ({"seed": "abc", "experiments": [{"kind": "catalog"}]}, "seed must be an integer"),
         ({"experiments": [{"kind": "limit", "id": "lim", "params": {"depth": "x"}}]},
-         "experiment lim: ValueError"),
+         "experiment lim: TypeError: depth: 'x' is not an integer"),
         ({"experiments": [{"kind": "limit", "id": "lim", "params": {"depth": None}}]},
          "experiment lim: TypeError"),
         ({"experiments": [{"kind": "rank", "id": "rk", "params": {"epsilons": ["x"]}}]},
-         "experiment rk: ValueError"),
-        ({"experiments": [{"kind": "rank", "id": "rk", "params": {"epsilons": ["nan"]}}]},
-         "experiment rk: ValueError: epsilon must be positive and finite"),
+         "experiment rk: TypeError: epsilons: 'x' is not an integer or a number"),
+        ({"experiments": [{"kind": "rank", "id": "rk", "params": {"epsilons": [float("nan")]}}]},
+         "experiment rk: ValueError: epsilons: an epsilon must be positive and finite, not nan"),
         ({"experiments": [{"kind": "limit", "id": "lim",
                            "params": {"target": {"a": 0, "b": "1/0"}}}]},
          "experiment lim: ZeroDivisionError"),
@@ -319,14 +321,14 @@ class TestCliMain:
          "experiment determine-0: KeyError: 'map'"),
         # entries read as objects that are not objects
         ({"experiments": [{"kind": "limit", "id": "lim", "params": {"target": 5}}]},
-         "experiment lim: TypeError: a point literal must be an object, not 5"),
+         "experiment lim: TypeError: target: 5 is not an object"),
         ({"experiments": [{"kind": "independence", "id": "ind", "params": {"coding": 5}}]},
-         "experiment ind: TypeError: coding must be an object, not 5"),
+         "experiment ind: TypeError: coding: 5 is not an object"),
         ({"experiments": [{"kind": "rank", "id": "rk", "params": {"one_sided": [5]}}]},
-         "experiment rk: TypeError: a point literal must be an object, not 5"),
+         "experiment rk: TypeError: one_sided: 5 is not an object"),
         ({"experiments": [{"kind": "rank", "id": "rk",
                            "params": {"system": "rotation", "rotations": ["1/3"]}}]},
-         "experiment rk: TypeError: a point literal must be an object, not '1/3'"),
+         "experiment rk: TypeError: rotations: '1/3' is not an object"),
         # a step map that leaves [0, 1]
         ({"experiments": [{"kind": "determine", "id": "det",
                            "params": {"family": "staircase", "map": "(1/2; 1,1,2)"}}]},
@@ -337,18 +339,18 @@ class TestCliMain:
          "rank experiment does not support system 'semicocycle'"),
         # a system or a family the kind does not take
         ({"experiments": [{"kind": "fibers", "id": "fib", "params": {"system": "sturmian"}}]},
-         "experiment fib: fibers experiment needs a semicocycle system"),
+         "experiment fib: fibers experiment does not support system 'split_circle'"),
         ({"experiments": [{"kind": "determine", "id": "det", "params": {"size": 5}}]},
          "experiment det: KeyError: 'family'"),
         ({"experiments": [{"kind": "determine", "id": "det", "params": {"family": "rotation"}}]},
-         "experiment det: unknown determining family 'rotation'"),
+         "experiment det: determine experiment does not support family 'rotation'"),
         # 2^17 + 1 pins: a sample level is bounded before any pin is built
         ({"experiments": [{"kind": "determine", "id": "det", "params": {
             "family": "staircase", "map": "(1/2; 0,1/2,1)", "sample_level": 17}}]},
          "experiment det: ValueError: sample_level must lie in 0..16, not 17"),
         # the catalog reads no parameter, so any parameter is refused
         ({"experiments": [{"kind": "catalog", "id": "cat", "params": {"grid": [5.0]}}]},
-         "experiment cat: catalog takes no parameters, not ['grid']"),
+         "experiment cat: unknown key 'grid' (known: none)"),
         # text outside the map literals
         ({"experiments": [{"kind": "determine", "id": "det",
                            "params": {"family": "staircase", "map": "(1/2; 0,1/2,1) junk"}}]},
@@ -610,9 +612,9 @@ class TestVerify:
     @pytest.mark.parametrize("side, epsilon", [("below", "minus"), ("above", "plus")])
     def test_limit_decomposition_matches_decompose_minimal(self, side, epsilon):
         params = {"system": "sturmian", "target": {"a": 1, "b": "1/5"}, "side": side, "depth": 12}
-        out, _ = cli.run_limit(params, 0)
+        out, _ = cli.DISPATCH["limit"](params, 0)
         sys_ = cli.resolve_system("sturmian")
-        target = cli._point(sys_.alpha, params["target"])
+        target = CirclePoint(sys_.alpha, 1, Fraction(1, 5))
         sample = envelope.limit_sample(sys_, target, plain_count=200, split_range=8, horizon=8)
         element = envelope.limit_map(sys_, one_sided_approach(target, side, 12), sample)
         dec = envelope.decompose_minimal(element)
@@ -681,9 +683,9 @@ class TestVerify:
         # verify's closed form against run_limit's sampled classification: the
         # certificate verifies, and the other side does too only on a rotation
         for a, b in [(-3, "5/4"), (0, "0"), (0, "1/2"), (1, "3/29"), (2, "-2/7")]:
-            _, [cert] = cli.run_limit({"system": system, "target": {"a": a, "b": b},
-                                       "side": side, "depth": 6, "plain_count": 40,
-                                       "split_range": 4}, 0)
+            _, [cert] = cli.DISPATCH["limit"]({"system": system, "target": {"a": a, "b": b},
+                                               "side": side, "depth": 6, "plain_count": 40,
+                                               "split_range": 4}, 0)
             assert verify_certificate(cert), (a, b)
             other = dict(cert["generator"], side="above" if side == "below" else "below")
             assert verify_certificate(dict(cert, generator=other)) == system.startswith("rot")
@@ -944,6 +946,119 @@ class TestVerify:
         assert capsys.readouterr().out == "helly_determining: FAILED\n"
 
 
+# params that pick each PARAMS row and supply its required keys
+ROW_PARAMS = {
+    "limit": {},
+    "independence/system": {},
+    "independence/periodic": {"coding": {"kind": "periodic", "pattern": [0, 1]}},
+    "independence/full_shift": {"coding": {"kind": "full_shift", "window": 4}},
+    "rank/split_circle": {},
+    "rank/rotation": {"system": "rotation"},
+    "rank/boundary-f2": {"system": "boundary-f2"},
+    "fibers/semicocycle": {},
+    "determine/discrete": {"family": "discrete"},
+    "determine/staircase": {"family": "staircase", "map": "(1/2; 0,1/2,1)"},
+    "isolation": {},
+    "counterexample": {},
+    "rigidity/rotation": {},
+    "rigidity/split_circle": {"system": "sturmian"},
+    "catalog": {},
+}
+# keys whose value picks the row, so a wrong value is refused as an unknown variant
+PICKS = {"rank": "system", "rigidity": "system", "fibers": "system", "determine": "family"}
+
+
+def refused(tmp_path, capsys, kind, params):
+    """The config error of a one-experiment config with id ``x``; no report is written."""
+    config = {"experiments": [{"kind": kind, "id": "x", "params": params}]}
+    with pytest.raises(ConfigError):
+        run_config(config)
+    out = tmp_path / "never.json"
+    assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: experiment x: ") and not out.exists(), err
+    return err
+
+
+class TestParams:
+    def test_row_params_cover_every_row(self):
+        assert set(ROW_PARAMS) == set(cli.PARAMS)
+        for row, params in ROW_PARAMS.items():
+            assert cli.check_params(row.partition("/")[0], params).keys() == cli.PARAMS[row].keys()
+
+    @pytest.mark.parametrize("row", sorted(ROW_PARAMS))
+    def test_unknown_key_exits_2(self, tmp_path, capsys, row):
+        err = refused(tmp_path, capsys, row.partition("/")[0], dict(ROW_PARAMS[row], cout=5))
+        assert "unknown key 'cout'" in err
+
+    @pytest.mark.parametrize("row, key", [(row, key) for row in sorted(ROW_PARAMS)
+                                          for key in cli.PARAMS[row]])
+    def test_ill_typed_value_exits_2(self, tmp_path, capsys, row, key):
+        # a JSON true is no value of any parameter type
+        kind = row.partition("/")[0]
+        err = refused(tmp_path, capsys, kind, dict(ROW_PARAMS[row], **{key: True}))
+        assert PICKS.get(kind) == key or f"experiment x: TypeError: {key}: True is not" in err, err
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("isolation", {"cout": 5}, "unknown key 'cout'"),
+        ("isolation", {"count": 2.9}, "TypeError: count: 2.9 is not an integer"),
+        ("isolation", {"count": 5.0}, "TypeError: count: 5.0 is not an integer"),
+        ("isolation", {"count": True}, "TypeError: count: True is not an integer"),
+        ("isolation", {"count": "7"}, "TypeError: count: '7' is not an integer"),
+        ("isolation", {"count": -1}, "ValueError: count: -1 is below 0"),
+        ("isolation", {"eps": "0"}, "ValueError: eps: an epsilon must be positive and finite"),
+        ("rank", {"schedule": [0.1, 0.01]}, "unknown key 'schedule'"),
+        ("rank", {"one_sided": [{"a": 0, "b": 0, "sidee": "above"}]},
+         "one_sided: unknown key 'sidee'"),
+        ("limit", {"target": {"a": 2.9}}, "TypeError: target: a: 2.9 is not an integer"),
+        ("limit", {"target": {"a": 0, "b": 0.5}},
+         "TypeError: target: b: 0.5 is not an integer or a string"),
+        ("independence", {"coding": {"kind": "full_shift", "window": 5}, "horizon": 75,
+                          "windows": [5]}, "unknown key 'horizon'"),
+        ("independence", {"coding": {"sytem": "cantor6"}}, "coding: unknown key 'sytem'"),
+        ("independence", {"coding": {"kind": "periodic", "pattern": [0, 1.0]}},
+         "TypeError: coding: pattern: 1.0 is not an integer"),
+        ("determine", {"family": "staircase"}, "KeyError: 'map'"),
+    ])
+    def test_motivating_configs_exit_2(self, tmp_path, capsys, kind, params, message):
+        assert f"experiment x: {message}" in refused(tmp_path, capsys, kind, params)
+
+    def test_misspelt_system_spec_key_exits_2(self, tmp_path, capsys):
+        spec = {"kind": "rotation", "alhpa": "cf:[0;2,...]"}
+        err = refused(tmp_path, capsys, "limit", {"system": spec})
+        assert "a rotation spec reads only ['alpha', 'kind'], not ['alhpa', 'kind']" in err
+
+    def test_malformed_last_experiment_refused_before_the_first_runs(self, monkeypatch):
+        def never(params, seed):
+            raise AssertionError("the first experiment ran")
+
+        monkeypatch.setitem(cli.DISPATCH, "catalog", never)
+        config = {"experiments": [{"kind": "catalog", "id": "cat"},
+                                  {"kind": "isolation", "id": "iso", "params": {"cout": 5}}]}
+        with pytest.raises(ConfigError, match="experiment iso: unknown key 'cout'"):
+            run_config(config)
+
+    def test_dispatch_gets_the_config_s_own_params(self, monkeypatch):
+        seen = []
+        run = cli.DISPATCH["isolation"]
+        monkeypatch.setitem(cli.DISPATCH, "isolation",
+                            lambda params, seed: seen.append(params) or run(params, seed))
+        params = {"count": 5}
+        config = {"experiments": [{"kind": "isolation", "params": params}]}
+        digest = cli._digest(config)
+        report, code = run_config(config)
+        # the defaults are filled into a copy: the config and its digest stay as written
+        assert code == 0 and seen == [params] and seen[0] is params
+        assert params == {"count": 5} and report["config_digest"] == digest
+        assert report["results"][0]["certificates"][0]["eps"] == "1/4"
+
+    def test_int_epsilon_is_read_as_a_float(self):
+        report, code = run_config({"experiments": [{"kind": "rank", "params": {
+            "system": "rotation", "plain_count": 100, "epsilons": [1]}}]})
+        assert code == 0
+        assert type(report["results"][0]["certificates"][0]["epsilon"]) is float
+
+
 # system specs that are neither a name nor an object, alphas that are not
 # continued-fraction strings, and a split set that is not a name
 BAD_SYSTEMS = [
@@ -962,12 +1077,14 @@ class TestMalformedSystems:
         params = {"system": system} if kind == "limit" else {
             "coding": {"system": system}, "horizon": 2000, "windows": [6]}
         config = {"experiments": [{"kind": kind, "id": "bad", "params": params}]}
-        with pytest.raises(ConfigError, match="experiment bad: ValueError"):
+        # a system that is not a name or an object is refused by its PARAMS type
+        message = r"experiment bad: (ValueError|TypeError: (coding: )?system: .* is not a string or an object)"
+        with pytest.raises(ConfigError, match=message):
             run_config(config)
         out = tmp_path / "never.json"
         assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: experiment bad: ValueError") and not out.exists()
+        assert re.match("config error: " + message, err) and not out.exists()
 
     def test_verify_fails(self, tmp_path, capsys):
         report, code = run_config({"experiments": [

@@ -1,4 +1,6 @@
+import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,25 @@ def test_cli_synopsis_matches_parser(capsys):
             main([verb, "--help"])
         shown = set(flag.findall(capsys.readouterr().out)) - {"--help"}
         assert set(flag.findall(line)) == shown, line
+
+
+def test_parameter_table_lists_each_params_row():
+    """The README's parameter table names exactly the keys of each ``cli.PARAMS``
+    row, and each default it shows is the row's."""
+    from tamecert.cli import PARAMS, REQUIRED
+
+    table = README.read_text().split("| row | keys and defaults |", 1)[1].split("\n\n", 1)[0]
+    rows = dict(re.findall(r"^\| `([\w/-]+)` \| (.*) \|$", table, re.MULTILINE))
+    assert set(rows) == set(PARAMS)
+    entry = re.compile(r"`(\w+)` (?:= `([^`]*)`|\((required|ignored))")
+    for name, text in rows.items():
+        shown = {key: default or note for key, default, note in entry.findall(text)}
+        assert list(shown) == list(PARAMS[name]), name
+        for key, (default, *_) in PARAMS[name].items():
+            if shown[key] == "required":
+                assert default is REQUIRED, (name, key)
+            elif shown[key] == "ignored":
+                assert default is None, (name, key)
+            else:
+                value = json.loads(shown[key])
+                assert value == (str(default) if isinstance(default, Fraction) else default), key

@@ -564,6 +564,23 @@ def test_load_system_round_trip():
         load_system({"kind": "nope"})
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "rotation", "alhpa": "cf:[0;2,...]"},
+    {"kind": "rotation", "alpha": "cf:[0;1,...]", "split_set": "orbit"},
+    {"kind": "split_circle", "split": "rationals"},
+    {"kind": "semicocycle", "alpha": "cf:[0;1,...]"},
+    {"kind": "cut_project", "arcs": [[0, "0", "13/21"]]},
+    {"kind": "cut_project", "window": {"cantor_generation": 3, "scael": "1/4"}},
+    {"kind": "cut_project", "window": {"arcs": [[0, "0", "13/21"]], "scale": "1/2"}},
+    {"kind": "cut_project", "window": {"arc": [[0, "0", "13/21"]]}},
+    {"kind": "cut_project", "window": [[0, "0", "13/21"]]},
+], ids=["alhpa", "rotation-split_set", "split", "semicocycle-alpha", "bare-arcs",
+        "scael", "arcs-scale", "arc", "window-list"])
+def test_load_system_refuses_keys_its_kind_does_not_read(spec):
+    with pytest.raises(ValueError, match="reads only|a window reads"):
+        load_system(spec)
+
+
 F = Fraction
 # record class, field values, and another value for each field (None: no other
 # value passes the class's own validation)
