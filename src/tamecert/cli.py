@@ -130,7 +130,9 @@ def check_params(kind: str, params) -> dict:
         name += "/" + (system if system == "boundary-f2" else resolve_system(system).kind)
     elif kind == "independence":
         coding, pick = params.get("coding", {}), "coding kind"
-        name += "/" + str(coding.get("kind", "system") if isinstance(coding, dict) else "system")
+        if not isinstance(coding, dict):
+            raise TypeError(f"coding must be an object, not {coding!r}")
+        name += "/" + str(coding.get("kind", "system"))
     elif kind == "determine":
         name, pick = f"determine/{params['family']}", "family"
     if name not in PARAMS:
