@@ -71,47 +71,50 @@ def _parse_point(alpha, text: str) -> CirclePoint:
 # A row maps each parameter key to (default, type[, least value]); a rank, rigidity or fibers
 # system's kind, a determine family or a coding's kind picks the row "kind/variant".  Types:
 # int (a JSON true or 2.9 is none), str, dict, a tuple of these, float or Fraction (a positive
-# finite epsilon from an int or float, or an int or "num/den" string), [t] (a list of t), or a
-# row.  Library functions keep their own ranges (approach depth, window, horizon, sample level).
+# finite epsilon from an int or float, or an int or "num/den" string), [t] (a list of t, a least
+# value bounding each item), or a row.  A count's least value is 1 where a run needs one (a
+# symbol, step, point or time), else 0; library functions keep their further ranges.
 REQUIRED, SYSTEM = object(), (str, dict)
 _POINT_ROW, _CODING = {"a": (0, int), "b": (0, (int, str))}, {"kind": (REQUIRED, str)}
 _EPSILONS = {"epsilons": ([0.1, 0.01], [float])}
-_WINDOWS = {"windows": ([8, 12, 16, 20], [int]), "node_budget": (5_000_000, int)}
+_WINDOWS = {"windows": ([8, 12, 16, 20], [int], 1), "node_budget": (5_000_000, int, 0)}
 PARAMS = {
     "limit": {"system": ("sturmian", SYSTEM), "target": ({"a": 0, "b": 0}, _POINT_ROW),
-              "side": ("below", str), "depth": (10, int), "plain_count": (200, int),
-              "split_range": (8, int), "horizon": (8, int)},
+              "side": ("below", str), "depth": (10, int, 1), "plain_count": (200, int, 0),
+              "split_range": (8, int, 0), "horizon": (8, int, 1)},
     "independence/system": {"coding": ({"system": "sturmian"}, {"system": ("sturmian", SYSTEM)}),
-                            "horizon": (10_000, int), **_WINDOWS},
+                            "horizon": (10_000, int, 1), **_WINDOWS},
     "independence/periodic": {"coding": (REQUIRED, {**_CODING, "pattern": (REQUIRED, [int])}),
-                              "horizon": (10_000, int), **_WINDOWS},
-    "independence/full_shift": {"coding": (REQUIRED, {**_CODING, "window": (REQUIRED, int)}),
+                              "horizon": (10_000, int, 1), **_WINDOWS},
+    "independence/full_shift": {"coding": (REQUIRED, {**_CODING, "window": (REQUIRED, int, 1)}),
                                 **_WINDOWS},
     "rank/split_circle": {"system": ("sturmian", SYSTEM), **_EPSILONS, "horizon": (12, int, 1),
-                          "plain_count": (4000, int), "split_range": (8, int),
+                          "plain_count": (4000, int, 0), "split_range": (8, int, 0),
                           "translations": ([1, 3], [int]),
                           "one_sided": ([{"a": 0, "b": 0, "side": "below"}],
                                         [{**_POINT_ROW, "side": ("below", str)}])},
-    "rank/rotation": {"system": (REQUIRED, SYSTEM), **_EPSILONS, "plain_count": (500, int),
+    # plain_count + 1 sample points: a rank needs two to separate
+    "rank/rotation": {"system": (REQUIRED, SYSTEM), **_EPSILONS, "plain_count": (500, int, 1),
                       "rotations": ([{"a": 0, "b": "1/3", "side": "above"}],
                                     [{**_POINT_ROW, "side": ("above", str)}]),
                       "translations": ([], [int])},
     "rank/boundary-f2": {"system": (REQUIRED, str), **_EPSILONS, "gamma": ("ab", str),
-                         "depth": (16, int), "base_length": (5, int)},
-    "fibers/semicocycle": {"system": ("semicocycle", SYSTEM), "k_max": (6, int),
-                           "depth": (20, int), "unmarked": (10, int)},
-    "determine/discrete": {"family": (REQUIRED, str), "size": (7, int)},
+                         "depth": (16, int, 1), "base_length": (5, int, 1)},
+    # the marked fibers 1..k_max are what a fibers run reports
+    "fibers/semicocycle": {"system": ("semicocycle", SYSTEM), "k_max": (6, int, 1),
+                           "depth": (20, int, 1), "unmarked": (10, int, 0)},
+    "determine/discrete": {"family": (REQUIRED, str), "size": (7, int, 1)},
     # adversaries is read by nothing: benchmark configs written before the Helly
     # adversary count was dropped still pass it
     "determine/staircase": {"family": (REQUIRED, str), "map": (REQUIRED, str),
-                            "sample_level": (5, int), "adversaries": (None, int)},
+                            "sample_level": (5, int, 0), "adversaries": (None, int, 0)},
     "isolation": {"count": (100, int, 0), "eps": (Fraction(1, 4), Fraction)},
     "counterexample": {"scenario": ("circle_parabolic", str), "count": (100, int, 0),
-                       "size": (50, int)},
-    "rigidity/rotation": {"system": ("rotation-sqrt2", SYSTEM), "plain_count": (20, int),
-                          "denominators": (25, int)},
-    "rigidity/split_circle": {"system": (REQUIRED, SYSTEM), "plain_count": (24, int),
-                              "horizon": (6, int), "max_time": (10_000, int)},
+                       "size": (50, int, 1)},
+    "rigidity/rotation": {"system": ("rotation-sqrt2", SYSTEM), "plain_count": (20, int, 0),
+                          "denominators": (25, int, 1)},
+    "rigidity/split_circle": {"system": (REQUIRED, SYSTEM), "plain_count": (24, int, 0),
+                              "horizon": (6, int, 1), "max_time": (10_000, int, 1)},
     "catalog": {},
 }
 _DEFAULT_SYSTEM = {"rank": "sturmian", "rigidity": "rotation-sqrt2", "fibers": "semicocycle"}
@@ -138,7 +141,13 @@ def check_params(kind: str, params) -> dict:
     if name not in PARAMS:
         raise ConfigError(f"{kind} experiment does not support {pick} {name.partition('/')[2]!r}"
                           f" (rows: {', '.join(row for row in PARAMS if row.startswith(kind))})")
-    return _typed(params, PARAMS[name])
+    checked = _typed(params, PARAMS[name])
+    # load the system a limit or a coding reads, so a bad one is refused before any run
+    if kind == "limit":
+        _circle_system(checked["system"], "limit")
+    elif name == "independence/system":
+        resolve_system(checked["coding"]["system"])
+    return checked
 
 
 def _typed(value, typ):
@@ -154,8 +163,9 @@ def _typed(value, typ):
                 raise KeyError(key)
             try:
                 filled[key] = _typed(value[key], key_type) if key in value else default
-                if least and filled[key] < least[0]:
-                    raise ValueError(f"{filled[key]} is below {least[0]}")
+                items = filled[key] if isinstance(key_type, list) else [filled[key]]
+                if least and key in value and min(items, default=least[0]) < least[0]:
+                    raise ValueError(f"{min(items)} is below {least[0]}")
             except (ConfigError, *_MALFORMED) as exc:
                 raise type(exc)(f"{key}: {exc}") from exc
         return filled

@@ -51,9 +51,12 @@ from .systems import (
 # of a certified enclosure of width 1e-22, so it is within 1e-22/2 plus half
 # an ulp (2^-54 on [0, 1)) of the true value; point and cut errors together
 # stay below 1.2e-16, far under the margin, so a point beyond it lies
-# strictly on the side of the cut its float places it on.
+# strictly on the side of the cut its float places it on.  An isolation
+# offset, the difference of two positions taken mod 1, adds two roundings
+# (below 2.5e-16 in all): beyond the margin from eps and from the 0/1 wrap,
+# its float decides it, and its arc window, widened by the margin, holds it.
 _CUT_MARGIN = 1e-12
-_PAIR_BLOCK = 8192  # pair rows per step of sorgenfrey_isolation: bounds its temporaries
+_PAIR_BLOCK = 8192  # candidate pairs per sorgenfrey_isolation step (or one member's window)
 
 
 class CodingMetric:
@@ -741,11 +744,13 @@ def sorgenfrey_isolation(members: Sequence, eps: Fraction = Fraction(1, 4)) -> I
     version (gamma-eps, gamma].  A member is isolated when its product
     rectangle contains no other member; its conflict is the smallest other
     index inside the rectangle: every coordinate offset, g_j - g_i for side
-    +1 and g_i - g_j otherwise, taken in [0, 1), is below eps.  The offsets
-    of a block of pairs are one ``PointArray`` per coordinate, built from the
-    members' columns over one common denominator; the exact ``compare``
-    decides the offsets within ``_CUT_MARGIN`` of eps, the float position the
-    rest.  ValueError when a member or an offset is outside the array range.
+    +1 and g_i - g_j otherwise, taken in [0, 1), is below eps.  The members
+    are sorted once by the float position of their first coordinate, so the
+    candidates of member i are one run of that sorted array (one turn below
+    and above it appended): the run within its first arc widened by
+    ``_CUT_MARGIN``.  Each offset is read off the members' float positions;
+    the exact ``compare`` decides those within ``_CUT_MARGIN`` of eps or of
+    the 0/1 wrap.  ValueError when a member is outside the point-array range.
     """
     eps = Fraction(eps)
     if not 0 < eps <= Fraction(1, 2):
@@ -755,43 +760,50 @@ def sorgenfrey_isolation(members: Sequence, eps: Fraction = Fraction(1, 4)) -> I
         raise ValueError("members must have the same number of coordinates")
     coords = [_isolation_columns([m[c] for m in members], eps)
               for c in range(len(members[0]) if members else 0)]
-    conflicts: list = [None] * n
-    rows, cut = max(1, _PAIR_BLOCK // max(n, 1)), float(eps)
-    for start in range(0, n, rows):
-        i, j = np.divmod(np.arange(start * n, min(start + rows, n) * n), n)
+    cut = float(eps)
+    _, pos, sign, _ = coords[0] if coords else (None, np.zeros(n), np.ones(n), None)
+    order = np.argsort(pos, kind="stable")
+    turns = np.concatenate([pos[order] - 1, pos[order], pos[order] + 1])
+    left = pos - (sign < 0) * cut - _CUT_MARGIN
+    lo = np.searchsorted(turns, left, "left")
+    count = np.searchsorted(turns, left + (cut + 2 * _CUT_MARGIN), "right") - lo
+    end = np.cumsum(count)
+    skip = lo - (end - count)  # candidate f of the flat list of all windows is turns[f + skip[i]]
+    best, start = np.full(n, n), 0
+    while start < n:
+        first = end[start] - count[start]
+        stop = max(start + 1, int(np.searchsorted(end, first + _PAIR_BLOCK, "right")))
+        i = np.repeat(np.arange(start, stop), count[start:stop])
+        j = order[(np.arange(first, end[stop - 1]) + skip[i]) % n]
         i, j = i[i != j], j[i != j]
-        for alpha, a, num, den, sign, bound in coords:
-            s = sign[i]
-            off = PointArray.build(alpha, s * (a[j] - a[i]), s * (num[j] - num[i]), den)
-            if off is None:
-                raise ValueError("isolation offsets outside the point-array range")
-            inside = off.positions < cut
-            for r in np.flatnonzero(np.abs(off.positions - cut) <= _CUT_MARGIN):
-                inside[r] = off.point(r).compare(bound) < 0
+        for pts, p, s, bound in coords:
+            off = np.mod(s[i] * (p[j] - p[i]), 1.0)
+            inside = off < cut
+            near = (np.abs(off - cut) <= _CUT_MARGIN) | (np.minimum(off, 1 - off) <= _CUT_MARGIN)
+            for r in np.flatnonzero(near):
+                g, h = pts[i[r]], pts[j[r]]
+                inside[r] = ((h - g) if s[i[r]] > 0 else (g - h)).compare(bound) < 0
             i, j = i[inside], j[inside]
-        # pairs run in (i, j) order, so the first pair of each i holds its smallest j
-        hit, first = np.unique(i, return_index=True)
-        for r, k in zip(hit.tolist(), first.tolist()):
-            conflicts[r] = int(j[k])
+        np.minimum.at(best, i, j)
+        start = stop
+    conflicts = tuple(None if c == n else c for c in best.tolist())
     isolated = tuple(c is None for c in conflicts)
-    return IsolationReport(eps, isolated, tuple(conflicts), all(isolated))
+    return IsolationReport(eps, isolated, conflicts, all(isolated))
 
 
 def _isolation_columns(coord: Sequence, eps: Fraction) -> tuple:
-    """One coordinate of the members, (gamma, side) each: the rotation number,
-    integer columns a and num over one common denominator den, each member's
-    sign (+1 for side +1, else -1) and eps as a point."""
+    """One coordinate of the members, (gamma, side) each: the points, their
+    float positions, their signs (+1.0 for side +1, else -1.0) and eps as a point."""
     pts = [g for g, _ in coord]
     alpha = pts[0].alpha
     if any(p.alpha != alpha for p in pts):
         raise ValueError("points use different rotation numbers")
-    den = math.lcm(*(p.b.denominator for p in pts))
-    arr = PointArray.build(alpha, [p.a for p in pts],
-                           [p.b.numerator * (den // p.b.denominator) for p in pts], [den] * len(pts))
+    arr = PointArray.of(alpha, pts)
     if arr is None:
         raise ValueError("isolation members outside the point-array range")
-    sign = np.array([1 if side == PLUS else -1 for _, side in coord], dtype=np.int64)
-    return alpha, arr.a, arr.num * (den // arr.den), np.int64(den), sign, CirclePoint(alpha, 0, eps)
+    sign = np.array([1.0 if side == PLUS else -1.0 for _, side in coord])
+    # a value within 1e-22 of 0 may have a position just below 0: clip it to keep the turns sorted
+    return pts, np.maximum(arr.positions, 0.0), sign, CirclePoint(alpha, 0, eps)
 
 
 def flipped_diagonal(gammas: Sequence[CirclePoint]) -> list[tuple]:

@@ -655,9 +655,10 @@ def one_sided_approach(target: CirclePoint, side: str, depth: int) -> ApproachSe
             eps /= 10**6
         else:
             raise RefinementLimit("gap lower bound did not resolve")
-        k = parity
-        while alpha.gap_upper(k) >= glo:
-            k += 2
+        # the least k of the walk's parity with gap_upper(k) = 1/q_{k+1} < glo,
+        # that is q_{k+1} > den/num: bisect the q's, then round k up to the parity
+        k = max(parity, alpha.denominator_level(glo.denominator // glo.numerator + 1) - 1)
+        k += (k - parity) % 2
         n += alpha.denominator(k)
         gap = gap - _delta_point(alpha, k)
         # certify a strictly decreasing rational bound on the new gap

@@ -1002,6 +1002,18 @@ class TestParams:
         named = "coding must be an object, not" if key == "coding" else f"{key}: True is not"
         assert PICKS.get(kind) == key or f"experiment x: TypeError: {named}" in err, err
 
+    @pytest.mark.parametrize("row, key", [(row, key) for row in sorted(ROW_PARAMS)
+                                          for key, entry in cli.PARAMS[row].items()
+                                          if len(entry) > 2])
+    def test_count_below_its_least_value_exits_2(self, tmp_path, capsys, row, key):
+        kind, (_, key_type, least) = row.partition("/")[0], cli.PARAMS[row][key]
+        listed = (lambda v: [v]) if isinstance(key_type, list) else (lambda v: v)
+        err = refused(tmp_path, capsys, kind, dict(ROW_PARAMS[row], **{key: listed(least - 1)}))
+        assert f"experiment x: ValueError: {key}: {least - 1} is below {least}" in err, err
+        # the least value itself passes
+        checked = cli.check_params(kind, dict(ROW_PARAMS[row], **{key: listed(least)}))
+        assert checked[key] == listed(least)
+
     @pytest.mark.parametrize("kind, params, message", [
         ("isolation", {"cout": 5}, "unknown key 'cout'"),
         ("isolation", {"count": 2.9}, "TypeError: count: 2.9 is not an integer"),
@@ -1022,6 +1034,15 @@ class TestParams:
         ("independence", {"coding": {"kind": "periodic", "pattern": [0, 1.0]}},
          "TypeError: coding: pattern: 1.0 is not an integer"),
         ("determine", {"family": "staircase"}, "KeyError: 'map'"),
+        ("limit", {"plain_count": -3}, "ValueError: plain_count: -3 is below 0"),
+        ("fibers", {"k_max": -1}, "ValueError: k_max: -1 is below 1"),
+        ("determine", {"family": "discrete", "size": 0}, "ValueError: size: 0 is below 1"),
+        ("counterexample", {"size": 0}, "ValueError: size: 0 is below 1"),
+        ("rank", {"system": "rotation", "plain_count": -5},
+         "ValueError: plain_count: -5 is below 1"),
+        ("independence", {"coding": {"kind": "full_shift", "window": 0}},
+         "ValueError: coding: window: 0 is below 1"),
+        ("independence", {"windows": [8, -2, 0]}, "ValueError: windows: -2 is below 1"),
     ])
     def test_motivating_configs_exit_2(self, tmp_path, capsys, kind, params, message):
         assert f"experiment x: {message}" in refused(tmp_path, capsys, kind, params)
@@ -1039,6 +1060,23 @@ class TestParams:
         config = {"experiments": [{"kind": "catalog", "id": "cat"},
                                   {"kind": "isolation", "id": "iso", "params": {"cout": 5}}]}
         with pytest.raises(ConfigError, match="experiment iso: unknown key 'cout'"):
+            run_config(config)
+
+    @pytest.mark.parametrize("last, message", [
+        ({"kind": "limit", "params": {"system": "semicocycle"}},
+         "limit experiment needs a split-circle or rotation system"),
+        ({"kind": "independence", "params": {"coding": {"system": {"kind": "rotation",
+                                                                   "alhpa": "cf:[0;2,...]"}}}},
+         r"a rotation spec reads only \['alpha', 'kind'\]"),
+    ], ids=["limit-on-semicocycle", "coding-spec-key"])
+    def test_last_experiment_s_system_refused_before_the_first_runs(self, monkeypatch, last,
+                                                                     message):
+        def never(params, seed):
+            raise AssertionError("the first experiment ran")
+
+        monkeypatch.setitem(cli.DISPATCH, "catalog", never)
+        config = {"experiments": [{"kind": "catalog", "id": "cat"}, dict(last, id="last")]}
+        with pytest.raises(ConfigError, match=f"experiment last: .*{message}"):
             run_config(config)
 
     def test_dispatch_gets_the_config_s_own_params(self, monkeypatch):

@@ -9,7 +9,8 @@ import numpy as np
 
 import tamecert.envelope as envelope
 from tamecert.errors import NotInIdeal, NotStabilized, SampleMismatch
-from tamecert.exactarith import GOLDEN, SQRT2_MINUS_1, CirclePoint, one_sided_approach, orbit_point, point, zero
+from tamecert.exactarith import (GOLDEN, SQRT2_MINUS_1, CirclePoint, PointArray, one_sided_approach,
+                                 orbit_point, point, zero)
 from tamecert.systems import (
     MINUS,
     PLAIN,
@@ -502,13 +503,70 @@ class TestSorgenfrey:
 
     def test_members_outside_the_array_range(self):
         far = point(GOLDEN, 1 << 40)
-        for coord in ([far, point(GOLDEN, -(1 << 40))],  # an offset leaves |a| <= 2^40
-                      [point(GOLDEN, 1 << 41), zero(GOLDEN)],  # a member does
-                      [point(GOLDEN, 0, Fraction(1, 3)), point(GOLDEN, 1, Fraction(1, 1 << 52))],
+        for coord in ([point(GOLDEN, 1 << 41), zero(GOLDEN)],  # a member leaves |a| <= 2^40
                       [point(GOLDEN, 99999999999999999999), zero(GOLDEN)]):
             with pytest.raises(ValueError, match="point-array range"):
                 sorgenfrey_isolation([((g, PLUS),) for g in coord])
         assert sorgenfrey_isolation([((far, PLUS),), ((zero(GOLDEN), PLUS),)]).all_isolated
+        # offsets are never arrays: an offset with |a| > 2^40, or members whose common
+        # denominator is 2^53 or more, are decided like any other
+        for coord in ([far, point(GOLDEN, -(1 << 40))],
+                      [point(GOLDEN, 0, Fraction(1, 3)), point(GOLDEN, 1, Fraction(1, 1 << 52))]):
+            for side in (PLUS, MINUS):
+                members = [((g, side),) for g in coord]
+                rep = sorgenfrey_isolation(members)
+                assert rep == isolation_oracle(members, Fraction(1, 4))
+
+    def test_no_members(self):
+        rep = sorgenfrey_isolation([])
+        assert rep.all_isolated and rep.isolated == rep.conflicts == ()
+
+    def test_duplicates_and_the_wrap(self):
+        # values within 1e-22 of 0 whose positions are 2e-23 and -1.3e-23, and of 1
+        # whose positions are 1.0: their float offsets come out as 0 or 1 either way
+        up, down = -_hair(56), -_hair(57)
+        assert 0 < up.as_float() < 1e-22 and -1e-22 < down.as_float() < 0
+        assert (-up).as_float() == (-down).as_float() == 1.0
+        eighth = CirclePoint(GOLDEN, 0, Fraction(1, 8))
+        circle = [zero(GOLDEN), up, -up, down, -down, up, eighth, eighth + up, eighth - down,
+                  -eighth, CirclePoint(GOLDEN, 0, Fraction(1, 16))]
+        for eps in (Fraction(1, 7), Fraction(1, 4), Fraction(1, 2)):
+            for side in (PLUS, MINUS):
+                members = [((g, side),) for g in circle]
+                rep = sorgenfrey_isolation(members, eps=eps)
+                assert rep == isolation_oracle(members, eps)
+            # offsets d and 1 - d are both below eps only for d = 0: each copy of up
+            # is in the other's rectangle, and every other member is isolated
+            members = [((g, PLUS), (g, MINUS)) for g in circle]
+            rep = sorgenfrey_isolation(members, eps=eps)
+            assert rep == isolation_oracle(members, eps)
+            assert rep.conflicts == (None, 5, None, None, None, 1, None, None, None, None, None)
+
+    def test_pair_block_below_one_window(self, monkeypatch):
+        members = [((point(GOLDEN, 0, Fraction(k, 24)), side),) for k in range(24)
+                   for side in (PLUS, MINUS)]
+        want = isolation_oracle(members, Fraction(1, 4))
+        monkeypatch.setattr(envelope, "_PAIR_BLOCK", 1)  # every window holds more candidates
+        assert sorgenfrey_isolation(members) == want
+
+    def test_builds_no_array_beyond_the_members(self, monkeypatch):
+        # one point array per coordinate over the n members: none per pair of members
+        n, rows = 200, []
+        init = PointArray.__init__
+        monkeypatch.setattr(PointArray, "__init__", lambda self, alpha, a, *rest: (
+            rows.append(len(a)) or init(self, alpha, a, *rest)))
+        members = [((point(GOLDEN, 0, Fraction(k, n)), PLUS),) for k in range(n)]
+        rep = sorgenfrey_isolation(members)
+        assert rows and max(rows) <= n
+        assert rep.conflicts == tuple(k + 1 if k <= 150 else 0 for k in range(n))  # 0 past the wrap
+
+
+def _hair(m):
+    """(q_k alpha - p_k) / L_m with k = 2m - 1, within 1e-22 of 0 or 1 for m near 57:
+    golden q_k = F_{k+1} = F_m L_m, and F_m = q_{m-1} and L_m = q_{m-2} + q_m stay
+    in the point-array range."""
+    q = GOLDEN.denominator
+    return CirclePoint(GOLDEN, q(m - 1), Fraction(-GOLDEN.numerator(2 * m - 1), q(m - 2) + q(m)))
 
 
 def isolation_oracle(members, eps):

@@ -333,6 +333,50 @@ def test_level_for_exhausts_like_linear_scan():
         alpha.level_for(Fraction(0))
 
 
+def _approach_linear(target, side, depth):
+    """The greedy walk of ``one_sided_approach`` for an off-orbit target, with
+    each step's convergent found by a linear scan from the walk's parity."""
+    alpha, n, times, bounds, prev = target.alpha, target.a, [], [], None
+    gap = CirclePoint(alpha, 0, target.b if side == "below" else -target.b)
+    parity = 0 if side == "below" else 1
+    while len(times) < depth:
+        eps = Fraction(1, 10**6)
+        while gap.bounds(eps)[0] <= 0:
+            eps /= 10**6
+        glo = gap.bounds(eps)[0]
+        k = parity
+        while alpha.gap_upper(k) >= glo:
+            k += 2
+        n += alpha.denominator(k)
+        gap = gap - exactarith._delta_point(alpha, k)
+        eps = alpha.gap_upper(k)
+        while True:
+            lo, hi = gap.bounds(eps)
+            if lo > 0 and (prev is None or hi < prev):
+                break
+            eps /= 16
+        times.append(n)
+        bounds.append(hi)
+        prev = hi
+    return tuple(times), tuple(bounds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cf=st.sampled_from(CF_SAMPLES),
+    a=st.integers(-50, 50),
+    num=st.integers(1, 10**6),
+    den=st.integers(2, 10**6),
+    side=st.sampled_from(["below", "above"]),
+    depth=st.sampled_from([1, 2, 7, 30, 60]),
+)
+def test_approach_level_matches_linear_scan(cf, a, num, den, side, depth):
+    assume(num % den)  # an off-orbit target takes the greedy walk
+    target = CirclePoint(SHARED[cf], a, Fraction(num, den))
+    seq = one_sided_approach(target, side, depth)
+    assert (seq.times, seq.error_bounds) == _approach_linear(target, side, depth)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     cf=st.sampled_from(CF_SAMPLES),

@@ -42,7 +42,7 @@ def test_cli_synopsis_matches_parser(capsys):
 
 def test_parameter_table_lists_each_params_row():
     """The README's parameter table names exactly the keys of each ``cli.PARAMS``
-    row, and each default it shows is the row's."""
+    row, and each default and least value it shows is the row's."""
     from tamecert.cli import PARAMS, REQUIRED
 
     table = README.read_text().split("| row | keys and defaults |", 1)[1].split("\n\n", 1)[0]
@@ -52,6 +52,9 @@ def test_parameter_table_lists_each_params_row():
     for name, text in rows.items():
         shown = {key: default or note for key, default, note in entry.findall(text)}
         assert list(shown) == list(PARAMS[name]), name
+        starts = [m.start() for m in entry.finditer(text)] + [len(text)]
+        for (key, (_, _, *least)), start, stop in zip(PARAMS[name].items(), starts, starts[1:]):
+            assert re.findall(r"at least (\d+)", text[start:stop]) == list(map(str, least)), key
         for key, (default, *_) in PARAMS[name].items():
             if shown[key] == "required":
                 assert default is REQUIRED, (name, key)
