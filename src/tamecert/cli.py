@@ -141,13 +141,7 @@ def check_params(kind: str, params) -> dict:
     if name not in PARAMS:
         raise ConfigError(f"{kind} experiment does not support {pick} {name.partition('/')[2]!r}"
                           f" (rows: {', '.join(row for row in PARAMS if row.startswith(kind))})")
-    checked = _typed(params, PARAMS[name])
-    # load the system a limit or a coding reads, so a bad one is refused before any run
-    if kind == "limit":
-        _circle_system(checked["system"], "limit")
-    elif name == "independence/system":
-        resolve_system(checked["coding"]["system"])
-    return checked
+    return _typed(params, PARAMS[name])
 
 
 def _typed(value, typ):
@@ -534,7 +528,8 @@ _MALFORMED = (KeyError, TypeError, ValueError, ArithmeticError)
 def _experiments(config) -> list[dict]:
     """The experiments of a config; ConfigError unless the config is an object
     with an integer seed whose experiments (or the config itself) are objects
-    with a known kind whose ``params`` pass ``check_params``."""
+    with a known kind whose ``params`` pass ``check_params`` and whose limit
+    or coding system loads."""
     if not isinstance(config, dict):
         raise ConfigError("a config must be an object")
     seed = config.get("seed", 0)
@@ -548,7 +543,13 @@ def _experiments(config) -> list[dict]:
         if not isinstance(kind, str) or kind not in DISPATCH:
             raise ConfigError(f"experiment {i}: unknown kind {kind!r}")
         with _param_errors(_exp_id(i, exp)):
-            check_params(kind, exp.get("params", {}))
+            p = check_params(kind, exp.get("params", {}))
+            # the system a limit or a coding reads is loaded here once to be checked,
+            # so a bad one is refused before the first run (the run loads its own)
+            if kind == "limit":
+                _circle_system(p["system"], "limit")
+            elif "system" in p.get("coding", {}):
+                resolve_system(p["coding"]["system"])
     return experiments
 
 
