@@ -10,22 +10,28 @@ _QUERY_BLOCK = 2048  # balls read per step: bounds the temporaries of a level
 
 
 def extract_factors(word, length: int) -> np.ndarray:
-    """Sorted distinct bitmasks of all ``length``-windows of a 0/1 word.
+    """Sorted distinct bitmasks of all ``length``-windows of a 0/1 word, as int64.
 
-    Bit j of a mask is the symbol at window offset j.  Up to 24 bits the
-    distinct set is read off a bitmap over all 2^length masks, which is sorted
-    by construction; longer windows use ``np.unique``.
+    Bit j of a mask is the symbol at window offset j.  The masks start as the
+    symbols, in uint32 (uint64 above 32 bits), and each of ceil(log2 length)
+    passes widens every b-bit window by the last s = min(b, length - b) bits of
+    the window s places on; shifts by scalars of the mask type keep that type.
+    Up to 24 bits the distinct set is read off a bitmap over all 2^length
+    masks, which is sorted by construction; longer windows use ``np.unique``.
     """
-    w = np.asarray(word, dtype=np.int64)
-    n = w.shape[0]
+    w = np.asarray(word)
     if length < 1 or length > 62:
         raise ValueError("length must be in 1..62")
-    if n < length:
+    if w.shape[0] < length:
         return np.empty(0, dtype=np.int64)
-    windows = np.lib.stride_tricks.sliding_window_view(w, length)
-    masks = windows @ (np.int64(1) << np.arange(length, dtype=np.int64))
+    kind = np.uint64 if length > 32 else np.uint32
+    masks, b = w.astype(kind), 1
+    while b < length:
+        s = min(b, length - b)
+        masks = masks[:-s] | ((masks[s:] >> kind(b - s)) << kind(b))
+        b += s
     if length > 24:
-        return np.unique(masks)
+        return np.unique(masks).astype(np.int64)
     seen = np.zeros(1 << length, dtype=bool)
     seen[masks] = True
     return np.flatnonzero(seen)

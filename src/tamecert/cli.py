@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import BudgetExceeded, ConfigError, NotStabilized, NotStabilizedAcrossResolutions
+from .errors import (BudgetExceeded, ConfigError, DepthInsufficient, NotStabilized,
+                     NotStabilizedAcrossResolutions)
 from .exactarith import ARRAY_A_MAX, ARRAY_DEN_MAX, GOLDEN, CirclePoint, one_sided_approach
 from . import envelope, order, rank, systems, tameness
 from .boundary import ReducedWord, boundary_sample, loxodromic_rank_arrays, power_limit
@@ -51,6 +52,20 @@ def resolve_system(spec):
             raise ConfigError(f"unknown system name {spec!r}")
         spec = NAMED_SYSTEMS[spec]
     return systems.load_system(spec)
+
+
+_BUILT: dict[str, object] = {}  # coding systems under their specs and sources, a few at a time
+
+
+def _coding_system(spec):
+    """A coding system by its spec or its source: one build per experiment."""
+    key = _canonical(spec)
+    if key not in _BUILT:
+        sys_ = resolve_system(spec)
+        if len(_BUILT) >= 16:
+            _BUILT.clear()
+        _BUILT[key] = _BUILT[_canonical(sys_.describe())] = sys_
+    return _BUILT[key]
 
 
 def _point_str(p: CirclePoint) -> str:
@@ -238,7 +253,7 @@ def _coding_source(p) -> tuple[dict, int]:
         if coding.get("kind") == "periodic":
             source = {"kind": "periodic", "pattern": coding["pattern"]}
         else:
-            source = resolve_system(coding["system"]).describe()
+            source = _coding_system(coding["system"]).describe()
     windows = sorted(p["windows"])
     if not windows:
         raise ValueError("independence windows must be a nonempty list")
@@ -273,7 +288,7 @@ def _word(source_json: str, horizon: int) -> np.ndarray:
             raise ConfigError("a periodic source needs a nonempty 0/1 pattern")
         word = np.tile(pattern, horizon // len(pattern) + 1)[:horizon]
     else:
-        sys_ = systems.load_system(source)
+        sys_ = _coding_system(source)
         if isinstance(sys_, systems.SplitCircleSystem):
             word = sys_.word(sys_.orbit_pt(0, systems.PLUS), horizon)
         elif isinstance(sys_, systems.CutProjectCoding):
@@ -544,12 +559,12 @@ def _experiments(config) -> list[dict]:
             raise ConfigError(f"experiment {i}: unknown kind {kind!r}")
         with _param_errors(_exp_id(i, exp)):
             p = check_params(kind, exp.get("params", {}))
-            # the system a limit or a coding reads is loaded here once to be checked,
-            # so a bad one is refused before the first run (the run loads its own)
+            # the system a limit or a coding reads is loaded here to be checked, so a
+            # bad one is refused before the first run (a coding's run reuses this build)
             if kind == "limit":
                 _circle_system(p["system"], "limit")
             elif "system" in p.get("coding", {}):
-                resolve_system(p["coding"]["system"])
+                _coding_system(p["coding"]["system"])
     return experiments
 
 
@@ -597,7 +612,7 @@ def _run_one(exp_id, exp: dict, seed: int) -> dict:
         entry.update(result=result, certificates=certs, status="ok")
     except _Partial as partial:
         entry.update(result=partial.result, certificates=partial.certs, status="not_stabilized")
-    except (NotStabilized, NotStabilizedAcrossResolutions, BudgetExceeded) as exc:
+    except (NotStabilized, NotStabilizedAcrossResolutions, BudgetExceeded, DepthInsufficient) as exc:
         entry.update(result={"error": str(exc)}, certificates=[], status="not_stabilized")
     return entry
 

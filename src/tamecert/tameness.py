@@ -34,7 +34,7 @@ def check_horizon(length: int, horizon: int) -> None:
 
 def factor_masks(word, window: int) -> np.ndarray:
     """Sorted distinct factors of the given window length, as bitmasks."""
-    return K.extract_factors(np.asarray(word, dtype=np.int64), window)
+    return K.extract_factors(word, window)
 
 
 class ComplexityProfile:
@@ -52,7 +52,7 @@ class ComplexityProfile:
 
 def complexity(word, length: int, horizon: int | None = None) -> ComplexityProfile:
     """Factor-count profile p(1..length) from a coding word."""
-    w = np.asarray(word, dtype=np.int64)
+    w = np.asarray(word)
     horizon = w.shape[0] if horizon is None else horizon
     check_horizon(length, horizon)
     w = w[:horizon]
@@ -144,7 +144,7 @@ def max_independence(
     BudgetExceeded with the best certificate attached.
     """
     check_window(window)
-    w = np.asarray(word, dtype=np.int64)
+    w = np.asarray(word)
     check_horizon(window, w.shape[0])
     factors = factor_masks(w, window)
     best: tuple[int, ...] = ()
@@ -191,7 +191,7 @@ def max_independence(
 
 def exhaustive_max_independence(word, window: int) -> tuple[int, ...]:
     """Brute-force oracle: scan all position sets by descending size, lex order."""
-    w = np.asarray(word, dtype=np.int64)
+    w = np.asarray(word)
     factors = factor_masks(w, window)
     for size in range(window, 0, -1):
         for cand in itertools.combinations(range(window), size):

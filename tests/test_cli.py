@@ -229,6 +229,31 @@ class TestRunConfig:
         assert "budget" in entry["result"]["flag"]
         assert entry["certificates"]  # best-found certificate still attached
 
+    def test_fibers_depth_too_small_keeps_the_report(self):
+        config = {"experiments": [{"kind": "fibers", "id": "f", "params": {"depth": 5}},
+                                  {"kind": "catalog", "id": "cat"}]}
+        report, code = run_config(config)
+        assert code == 3
+        fibers, catalog = report["results"]
+        assert fibers["status"] == "not_stabilized" and fibers["certificates"] == []
+        assert "depth 5" in fibers["result"]["error"]
+        assert catalog["status"] == "ok" and catalog["result"]["table"]
+
+    def test_coding_system_built_once_per_experiment(self, monkeypatch):
+        built = []
+        init = systems.CutProjectCoding.__init__
+        monkeypatch.setattr(systems.CutProjectCoding, "__init__",
+                            lambda self, *a, **k: built.append(init(self, *a, **k)))
+        monkeypatch.setattr(cli, "_BUILT", {})
+        cli._word.cache_clear()
+        params = {"coding": {"system": "cantor6"}, "horizon": 2000, "windows": [6, 8]}
+        report, code = run_config({"experiments": [
+            {"kind": "independence", "params": params},
+            {"kind": "independence", "params": {**params, "coding": {"system": "sturmian"}}}]})
+        assert code == 0 and len(built) == 1  # the check, the source and the word share it
+        assert all(verify_certificate(c) for c in report["results"][0]["certificates"])
+        assert len(built) == 1
+
 
 class TestCliMain:
     def test_run_and_plot_and_verify(self, tmp_path):

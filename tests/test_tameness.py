@@ -189,6 +189,23 @@ class TestIndependence:
         )
         assert not wrong.verify(sturmian_word)
 
+    def test_uint8_word_and_its_int64_copy_agree(self, sturmian_word):
+        cantor = CutProjectCoding(GOLDEN, cantor_generation=6).word(20_000)
+        for word in (sturmian_word, cantor):
+            wide = word.astype(np.int64)
+            assert word.dtype == np.uint8
+            for L in (8, 12, 16):
+                narrow, copy = max_independence(word, L), max_independence(wide, L)
+                assert narrow.payload() == copy.payload()
+                assert narrow.complexity == copy.complexity
+                assert narrow.witnesses.tolist() == copy.witnesses.tolist()
+                # the found set verifies; one more position exceeds the maximum and fails
+                extra = min(set(range(L)) - set(narrow.positions))
+                for positions in (narrow.positions, tuple(sorted(narrow.positions + (extra,)))):
+                    cert = IndependenceCertificate.from_payload(
+                        dict(narrow.payload(), positions=list(positions)))
+                    assert cert.verify(word) == cert.verify(wide) == (positions == narrow.positions)
+
     def test_single_factor_word_has_empty_pattern(self):
         word = np.zeros(100, dtype=np.int64)
         cert = max_independence(word, 6)
@@ -266,9 +283,16 @@ def _factor_oracle(word, length):
 @example(word=[0, 1] * 20, length=24)  # widest bitmap table
 @example(word=[0, 1, 1] * 30, length=25)  # narrowest np.unique window
 @example(word=list(full_shift_word(6)), length=6)  # every pattern: the whole table
+@example(word=list(full_shift_word(6)), length=32)  # widest uint32 mask
+@example(word=list(full_shift_word(6)), length=33)  # narrowest uint64 mask
+@example(word=[1] * 70, length=62)  # every bit of the widest mask set
 def test_extract_factors_matches_bruteforce(word, length):
-    got = K.extract_factors(np.asarray(word, dtype=np.int64), length)
-    assert got.dtype == np.int64 and got.tolist() == _factor_oracle(word, length)
+    want = _factor_oracle(word, length)
+    for dtype in (np.int64, np.uint8, np.bool_):  # the codings' words are uint8 or bool
+        w = np.asarray(word, dtype=dtype)
+        w.flags.writeable = False  # as cli._word hands words out
+        got = K.extract_factors(w, length)
+        assert got.dtype == np.int64 and got.tolist() == want
 
 
 @pytest.mark.parametrize("length", [0, -1, 63])
