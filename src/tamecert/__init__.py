@@ -15,12 +15,17 @@ the tuple of their fields; the others compare by identity.
 
 __version__ = "0.1.0"
 
-from .exactarith import (  # noqa: F401
-    GOLDEN,
-    SQRT2_MINUS_1,
-    ApproachSequence,
-    CirclePoint,
-    RotationNumber,
-    one_sided_approach,
-    parse_rotation_number,
-)
+# Re-exported from ``exactarith`` on first access (PEP 562), so that a bare
+# ``import tamecert`` loads no NumPy: ``cli`` sets its BLAS thread default
+# before NumPy first loads.
+_EXACTARITH = frozenset({"GOLDEN", "SQRT2_MINUS_1", "ApproachSequence", "CirclePoint",
+                         "RotationNumber", "one_sided_approach", "parse_rotation_number"})
+
+
+def __getattr__(name):
+    if name not in _EXACTARITH:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import exactarith
+
+    value = globals()[name] = getattr(exactarith, name)
+    return value

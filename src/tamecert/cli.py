@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import operator
+import os
 import random
 import re
 import sys
@@ -22,7 +23,14 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
+# No tamecert path calls BLAS (test_source_surface guards this), so OpenBLAS's
+# thread pool is only start-up cost: NumPy loads single-threaded unless the
+# user chose a count.  OpenBLAS reads all three variables, OPENBLAS_NUM_THREADS
+# first, so a plain setdefault would override a user's OMP_NUM_THREADS.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
 
 from . import __version__
 from .errors import (BudgetExceeded, ConfigError, DepthInsufficient, NotStabilized,

@@ -749,8 +749,10 @@ def sorgenfrey_isolation(members: Sequence, eps: Fraction = Fraction(1, 4)) -> I
     candidates of member i are one run of that sorted array (one turn below
     and above it appended): the run within its first arc widened by
     ``_CUT_MARGIN``.  Each offset is read off the members' float positions;
-    the exact ``compare`` decides those within ``_CUT_MARGIN`` of eps or of
-    the 0/1 wrap.  ValueError when a member is outside the point-array range.
+    those within ``_CUT_MARGIN`` of eps or of the 0/1 wrap are decided
+    exactly: by integer cross products when both members have the same
+    alpha-coefficient (``_ties_inside``), else by ``compare``.  ValueError when
+    a member is outside the point-array range.
     """
     eps = Fraction(eps)
     if not 0 < eps <= Fraction(1, 2):
@@ -761,7 +763,7 @@ def sorgenfrey_isolation(members: Sequence, eps: Fraction = Fraction(1, 4)) -> I
     coords = [_isolation_columns([m[c] for m in members], eps)
               for c in range(len(members[0]) if members else 0)]
     cut = float(eps)
-    _, pos, sign, _ = coords[0] if coords else (None, np.zeros(n), np.ones(n), None)
+    _, _, pos, sign, _ = coords[0] if coords else (None, None, np.zeros(n), np.ones(n), None)
     order = np.argsort(pos, kind="stable")
     turns = np.concatenate([pos[order] - 1, pos[order], pos[order] + 1])
     left = pos - (sign < 0) * cut - _CUT_MARGIN
@@ -776,11 +778,15 @@ def sorgenfrey_isolation(members: Sequence, eps: Fraction = Fraction(1, 4)) -> I
         i = np.repeat(np.arange(start, stop), count[start:stop])
         j = order[(np.arange(first, end[stop - 1]) + skip[i]) % n]
         i, j = i[i != j], j[i != j]
-        for pts, p, s, bound in coords:
+        for pts, arr, p, s, bound in coords:
             off = np.mod(s[i] * (p[j] - p[i]), 1.0)
             inside = off < cut
-            near = (np.abs(off - cut) <= _CUT_MARGIN) | (np.minimum(off, 1 - off) <= _CUT_MARGIN)
-            for r in np.flatnonzero(near):
+            near = np.flatnonzero((np.abs(off - cut) <= _CUT_MARGIN)
+                                  | (np.minimum(off, 1 - off) <= _CUT_MARGIN))
+            same = arr.a[i[near]] == arr.a[j[near]]
+            ties = near[same]
+            inside[ties] = _ties_inside(arr, i[ties], j[ties], s[i[ties]], eps)
+            for r in near[~same]:
                 g, h = pts[i[r]], pts[j[r]]
                 inside[r] = ((h - g) if s[i[r]] > 0 else (g - h)).compare(bound) < 0
             i, j = i[inside], j[inside]
@@ -793,7 +799,8 @@ def sorgenfrey_isolation(members: Sequence, eps: Fraction = Fraction(1, 4)) -> I
 
 def _isolation_columns(coord: Sequence, eps: Fraction) -> tuple:
     """One coordinate of the members, (gamma, side) each: the points, their
-    float positions, their signs (+1.0 for side +1, else -1.0) and eps as a point."""
+    ``PointArray``, their float positions, their signs (+1.0 for side +1, else
+    -1.0) and eps as a point."""
     pts = [g for g, _ in coord]
     alpha = pts[0].alpha
     if any(p.alpha != alpha for p in pts):
@@ -803,7 +810,19 @@ def _isolation_columns(coord: Sequence, eps: Fraction) -> tuple:
         raise ValueError("isolation members outside the point-array range")
     sign = np.array([1.0 if side == PLUS else -1.0 for _, side in coord])
     # a value within 1e-22 of 0 may have a position just below 0: clip it to keep the turns sorted
-    return pts, np.maximum(arr.positions, 0.0), sign, CirclePoint(alpha, 0, eps)
+    return pts, arr, np.maximum(arr.positions, 0.0), sign, CirclePoint(alpha, 0, eps)
+
+
+def _ties_inside(arr: PointArray, i, j, sign, eps: Fraction) -> list[bool]:
+    """Whether the offset sign*(h - g) mod 1 is below eps, for g row i and h
+    row j of ``arr`` with the same alpha-coefficient.  The alpha terms cancel,
+    so with b = num/den and eps = p/q the offset is x/d for d = den_g*den_h and
+    x = sign*(num_h*den_g - num_g*den_h) mod d, and it is below eps iff
+    x*q < p*d; Python ints, as d may pass the int64 range."""
+    p, q = eps.numerator, eps.denominator
+    cols = (c.tolist() for c in (arr.num[i], arr.den[i], arr.num[j], arr.den[j], sign))
+    return [int(s) * (nh * dg - ng * dh) % (dg * dh) * q < p * dg * dh
+            for ng, dg, nh, dh, s in zip(*cols)]
 
 
 def flipped_diagonal(gammas: Sequence[CirclePoint]) -> list[tuple]:

@@ -466,7 +466,7 @@ class TestSorgenfrey:
             members = [((point(GOLDEN, 0, Fraction(k, 8)), side),) for k in range(8)]
             calls.clear()
             rep = sorgenfrey_isolation(members, eps=quarter)
-            assert calls  # the ties are decided by the exact compare
+            assert not calls  # the ties share a = 0: integer cross products decide them
             assert list(rep.conflicts) == want
             assert rep == isolation_oracle(members, quarter)
         # a second coordinate with the opposite side leaves only equal k inside
@@ -474,6 +474,38 @@ class TestSorgenfrey:
                    for k in range(8)]
         rep = sorgenfrey_isolation(members, eps=quarter)
         assert rep.all_isolated and rep == isolation_oracle(members, quarter)
+
+    def test_equal_coefficient_ties_agree_with_compare(self):
+        # exact ties, near-ties on both sides of eps and offsets across the 0/1
+        # wrap, between members of one alpha-coefficient, for both member sides
+        eps, tiny = Fraction(1, 4), Fraction(1, 1 << 50)
+        bound = CirclePoint(GOLDEN, 0, eps)
+        offsets = [d + e for d in (0, eps, 1 - eps) for e in (0, tiny, -tiny)]
+        for a in (0, 7, -3):
+            pts = [CirclePoint(GOLDEN, a, b + d) for b in (0, Fraction(1, 3), 1 - tiny)
+                   for d in offsets]
+            arr = PointArray.of(GOLDEN, pts)
+            i, j = np.divmod(np.arange(len(pts) ** 2), len(pts))
+            for sign in (1.0, -1.0):
+                got = envelope._ties_inside(arr, i, j, np.full(len(i), sign), eps)
+                want = [((h - g) if sign > 0 else (g - h)).compare(bound) < 0
+                        for g, h in ((pts[x], pts[y]) for x, y in zip(i, j))]
+                assert got == want and 0 < sum(got) < len(got)
+
+    def test_equal_coefficient_near_ties_skip_compare(self, monkeypatch):
+        # every offset of these members is within 2^-50 of eps or of the wrap
+        quarter, tiny = Fraction(1, 4), Fraction(1, 1 << 50)
+        coord = [CirclePoint(GOLDEN, 7, b) for b in
+                 (0, quarter - tiny, quarter + tiny, 1 - tiny, Fraction(1, 2), quarter)]
+        calls = []
+        compare = CirclePoint.compare
+        monkeypatch.setattr(CirclePoint, "compare", lambda p, q: calls.append(1) or compare(p, q))
+        for side in (PLUS, MINUS):
+            members = [((g, side),) for g in coord]
+            calls.clear()
+            rep = sorgenfrey_isolation(members, eps=quarter)
+            assert not calls
+            assert rep == isolation_oracle(members, quarter)
 
     def test_irrational_near_ties(self):
         # q*alpha - p for the convergents p/q of levels 57 and 58 is within

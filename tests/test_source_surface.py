@@ -1,5 +1,6 @@
 """Every top-level function, class and method of ``src/tamecert`` is reached
-from the package itself, apart from a listed few that a test needs.
+from the package itself, apart from a listed few that a test needs; and no
+code of the package calls BLAS.
 
 A name counts as reached when it occurs as a name or an attribute anywhere in
 ``src/`` outside its own definition.  Methods are matched by name alone, so a
@@ -75,3 +76,38 @@ def test_every_definition_is_reached_from_the_package():
     assert sorted(unreached - ALLOWED.keys()) == []
     # an entry whose name gained a caller, or is gone, leaves the list
     assert sorted(ALLOWED.keys() - unreached) == []
+
+
+# NumPy entry points that reach BLAS.  ``cli`` loads NumPy with one OpenBLAS
+# thread, which costs nothing only while none of these is called: a new call
+# has to be weighed against that default, and this list changed with it.
+BLAS_NAMES = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum", "linalg"}
+
+
+def _blas_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) of each ``@``, each attribute in BLAS_NAMES and each
+    import of one; a bare name reaches NumPy only through such an import."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            out.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            out.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            parts = [p for a in node.names for p in a.name.split(".")]
+            parts += (getattr(node, "module", None) or "").split(".")
+            out += [(node.lineno, p) for p in parts if p in BLAS_NAMES]
+    return out
+
+
+def test_no_code_calls_blas():
+    found = [f"{path.relative_to(SRC)}:{line}: {name}" for path in sorted(SRC.rglob("*.py"))
+             for line, name in _blas_uses(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_blas_scan_finds_each_form():
+    source = ("import numpy.linalg\nfrom numpy import einsum\nfrom numpy.linalg import norm\n"
+              "x = a @ b\nx @= b\ny = np.dot(a, b) + a.vdot(b)\n")
+    assert sorted(_blas_uses(ast.parse(source))) == [
+        (1, "linalg"), (2, "einsum"), (3, "linalg"), (4, "@"), (5, "@"), (6, "dot"), (6, "vdot")]
