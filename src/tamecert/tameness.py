@@ -67,10 +67,12 @@ class IndependenceCertificate:
     the positions alone, no witness per pattern.
     """
 
-    __slots__ = ("window", "positions", "witnesses", "horizon", "exhausted", "complexity")
+    __slots__ = ("window", "positions", "witnesses", "horizon", "exhausted", "complexity",
+                 "nodes")
 
     def __init__(self, window: int, positions: tuple[int, ...], witnesses: np.ndarray | None,
-                 horizon: int, exhausted: bool, complexity: int | None = None):
+                 horizon: int, exhausted: bool, complexity: int | None = None,
+                 nodes: int | None = None):
         self.window = window
         self.positions = positions
         # in memory only, never in the payload: the smallest factor of each pattern,
@@ -81,6 +83,9 @@ class IndependenceCertificate:
         self.horizon = horizon
         self.exhausted = exhausted  # search ran to completion (vs. budget cut)
         self.complexity = complexity  # p(window); None when rebuilt from a payload
+        # in memory only: the candidate tests the search ran, 0 for a full shift;
+        # None when rebuilt from a payload
+        self.nodes = nodes
 
     @property
     def size(self) -> int:
@@ -130,18 +135,21 @@ def max_independence(
     """Maximum-size independent position set, by lexicographic branch and bound.
 
     Include-first depth-first order makes the first maximum found the
-    lexicographically smallest one.  Each node carries ``codes``: the factor
-    masks with the node's pattern on its k positions in bits
-    window..window+k-1, so a child p is tested on the two runs
-    (p, window..window+k-1) whatever the gaps in the node's positions.
-    ``codes >> window`` is also the node's pattern class.  A shattered
-    superset must show every pattern of its new positions inside each of the
-    2^k classes, so the counting bound, 2^|I| <= p(window) at the root, cuts
-    each subtree at k + floor(log2(smallest class)) positions, together with
-    the remaining-position bound.  ``node_budget`` counts candidate tests.
-    The full shift shatters every position set and needs no search; its
-    witnesses are the factors themselves.  On budget exhaustion raises
-    BudgetExceeded with the best certificate attached.
+    lexicographically smallest one.  Each node carries ``key``: every
+    factor's class id, its pattern on the node's k positions shifted left by
+    one bit.  With ``bits[p]`` the row of bit p of every factor, a child p is
+    tested by one ``bincount`` of ``key | bits[p]`` over its 2^(k+1) class
+    ids: it is shattered when no class is empty, and the smallest count is
+    the child's smallest class.  A shattered superset must show every pattern
+    of its new positions inside each class, so the counting bound, 2^|I| <=
+    p(window) at the root, cuts each subtree at k + floor(log2(smallest
+    class)) positions, together with the remaining-position bound.
+    ``node_budget`` counts candidate tests.  Before a search returns, the
+    projection kernel that ``verify`` uses checks the found positions once
+    more and a refusal raises RuntimeError.  The full shift shatters every
+    position set and needs no search; its witnesses are the factors
+    themselves.  On budget exhaustion raises BudgetExceeded with the best
+    certificate attached.
     """
     check_window(window)
     w = np.asarray(word)
@@ -151,30 +159,34 @@ def max_independence(
     nodes = 0
     out_of_budget = False
 
-    def dfs(start: int, current: tuple[int, ...], codes: np.ndarray) -> None:
+    def dfs(start: int, current: tuple[int, ...], key: np.ndarray, room: int) -> None:
         nonlocal best, nodes, out_of_budget
         k = len(current)
-        pattern = tuple(range(window, window + k))
-        # a shattered superset shows every pattern of its new positions in each class
-        room = int(np.bincount(codes >> window, minlength=1 << k).min()).bit_length() - 1
         for p in range(start, window):
             if out_of_budget or k + min(room, window - p) <= len(best):
                 return
-            nodes += 1
-            if nodes > node_budget:
+            if nodes >= node_budget:
                 out_of_budget = True
                 return
-            if K.distinct_projection_count(codes, (p,) + pattern) == 2 << k:
+            nodes += 1
+            child = key | bits[p]
+            smallest = int(np.bincount(child, minlength=2 << k).min())
+            if smallest:
                 cand = current + (p,)
                 if len(cand) > len(best):
                     best = cand
-                dfs(p + 1, cand, codes | (((codes >> p) & 1) << (window + k)))
+                # a shattered superset shows every pattern of its new positions in each class
+                dfs(p + 1, cand, child << 1, smallest.bit_length() - 1)
 
     if len(factors) == 1 << window:
         best = tuple(range(window))
         witnesses = factors  # projecting onto every position is the identity
     else:
-        dfs(0, (), factors)
+        bits = ((factors >> np.arange(window)[:, None]) & 1).astype(np.uint8)
+        dfs(0, (), np.zeros(len(factors), dtype=np.intp), len(factors).bit_length() - 1)
+        if not _covers(factors, best):
+            raise RuntimeError(f"independence search for window {window} returned "
+                               f"positions {best} that the projection kernel does not cover")
         witnesses = _witnesses(factors, best)
     cert = IndependenceCertificate(
         window=window,
@@ -183,6 +195,7 @@ def max_independence(
         horizon=int(w.shape[0]),
         exhausted=not out_of_budget,
         complexity=len(factors),
+        nodes=nodes,
     )
     if out_of_budget:
         raise BudgetExceeded(f"independence search for window {window} hit the node budget", best=cert)

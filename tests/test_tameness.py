@@ -92,18 +92,12 @@ class TestIndependence:
         # positions (7 and 6) and the root bound 2^4 <= 18 factors would not cut
         hand = np.array(sorted([m << 4 for m in range(16)] + [0b01, 0b10]), dtype=np.int64)
         monkeypatch.setattr(tameness, "factor_masks", lambda word, window: hand)
-        original, class_sizes = K.distinct_projection_count, []
-
-        def spy(codes, positions):
-            if len(positions) == 2:  # a child of a one-position node: its classes
-                class_sizes.append(np.bincount(codes >> 8, minlength=2).min())
-            return original(codes, positions)
-
-        monkeypatch.setattr(K, "distinct_projection_count", spy)
         word = np.zeros(80, dtype=np.int64)  # only its length is read
         cert = max_independence(word, 8)
         assert cert.positions == (4, 5, 6, 7)
-        assert class_sizes and min(class_sizes) >= 2  # {0} and {1} were cut untested
+        # 0..4 at the root, then 5, 6 and 7 on the way to (4, 5, 6, 7): the
+        # children of {0} and {1} were cut untested (without the class bound, 21)
+        assert cert.nodes == 8
         assert exhaustive_max_independence(word, 8) == cert.positions
         assert all(tameness._covers(hand, (p,)) for p in (0, 1, 4))
 
@@ -125,6 +119,35 @@ class TestIndependence:
         assert best.size > 0 and not best.exhausted
         assert best.verify(cantor)
 
+    def test_search_shape_is_pinned(self, sturmian_word):
+        # candidate tests per window and the best set at each budget cut, counted
+        # when each child was tested by the projection kernel: the same tests in
+        # the same order keep node_budget's meaning
+        cantor6 = CutProjectCoding(GOLDEN, cantor_generation=6).word(100_000)
+        for word, nodes, positions in ((cantor6, [36, 207, 659, 1580], (0, 1, 3, 6)),
+                                       (sturmian_word, [22, 147, 370, 772], (0, 2))):
+            certs = [max_independence(word, L) for L in (8, 12, 16, 20)]
+            assert [c.nodes for c in certs] == nodes
+            assert all(c.positions == positions and c.exhausted for c in certs)
+        for budget, best in ((0, ()), (1, (0,)), (4, (0, 1, 3)), (206, (0, 1, 3, 6))):
+            with pytest.raises(BudgetExceeded) as exc:
+                max_independence(cantor6, 12, node_budget=budget)
+            cut = exc.value.best
+            assert (cut.positions, cut.nodes, cut.exhausted) == (best, budget, False)
+        cert = max_independence(cantor6, 12, node_budget=207)
+        assert (cert.positions, cert.nodes, cert.exhausted) == ((0, 1, 3, 6), 207, True)
+        assert IndependenceCertificate.from_payload(cert.payload()).nodes is None
+        assert "nodes" not in cert.payload()
+
+    def test_kernel_refusal_stops_the_search_result(self, monkeypatch):
+        # the search and the projection kernel decide shattering independently;
+        # a result the kernel refuses is raised, on an exhausted run and on a cut
+        cantor = CutProjectCoding(GOLDEN, cantor_generation=4).word(20_000)
+        monkeypatch.setattr(K, "distinct_projection_count", lambda factors, positions: 0)
+        for budget in (5_000_000, 3):
+            with pytest.raises(RuntimeError, match="does not cover"):
+                max_independence(cantor, 9, node_budget=budget)
+
     def test_full_shift_runs_no_search(self, monkeypatch):
         original, calls = K.distinct_projection_count, []
         monkeypatch.setattr(K, "distinct_projection_count",
@@ -132,12 +155,12 @@ class TestIndependence:
         for L in (6, 9, 12):  # from 6 up, a full-shift word meets the horizon rule
             word = full_shift_word(L)
             cert = max_independence(word, L, node_budget=0)
-            assert calls == []
+            assert calls == [] and cert.nodes == 0
             assert cert.positions == tuple(range(L)) and cert.exhausted
             assert cert.witnesses.tolist() == list(range(2**L))
             assert cert.verify(word) and len(calls) == 1  # verify counts the patterns once
             calls.clear()
-        # the patched kernel is the one the search calls
+        # the patched kernel is the one a search calls, in its final covering check
         max_independence(np.tile([1, 0, 0], 400), 6)
         assert calls
 
